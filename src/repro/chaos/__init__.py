@@ -17,10 +17,11 @@ and *detectable*:
 * :mod:`~repro.chaos.watchdog` — bounded-retry/backoff accounting and a
   livelock detector that surfaces stuck-op diagnostics (holder, chunk,
   retry counts, zombie-chain length) instead of hanging.
-* :mod:`~repro.chaos.backend` — the ``interleaved-chaos`` engine
-  backend: the interleaved replay with injection + history recording.
-  With zero faults configured it is event-for-event identical to
-  ``interleaved``.
+* :mod:`~repro.chaos.hooks` — :class:`ChaosHooks`, which turn the
+  engine's one interleaved wave loop into the ``interleaved-chaos``
+  backend: injection, history recording and snapshot readers around
+  the same schedule.  With zero faults configured it is event-for-event
+  identical to ``interleaved``.
 * :mod:`~repro.chaos.campaign` — seeded adversarial campaigns
   (``python -m repro chaos``) and a shrinker that reduces a failing
   seed to a minimal reproducing configuration.
@@ -33,10 +34,10 @@ and *detectable*:
   overload campaigns.
 """
 
-from .backend import ChaosBackend
 from .campaign import (CampaignConfig, CampaignReport, repro_command,
                        run_campaign, shrink_campaign)
 from .faults import FAULT_KINDS, ChaosConfig, FaultInjector
+from .hooks import ChaosHooks
 from .retry import RetryPolicy
 from .serve_faults import (SERVE_FAULT_KINDS, ServeChaosConfig,
                            ServeFaultInjector, ShardFrozen)
@@ -65,7 +66,7 @@ __all__ = [
     "LivelockDetected",
     "StuckOpDiagnostics",
     "Watchdog",
-    "ChaosBackend",
+    "ChaosHooks",
     "CampaignConfig",
     "CampaignReport",
     "run_campaign",

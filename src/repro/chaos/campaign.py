@@ -33,11 +33,12 @@ from dataclasses import dataclass, field, replace
 from ..core import GFSL, InvariantViolation, validate_structure
 from ..core.locks import LockTimeout
 from ..core.traversal import RestartStorm
-from ..engine import OpBatch, make_structure
+from ..engine import (InterleavedBackend, OpBatch, make_structure,
+                      parse_structure_kind)
 from ..gpu.scheduler import DeviceFault
 from ..workloads import Mixture, generate
-from .backend import ChaosBackend
 from .faults import ChaosConfig
+from .hooks import ChaosHooks
 from .linearize import LinearizabilityReport, check_history
 from .watchdog import LivelockDetected
 
@@ -122,9 +123,23 @@ class CampaignReport:
         return "\n".join(lines)
 
 
+#: Structure kinds a campaign can audit: ``validate_structure`` checks
+#: GFSL chunk invariants (``pq`` is a GFSL subclass; M&C has no chunks).
+AUDITABLE_KINDS = ("gfsl", "pq")
+
+
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Execute one campaign end to end; never raises for the failure
-    modes it audits — they land in the report."""
+    modes it audits — they land in the report.  A structure the audit
+    cannot judge is rejected with ``ValueError`` before anything runs."""
+    base_kind, _ = parse_structure_kind(cfg.structure)
+    if base_kind not in AUDITABLE_KINDS:
+        raise ValueError(
+            f"chaos campaigns need a GFSL structure, not "
+            f"{cfg.structure!r}: the quiesced audit (validate_structure) "
+            f"checks GFSL chunk invariants only "
+            f"(auditable: {', '.join(AUDITABLE_KINDS)}, with an optional "
+            f"@<shards> suffix)")
     report = CampaignReport(config=cfg, n_ops=cfg.n_ops)
     workload = generate(cfg.mixture(), key_range=cfg.key_range,
                         n_ops=cfg.n_ops, seed=cfg.seed)
@@ -137,11 +152,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
             t.lock_retry_limit = cfg.lock_retry_limit
         if cfg.restart_limit is not None:
             t.restart_limit = cfg.restart_limit
-    backend = ChaosBackend(concurrency=cfg.concurrency,
-                           config=cfg.faults, chaos_seed=cfg.seed,
-                           task_step_budget=cfg.task_step_budget,
-                           trace=cfg.trace,
-                           snapshot_readers=cfg.snapshots)
+    hooks = ChaosHooks(config=cfg.faults, chaos_seed=cfg.seed,
+                       task_step_budget=cfg.task_step_budget,
+                       trace=cfg.trace, snapshot_readers=cfg.snapshots)
+    backend = InterleavedBackend(concurrency=cfg.concurrency, chaos=hooks)
     initial = set(int(k) for k in workload.prefill)
     try:
         backend.execute(sl, OpBatch.from_workload(workload))
@@ -149,8 +163,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
             InvariantViolation) as e:
         report.error = f"{type(e).__name__}: {e}"
     finally:
-        if backend.injector is not None:
-            report.fault_counts = dict(backend.injector.counts)
+        if hooks.injector is not None:
+            report.fault_counts = dict(hooks.injector.counts)
         report.op_stats = {f: getattr(sl.op_stats, f)
                            for f in sl.op_stats.__dataclass_fields__}
     if report.error is not None:
@@ -159,8 +173,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     # Quiesced: check the recorded history (plus any frozen snapshot
     # observations) and the full structure — per shard for a ShardedMap.
     final = set(sl.keys())
-    report.lin = check_history(backend.recorder, initial, final,
-                               snapshots=backend.snapshots)
+    report.lin = check_history(hooks.recorder, initial, final,
+                               snapshots=hooks.snapshots)
     try:
         stats: dict = {}
         for t in targets:

@@ -206,7 +206,11 @@ def cmd_chaos(args) -> int:
     seed = args.seed
     while True:
         cfg = replace(base, seed=seed)
-        report = run_campaign(cfg)
+        try:
+            report = run_campaign(cfg)
+        except ValueError as e:      # e.g. a structure the audit can't judge
+            print(f"chaos: {e}", file=sys.stderr)
+            return 2
         print(report.summary())
         if not report.ok:
             if args.shrink:
@@ -352,13 +356,12 @@ def cmd_serve_bench(args) -> int:
               "(the controller adjusts the admission budget)",
               file=sys.stderr)
         return 2
-    if args.elastic and not args.adaptive:
-        print("serve-bench: --elastic needs --adaptive (the reshard "
-              "policy consumes the elasticity controller's telemetry)",
-              file=sys.stderr)
-        return 2
 
-    report = run_serve_campaign(cfg)
+    try:
+        report = run_serve_campaign(cfg)
+    except ValueError as e:          # misconfiguration, named by the cause
+        print(f"serve-bench: {e}", file=sys.stderr)
+        return 2
     print(report.summary())
 
     if args.hist_out is not None:

@@ -11,13 +11,12 @@ differ only in how operations are scheduled:
   reference semantics).
 * :class:`InterleavedBackend` — waves of ``concurrency`` in-flight ops
   through a fresh :class:`~repro.gpu.scheduler.InterleavingScheduler`
-  per wave, exactly the mechanics of ``GPUContext.launch``.
+  per wave.  With :class:`~repro.chaos.hooks.ChaosHooks` attached it is
+  the ``interleaved-chaos`` backend: the same wave loop plus seeded
+  fault injection, history recording, and a livelock watchdog; with
+  zero faults it is byte-identical to ``interleaved``.
 * :class:`~repro.engine.vectorized.VectorizedBackend` (own module) —
   lock-step waves with batched numpy gathers.
-* :class:`~repro.chaos.backend.ChaosBackend` (``interleaved-chaos``) —
-  the interleaved replay plus seeded fault injection, history
-  recording, and a livelock watchdog; with zero faults it is
-  byte-identical to ``interleaved``.
 
 ``make_backend`` resolves a backend by name so callers can select
 ``structure × backend`` from strings (CLI flags, experiment grids).
@@ -124,11 +123,25 @@ class SequentialBackend:
                            waves=len(results), gen_ops=len(results))
 
 
+def account_wave(metrics, index: int, wave_start: int, n_ops: int) -> None:
+    """Account one finished wave: ``waves``/``wave_ops`` on the
+    structure's metrics, plus a ``wave <index>`` span on the wave track
+    from ``wave_start`` (the span clock when the wave began) to now."""
+    if metrics is None:
+        return
+    metrics.waves += 1
+    metrics.wave_ops += n_ops
+    spans = metrics.spans
+    if spans is not None:
+        spans.add(f"wave {index}", wave_start, spans.clock - wave_start,
+                  track=WAVE_TRACK, ops=n_ops)
+
+
 class InterleavedBackend:
     """Concurrent backend: waves of ``concurrency`` ops interleaved at
-    event granularity — the wave mechanics of ``GPUContext.launch``, so
-    lock conflicts and L2 thrash between concurrent access streams show
-    up in the trace.
+    event granularity, so lock conflicts and L2 thrash between
+    concurrent access streams show up in the trace.  This is the repo's
+    one interleaved wave loop.
 
     ``concurrency=None`` defaults to the device's memory-parallelism
     limit (total MSHRs); callers with an occupancy result should pass
@@ -142,17 +155,29 @@ class InterleavedBackend:
     Shard-aware mode: a structure may expose ``batch_order(batch)``
     returning a permutation of op ids (``repro.shard.ShardedMap`` deals
     ids round-robin across shards so every wave advances every shard);
-    results still land at their original batch positions.  Structures
-    without the hook replay in batch order, exactly as before.
+    waves are consecutive slices of that order and results still land
+    at their original batch positions.  Structures without the hook
+    replay in batch order.
+
+    ``chaos`` takes a :class:`~repro.chaos.hooks.ChaosHooks`: fault
+    injection, a livelock watchdog, per-wave snapshot readers and
+    history recording around the *same* schedule (the backend then
+    reports itself as ``interleaved-chaos``).  Without hooks the loop
+    makes no per-op hook calls.
     """
 
     name = "interleaved"
 
     def __init__(self, concurrency: int | None = None,
-                 seed: int | None = None, commit: str = "per-op"):
+                 seed: int | None = None, commit: str = "per-op",
+                 chaos=None):
         self.concurrency = concurrency
         self.seed = seed
         self.commit = commit
+        self.chaos = chaos
+        if chaos is not None:
+            chaos.check_commit(commit)
+            self.name = chaos.name
 
     def execute(self, structure: ConcurrentMap,
                 batch: OpBatch) -> BatchResult:
@@ -179,33 +204,45 @@ class InterleavedBackend:
                 raise ValueError("batch_order must permute the whole batch")
         m = getattr(structure, "metrics", None)
         spans = m.spans if m is not None else None
+        chaos = self.chaos
+        tracer, injector, watchdog = ctx.tracer, None, None
+        if chaos is not None:
+            chaos.begin(structure)
+            if not chaos.trace:
+                tracer = None
+            injector, watchdog = chaos.injector, chaos.watchdog
         results: list[Any] = [None] * len(ops)
         waves = 0
-        for start in range(0, len(order), conc):
-            end = min(start + conc, len(order))
-            wave_ids = order[start:end]
-            wave_seed = None if self.seed is None else self.seed + waves
-            labels = None
-            if spans is not None:
-                labels = {j: f"{OP_NAMES[ops[g]]}({keys[g]})"
-                          for j, g in enumerate(wave_ids)}
-            sched = InterleavingScheduler(ctx.mem, ctx.tracer,
-                                          seed=wave_seed,
-                                          spans=spans, span_labels=labels)
-            for g in wave_ids:
-                sched.spawn(op_generator(structure, ops[g], keys[g],
-                                         values[g]))
-            wave_start = spans.clock if spans is not None else 0
-            for g, r in zip(wave_ids, sched.run()):
-                results[g] = r.value
-            if spans is not None:
-                spans.add(f"wave {waves}", wave_start,
-                          spans.clock - wave_start, track=WAVE_TRACK,
-                          ops=end - start)
-            if m is not None:
-                m.waves += 1
-                m.wave_ops += end - start
-            waves += 1
+        try:
+            for start in range(0, len(order), conc):
+                wave_ids = order[start:start + conc]
+                wave_seed = None if self.seed is None else self.seed + waves
+                labels = None
+                if spans is not None or chaos is not None:
+                    labels = {j: f"{OP_NAMES[ops[g]]}({keys[g]})"
+                              for j, g in enumerate(wave_ids)}
+                sched = InterleavingScheduler(ctx.mem, tracer,
+                                              seed=wave_seed,
+                                              injector=injector,
+                                              watchdog=watchdog,
+                                              spans=spans, span_labels=labels)
+                for g in wave_ids:
+                    sched.spawn(op_generator(structure, ops[g], keys[g],
+                                             values[g]))
+                if chaos is not None:
+                    for gen in chaos.wave_tasks(structure, labels):
+                        sched.spawn(gen)
+                wave_start = spans.clock if spans is not None else 0
+                wave_results = sched.run()
+                for g, r in zip(wave_ids, wave_results):
+                    results[g] = r.value
+                if chaos is not None:
+                    chaos.end_wave(wave_results, wave_ids, ops, keys)
+                account_wave(m, waves, wave_start, len(wave_ids))
+                waves += 1
+        finally:
+            if chaos is not None:
+                chaos.end(structure)
         return BatchResult(results=results, backend=self.name, waves=waves,
                            gen_ops=len(results))
 
@@ -222,17 +259,19 @@ def make_backend(name: str, **kwargs) -> Backend:
     """Instantiate a backend by registry name.
 
     Keyword arguments go to the backend constructor (``concurrency`` /
-    ``seed`` for interleaved, ``wave_size`` for vectorized,
-    ``config``/``chaos_seed`` for interleaved-chaos; every backend takes
-    ``commit`` — see :data:`COMMIT_MODES`).
+    ``seed`` for interleaved, ``wave_size`` for vectorized; every
+    backend takes ``commit`` — see :data:`COMMIT_MODES`).
+    ``interleaved-chaos`` is the interleaved backend with
+    :class:`~repro.chaos.hooks.ChaosHooks`; its extra keywords
+    (``config``, ``chaos_seed``, ...) build the hooks.
     """
     if name == "sequential":
         return SequentialBackend(**kwargs)
     if name == "interleaved":
         return InterleavedBackend(**kwargs)
     if name == "interleaved-chaos":
-        from ..chaos.backend import ChaosBackend  # avoid import cycle
-        return ChaosBackend(**kwargs)
+        from ..chaos.hooks import chaos_backend  # avoid import cycle
+        return chaos_backend(**kwargs)
     if name == "vectorized":
         from .vectorized import VectorizedBackend  # avoid import cycle
         return VectorizedBackend(**kwargs)

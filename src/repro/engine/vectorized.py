@@ -49,8 +49,7 @@ from ..gpu import events as ev
 from ..gpu.memory import GlobalMemory
 from ..gpu.scheduler import execute_event
 from ..gpu.tracer import TransactionTracer
-from ..metrics.spans import WAVE_TRACK
-from .backends import BatchResult, commit_scope
+from .backends import BatchResult, account_wave, commit_scope
 from .batch import OP_CONTAINS, OP_INSERT, OP_NAMES, OpBatch
 from .interface import ConcurrentMap, op_generator
 
@@ -230,9 +229,6 @@ class VectorizedBackend:
             if idx.size == 0:
                 continue
             n_waves += 1
-            if m is not None:
-                m.waves += 1
-                m.wave_ops += int(idx.size)
             wave_start = spans.clock if spans is not None else 0
             rest = idx
             hints: dict[int, tuple] = {}
@@ -281,14 +277,11 @@ class VectorizedBackend:
                         tasks, ctx.mem, ctx.tracer,
                         spans=spans, span_labels=labels).items():
                     results[slot] = value
-            if spans is not None:
-                if spans.clock == wave_start:
-                    # Fully batched wave: no generator ticks ran, but the
-                    # wave still occupies one lock-step round.
-                    spans.advance(1)
-                spans.add(f"wave {n_waves - 1}", wave_start,
-                          spans.clock - wave_start, track=WAVE_TRACK,
-                          ops=int(idx.size))
+            if spans is not None and spans.clock == wave_start:
+                # Fully batched wave: no generator ticks ran, but the
+                # wave still occupies one lock-step round.
+                spans.advance(1)
+            account_wave(m, n_waves - 1, wave_start, int(idx.size))
         return BatchResult(results=results, backend=self.name,
                            waves=n_waves, gen_ops=gen_ops)
 

@@ -14,11 +14,12 @@ testbed (see DESIGN.md §2).  It provides:
   kernels with sequential and interleaved execution,
 * :mod:`~repro.gpu.occupancy` + :mod:`~repro.gpu.timing` — occupancy,
   spillover, and the three-bound cycle model,
-* :class:`~repro.gpu.kernel.GPUContext` — the launch façade.
+* :class:`~repro.gpu.kernel.GPUContext` — one device: memory, tracer
+  and cost model.
 """
 
 from .device import DeviceConfig, LaunchConfig
-from .kernel import GPUContext, LaunchResult
+from .kernel import GPUContext
 from .memory import GlobalMemory
 from .occupancy import KernelResources, OccupancyResult, compute_occupancy
 from .scheduler import DeviceFault, InterleavingScheduler, run_to_completion
@@ -26,7 +27,7 @@ from .timing import CostModel, TimingResult
 from .tracer import TraceStats, TransactionTracer
 
 __all__ = [
-    "DeviceConfig", "LaunchConfig", "GPUContext", "LaunchResult",
+    "DeviceConfig", "LaunchConfig", "GPUContext",
     "GlobalMemory", "KernelResources", "OccupancyResult",
     "compute_occupancy", "DeviceFault", "InterleavingScheduler",
     "run_to_completion", "CostModel", "TimingResult", "TraceStats",

@@ -1,4 +1,4 @@
-"""Kernel-launch façade tying the simulator pieces together.
+"""Device façade tying the simulator pieces together.
 
 A :class:`GPUContext` owns one device's global memory and tracer; data
 structures (GFSL, the M&C baseline) are constructed on a context and
@@ -7,39 +7,23 @@ execution modes:
 
 * :meth:`run` — sequential trampoline for one operation,
 * :meth:`run_concurrent` — deterministic interleaving of many operations
-  (fine-grained races),
+  (fine-grained races).
 
-plus :meth:`launch`, which runs an *operation array* the way the paper's
-test kernels do (Section 5.1): the array is partitioned among teams, each
-team executes its slice, and the trace is evaluated by the cost model to
-produce a throughput figure.
+Operation arrays (the paper's test kernels, Section 5.1) run through the
+batch engine (:mod:`repro.engine`), whose interleaved backend is the one
+wave loop; :func:`default_concurrency` gives its in-flight op count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Sequence
+from typing import Any, Generator, Iterable
 
-from .device import DeviceConfig, LaunchConfig
+from .device import DeviceConfig
 from .memory import GlobalMemory
-from .occupancy import KernelResources, OccupancyResult, compute_occupancy
+from .occupancy import KernelResources, OccupancyResult
 from .scheduler import InterleavingScheduler, TaskResult, run_to_completion
-from .timing import CostModel, TimingResult
-from .tracer import TraceStats, TransactionTracer
-
-
-@dataclass
-class LaunchResult:
-    """Everything a benchmark needs from one simulated kernel launch."""
-
-    results: list[Any]
-    stats: TraceStats
-    occupancy: OccupancyResult
-    timing: TimingResult
-
-    @property
-    def mops(self) -> float:
-        return self.timing.mops
+from .timing import CostModel
+from .tracer import TransactionTracer
 
 
 def default_concurrency(device: DeviceConfig, occ: OccupancyResult,
@@ -130,45 +114,3 @@ class GPUContext:
         for g in gens:
             sched.spawn(g)
         return sched.run()
-
-    # -- the paper's benchmark kernel ------------------------------------
-    def launch(self, op_gens: Sequence[Callable[[], Generator]],
-               launch_cfg: LaunchConfig, kernel_res: KernelResources,
-               reset_stats: bool = True,
-               extra_serial_cycles: float = 0.0,
-               concurrency: int | None = None) -> LaunchResult:
-        """Run an operation array and evaluate the cost model.
-
-        ``op_gens`` are zero-argument callables producing one operation
-        generator each (one entry of the input op array).  Operations run
-        *interleaved* in waves of ``concurrency`` in-flight ops (default:
-        the device's memory-parallelism limit for this kernel), so L2
-        thrashing between concurrent access streams and lock/CAS
-        conflicts appear in the trace exactly as they would on hardware;
-        the cost model then converts the trace into cycles.  Pass
-        ``concurrency=1`` for a purely sequential replay (an ablation
-        knob: it shows how much of M&C's melt-down is thrash-driven).
-        """
-        if reset_stats:
-            self.tracer.reset_stats()
-        occ = compute_occupancy(self.device, launch_cfg, kernel_res)
-        if concurrency is None:
-            concurrency = default_concurrency(self.device, occ, kernel_res)
-        concurrency = max(1, concurrency)
-
-        results: list[Any] = []
-        if concurrency == 1:
-            results = [self.run(make()) for make in op_gens]
-        else:
-            for start in range(0, len(op_gens), concurrency):
-                wave = op_gens[start: start + concurrency]
-                sched = InterleavingScheduler(self.mem, self.tracer)
-                for make in wave:
-                    sched.spawn(make())
-                results.extend(r.value for r in sched.run())
-
-        timing = self.cost_model.evaluate(
-            self.tracer.stats, occ, ops=len(op_gens), kernel=kernel_res,
-            extra_serial_cycles=extra_serial_cycles)
-        return LaunchResult(results=results, stats=self.tracer.stats,
-                            occupancy=occ, timing=timing)

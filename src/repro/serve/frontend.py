@@ -141,11 +141,18 @@ class ServeFrontend:
             self.bucket = TokenBucket(admit_rate, admit_burst, now=loop.now)
             self.buckets = [self.bucket] * self.n_shards
 
-        # Elastic resharding (DESIGN.md §16): only meaningful with the
-        # controller producing telemetry, multiple shards, and a
-        # routing table to publish generations through.
-        self.elastic = (bool(elastic) and self.adaptive
-                        and self.n_shards > 1
+        # Elastic resharding (DESIGN.md §16) consumes the controller's
+        # telemetry, so it needs the controller; it is a no-op without
+        # multiple shards and a routing table to publish through.
+        if elastic and not adaptive:
+            raise ValueError(
+                "--elastic needs --adaptive (the reshard policy consumes "
+                "the elasticity controller's telemetry)")
+        if elastic and admit_rate is None:
+            raise ValueError(
+                "--elastic needs a finite --admit-rate (the elasticity "
+                "controller steers the admission budget)")
+        self.elastic = (bool(elastic) and self.n_shards > 1
                         and hasattr(structure, "routing"))
         self.reshard_policy = None
         self.migrator = None

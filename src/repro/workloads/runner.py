@@ -178,7 +178,7 @@ def run_workload(structure_kind: str, workload: Workload,
     :func:`repro.engine.available_backends` or a ready
     :class:`~repro.engine.Backend` instance).  The default
     ``"interleaved"`` replays ops in waves sized by the device's
-    memory-parallelism limit — the mechanics of ``GPUContext.launch``,
+    memory-parallelism limit — the engine's one interleaved wave loop,
     and the setting every published figure uses.  All backends agree on
     per-op outcomes; they differ in replay wall-clock and in which
     conflict effects appear organically in the trace (the analytic

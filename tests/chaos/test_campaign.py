@@ -102,3 +102,27 @@ def test_repro_command_reflects_config():
 
     quiet = replace(base, faults=ChaosConfig())
     assert "--no-faults" in repro_command(quiet)
+
+
+@pytest.mark.parametrize("structure", ["mc", "mc@4"])
+def test_non_gfsl_structure_rejected_before_running(monkeypatch, structure):
+    """The quiesced audit checks GFSL invariants, so an M&C campaign is
+    refused up front with the cause — not after the whole run."""
+    import repro.chaos.campaign as campaign
+
+    def never(*args, **kwargs):
+        raise AssertionError("workload generated for a rejected campaign")
+
+    monkeypatch.setattr(campaign, "generate", never)
+    with pytest.raises(ValueError, match="GFSL"):
+        run_campaign(CampaignConfig(n_ops=50, structure=structure))
+
+
+def test_cli_reports_rejected_structure_on_one_line(capsys):
+    from repro import cli
+
+    code = cli.main(["chaos", "--structure", "mc@4", "--ops", "50"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("chaos: ") and err.count("\n") == 1
+    assert "'mc@4'" in err

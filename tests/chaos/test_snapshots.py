@@ -11,9 +11,10 @@ fault-injected torture workloads with frozen readers racing writers.
 import pytest
 
 from repro.chaos import SnapshotObservation, check_history
-from repro.chaos.backend import ChaosBackend
+from repro.chaos import ChaosHooks
 from repro.chaos.campaign import CampaignConfig, run_campaign
 from repro.chaos.linearize import HistoryEvent
+from repro.engine import InterleavedBackend, make_backend
 
 
 def judge(events, initial, final, obs):
@@ -87,7 +88,11 @@ class TestSnapshotChecker:
 class TestChaosBackendReaders:
     def test_snapshot_readers_require_per_op_commit(self):
         with pytest.raises(ValueError, match="per-op"):
-            ChaosBackend(seed=1, snapshot_readers=2, commit="batch")
+            InterleavedBackend(seed=1, commit="batch",
+                               chaos=ChaosHooks(snapshot_readers=2))
+        with pytest.raises(ValueError, match="per-op"):
+            make_backend("interleaved-chaos", seed=1, snapshot_readers=2,
+                         commit="batch")
 
     def test_small_campaign_records_observations(self):
         rep = run_campaign(CampaignConfig(n_ops=400, key_range=60,

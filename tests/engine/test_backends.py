@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-import repro.chaos.backend as chaos_backend
 import repro.engine.backends as backends_mod
-from repro.chaos.backend import ChaosBackend
+from repro.chaos import ChaosHooks
 from repro.engine import OpBatch, make_backend, make_structure
 from repro.engine.backends import InterleavedBackend
 from repro.workloads import MIX_10_10_80, generate
@@ -33,34 +32,35 @@ class _SeedRecorder:
         return self.real_cls(*args, **kwargs)
 
 
-@pytest.mark.parametrize("module,make", [
-    (backends_mod, lambda seed: InterleavedBackend(concurrency=8,
-                                                   seed=seed)),
-    (chaos_backend, lambda seed: ChaosBackend(concurrency=8, seed=seed)),
+#: The one interleaved wave loop, without and with chaos hooks.
+HOOKS = pytest.mark.parametrize("hooks", [
+    pytest.param(lambda: None, id="interleaved"),
+    pytest.param(ChaosHooks, id="interleaved-chaos"),
 ])
-def test_each_wave_gets_a_distinct_derived_seed(monkeypatch, module, make):
+
+
+@HOOKS
+def test_each_wave_gets_a_distinct_derived_seed(monkeypatch, hooks):
     """Seeded shuffling must not replay the same RNG stream every wave:
-    wave i runs with seed + i (both interleaved flavours, identically —
-    the zero-fault differential depends on it)."""
-    rec = _SeedRecorder(module.InterleavingScheduler)
-    monkeypatch.setattr(module, "InterleavingScheduler", rec)
+    wave i runs with seed + i, with or without chaos hooks — the
+    zero-fault differential depends on it."""
+    rec = _SeedRecorder(backends_mod.InterleavingScheduler)
+    monkeypatch.setattr(backends_mod, "InterleavingScheduler", rec)
     w = _workload(n_ops=40)
     st = make_structure("gfsl", w, team_size=8, seed=0)
-    make(123).execute(st, OpBatch.from_workload(w))
+    InterleavedBackend(concurrency=8, seed=123, chaos=hooks()).execute(
+        st, OpBatch.from_workload(w))
     assert rec.seeds == [123 + i for i in range(5)]
 
 
-@pytest.mark.parametrize("module,make", [
-    (backends_mod, lambda: InterleavedBackend(concurrency=8)),
-    (chaos_backend, lambda: ChaosBackend(concurrency=8)),
-])
-def test_unseeded_waves_stay_deterministic_round_robin(monkeypatch, module,
-                                                       make):
-    rec = _SeedRecorder(module.InterleavingScheduler)
-    monkeypatch.setattr(module, "InterleavingScheduler", rec)
+@HOOKS
+def test_unseeded_waves_stay_deterministic_round_robin(monkeypatch, hooks):
+    rec = _SeedRecorder(backends_mod.InterleavingScheduler)
+    monkeypatch.setattr(backends_mod, "InterleavingScheduler", rec)
     w = _workload(n_ops=20)
     st = make_structure("gfsl", w, team_size=8, seed=0)
-    make().execute(st, OpBatch.from_workload(w))
+    InterleavedBackend(concurrency=8, chaos=hooks()).execute(
+        st, OpBatch.from_workload(w))
     assert rec.seeds == [None, None, None]
 
 

@@ -1,11 +1,10 @@
-"""Tests for DeviceConfig/LaunchConfig and the GPUContext launch façade."""
+"""Tests for DeviceConfig/LaunchConfig and the GPUContext execution modes."""
 
 import pytest
 
 from repro.gpu import events as ev
 from repro.gpu.device import DeviceConfig, LaunchConfig
 from repro.gpu.kernel import GPUContext
-from repro.gpu.occupancy import KernelResources
 
 
 class TestDeviceConfig:
@@ -69,41 +68,6 @@ class TestGPUContext:
             yield ev.WordWrite(0, 5)
         ctx.run_untraced(gen())
         assert ctx.tracer.stats.transactions == 0
-
-    def test_launch_results_in_order(self):
-        ctx = GPUContext(64)
-        res = ctx.launch([op(i) for i in range(20)], LaunchConfig(),
-                         KernelResources())
-        assert res.results == list(range(20))
-        assert res.timing.ops == 20
-        assert res.mops > 0
-
-    def test_launch_sequential_mode(self):
-        ctx = GPUContext(64)
-        res = ctx.launch([op(i) for i in range(5)], LaunchConfig(),
-                         KernelResources(), concurrency=1)
-        assert res.results == [0, 1, 2, 3, 4]
-
-    def test_launch_wave_partitioning(self):
-        ctx = GPUContext(64)
-        res = ctx.launch([op(i) for i in range(25)], LaunchConfig(),
-                         KernelResources(), concurrency=10)
-        assert res.results == list(range(25))
-
-    def test_launch_resets_stats_by_default(self):
-        ctx = GPUContext(64)
-        ctx.launch([op(0)], LaunchConfig(), KernelResources())
-        first = ctx.tracer.stats.instructions
-        ctx.launch([op(0)], LaunchConfig(), KernelResources())
-        assert ctx.tracer.stats.instructions == first
-
-    def test_launch_accumulates_when_asked(self):
-        ctx = GPUContext(64)
-        ctx.launch([op(0)], LaunchConfig(), KernelResources())
-        first = ctx.tracer.stats.instructions
-        ctx.launch([op(0)], LaunchConfig(), KernelResources(),
-                   reset_stats=False)
-        assert ctx.tracer.stats.instructions == 2 * first
 
     def test_run_concurrent(self):
         ctx = GPUContext(64)

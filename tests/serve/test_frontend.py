@@ -5,6 +5,8 @@ scenario is a deterministic function of its inputs — including the
 chaos ones (frozen shards are step windows, not wall-clock races).
 """
 
+import pytest
+
 from repro.chaos.retry import RetryPolicy
 from repro.chaos.serve_faults import (ServeChaosConfig, ServeFaultInjector,
                                       ShardFrozen)
@@ -305,3 +307,14 @@ def test_every_submission_gets_a_future():
     assert all(f.done() for f in futs)
     st = fe.stats
     assert st.terminated == st.submitted == len(futs)
+
+
+@pytest.mark.parametrize("kw,cause", [
+    ({"admit_rate": 400.0}, "--adaptive"),
+    ({"adaptive": True}, "--admit-rate"),
+])
+def test_elastic_without_its_preconditions_raises(kw, cause):
+    """elastic=True is never silently dropped: a missing controller or
+    admission rate is a typed error naming what is unmet."""
+    with pytest.raises(ValueError, match=cause):
+        build(VirtualLoop(), structure="gfsl@2", elastic=True, **kw)

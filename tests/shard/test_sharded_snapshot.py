@@ -127,9 +127,10 @@ class TestSnapshotsDuringConcurrentKernels:
 
 
 def test_mc_snapshot_reader_request_rejected_by_chaos():
-    from repro.chaos.backend import ChaosBackend
+    from repro.chaos import ChaosHooks
+    from repro.engine import InterleavedBackend
 
-    be = ChaosBackend(seed=1, snapshot_readers=1)
+    be = InterleavedBackend(seed=1, chaos=ChaosHooks(snapshot_readers=1))
     sm = sharded(kind="mc@2", n_keys=10)
     wl = generate(MIX_10_10_80, key_range=100, n_ops=8, seed=1)
     with pytest.raises(ValueError, match="snapshot"):
