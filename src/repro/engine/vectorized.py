@@ -41,6 +41,8 @@ op for op (lock-free restart *counts* may differ; outcomes do not).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from heapq import heappop, heappush
 from typing import Any, Generator
 
 import numpy as np
@@ -64,37 +66,55 @@ def plan_waves(keys, wave_size: int = DEFAULT_WAVE_SIZE) -> list[list[int]]:
     has a deferred op, every later op on that key defers behind it —
     per-key FIFO order is preserved exactly, which is what makes the
     wave schedule outcome-equivalent to sequential replay.
+
+    Equivalently, each wave is the first ``wave_size`` per-key queue
+    heads in index order (a head is the earliest unplanned op on its
+    key).  The first op of every key is a head from the start and those
+    are already in index order, so only successors — the next op on a
+    key, found by one stable argsort — go through a min-heap; each wave
+    merges the two streams.  O(n log n) overall.
     """
     if wave_size < 1:
         raise ValueError("wave_size must be >= 1")
     keys = np.asarray(keys, dtype=np.int64)
-    total = int(keys.size)
+    n = int(keys.size)
+    if n == 0:                    # range-only serve flushes plan nothing
+        return []
+    if len(set(keys.tolist())) == n:
+        # No key repeats, so no op ever defers: consecutive slices.
+        return [list(range(s, min(s + wave_size, n)))
+                for s in range(0, n, wave_size)]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    same = sorted_keys[1:] == sorted_keys[:-1]
+    succ_arr = np.full(n, -1, dtype=np.int64)
+    succ_arr[order[:-1][same]] = order[1:][same]
+    is_first = np.ones(n, dtype=bool)
+    is_first[order[1:][same]] = False
+    succ = succ_arr.tolist()
+    firsts = np.flatnonzero(is_first).tolist()
+    n_firsts = len(firsts)
+    fp = 0                        # firsts[fp:] are still unplanned
+    heap: list[int] = []          # successors that became heads
     waves: list[list[int]] = []
-    carry: list[int] = []
-    pos = 0
-    while pos < total or carry:
+    while fp < n_firsts or heap:
         wave: list[int] = []
-        seen: set[int] = set()
-        blocked: set[int] = set()     # keys with an op already deferred
-        new_carry: list[int] = []
-        for i in carry:
-            k = int(keys[i])
-            if k in seen or k in blocked or len(wave) >= wave_size:
-                new_carry.append(i)
-                blocked.add(k)
-            else:
-                seen.add(k)
-                wave.append(i)
-        while pos < total and len(wave) < wave_size:
-            k = int(keys[pos])
-            if k in seen or k in blocked:
-                new_carry.append(pos)
-                blocked.add(k)
-            else:
-                seen.add(k)
-                wave.append(pos)
-            pos += 1
-        carry = new_carry
+        room = wave_size
+        while room:
+            nxt_first = firsts[fp] if fp < n_firsts else n
+            while heap and heap[0] < nxt_first and room:
+                wave.append(heappop(heap))
+                room -= 1
+            if not room or fp == n_firsts:
+                break
+            hi = min(n_firsts, fp + room)
+            j = bisect_left(firsts, heap[0], fp, hi) if heap else hi
+            wave.extend(firsts[fp:j])
+            room -= j - fp
+            fp = j
+        for i in wave:
+            if succ[i] >= 0:
+                heappush(heap, succ[i])
         waves.append(wave)
     return waves
 

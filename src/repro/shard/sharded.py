@@ -279,19 +279,28 @@ class ShardedMap:
     def plan_waves(self, keys, wave_size: int) -> list[list[int]]:
         """Vectorized-backend wave plan: per-shard per-key-FIFO planning
         (each shard gets an equal slice of the wave budget), zipped into
-        global waves by wave index."""
+        global waves by wave index.
+
+        Raises :class:`ValueError` when ``wave_size`` is below the shard
+        count: every shard needs a budget of at least one op, and
+        rounding that up would plan waves larger than ``wave_size``."""
         from ..engine.vectorized import plan_waves as plan
+        shard_budget = wave_size // self.n_shards
+        if shard_budget < 1:
+            raise ValueError(
+                f"wave_size {wave_size} is below the shard count "
+                f"{self.n_shards}; each shard needs a budget of >= 1")
         keys = np.asarray(keys, dtype=np.int64)
         self._route_gen = self.routing.generation
         per_shard = split_indices(
             self.routing.shard_of_array(keys, self._route_gen),
             self.n_shards)
         self.last_shard_ops = [int(ix.size) for ix in per_shard]
-        shard_budget = max(1, wave_size // self.n_shards)
         plans = []
         for ix in per_shard:
-            local = plan(keys[ix], shard_budget)
-            plans.append([[int(ix[j]) for j in wave] for wave in local])
+            ids = ix.tolist()
+            plans.append([[ids[j] for j in wave]
+                          for wave in plan(keys[ix], shard_budget)])
         return merge_waves(plans)
 
     def _vector_contains(self, keys, tracer=None) -> np.ndarray:
