@@ -8,13 +8,15 @@ gate checks that shape — for every (structure, backend, shards) group
 in the given BENCH file, ``l2_hit_rate`` must be strictly decreasing
 with ``key_range``, near-perfect at the smallest range, and clearly
 degraded at the largest — so a cache-model or kernel-accounting change
-that flattens the cliff fails CI.
+that flattens the cliff fails CI.  A file that fails ``validate_bench``
+is a usage error (exit 2).
 
-Usage: check_l2_cliff.py BENCH_file.json
+Usage: check_l2_cliff.py BENCH_file.json  (with PYTHONPATH=src)
 """
 
-import json
 import sys
+
+from repro.metrics.bench import load_bench, validate_bench
 
 SMALL_RANGE_MIN_HIT = 0.99   # 10K fits in L2: traversals all hit
 LARGE_RANGE_MAX_HIT = 0.90   # 100M (and already 1M) spills to DRAM
@@ -24,14 +26,18 @@ def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    with open(argv[1]) as fh:
-        doc = json.load(fh)
+    doc = load_bench(argv[1])
+    errors = validate_bench(doc)
+    if errors:
+        for e in errors:
+            print(f"{argv[1]}: schema error: {e}", file=sys.stderr)
+        return 2
 
     groups = {}
-    for row in doc.get("rows", []):
-        if row.get("oom"):
+    for row in doc["rows"]:
+        if row["source"] != "replay" or row["oom"]:
             continue
-        key = (row["structure"], row["backend"], row.get("shards", 1))
+        key = (row["structure"], row["backend"], row["shards"])
         groups.setdefault(key, []).append(
             (row["key_range"], row["l2_hit_rate"]))
 

@@ -278,8 +278,13 @@ def cmd_bench(args) -> int:
         baseline_path = B.latest_bench(out_dir, exclude=out_path)
     comparison = None
     if baseline_path is not None:
-        comparison = B.compare_bench(doc, B.load_bench(baseline_path),
-                                     threshold=args.threshold)
+        baseline = B.load_bench(baseline_path)
+        try:
+            B.require_schema(baseline, f"baseline {baseline_path}")
+        except ValueError as e:
+            print(f"bench: {e}", file=sys.stderr)
+            return 2
+        comparison = B.compare_bench(doc, baseline, threshold=args.threshold)
 
     B.write_bench(doc, out_path)
     if args.trace_out is not None:
@@ -312,9 +317,9 @@ def cmd_serve_bench(args) -> int:
     from pathlib import Path
 
     from .chaos import ServeChaosConfig
+    from .metrics.bench import merge_rows
     from .serve import (LoadConfig, ServeCampaignConfig, latency_histogram,
-                        merge_serve_row, run_serve_campaign,
-                        serve_bench_row)
+                        run_serve_campaign, serve_bench_row)
 
     if len(args.mix) != 4 or sum(args.mix) != 100:
         print("serve-bench: --mix needs 4 percentages (put delete get "
@@ -372,8 +377,11 @@ def cmd_serve_bench(args) -> int:
             fh.write("\n")
         print(f"wrote {args.hist_out}")
     if args.bench_out is not None:
-        row = serve_bench_row(cfg, report)
-        merge_serve_row(row, args.bench_out)
+        try:
+            merge_rows(args.bench_out, [serve_bench_row(cfg, report)])
+        except ValueError as e:
+            print(f"serve-bench: {e}", file=sys.stderr)
+            return 2
         print(f"wrote serve row into {args.bench_out}")
     if args.ctrl_out is not None:
         Path(args.ctrl_out).parent.mkdir(parents=True, exist_ok=True)
@@ -668,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--hist-out", default=None,
                     help="write the latency histogram JSON here")
     pv.add_argument("--bench-out", default=None,
-                    help="write/merge a schema-v7 serve row into this "
+                    help="write/merge a serve row into this "
                     "BENCH_*.json file")
     pv.add_argument("--ctrl-out", default=None,
                     help="write the controller rate/window/occupancy "

@@ -17,57 +17,32 @@ recorded for information, never gated.
 BENCH_*.json schema (``SCHEMA_ID``)::
 
     {
-      "schema": "repro-bench/4",
-      "created_utc": "2026-08-05T12:00:00+00:00",
+      "schema": "repro-bench/8",
+      "created_utc": "2026-10-17T12:00:00+00:00",
       "seed": 1234, "n_ops": 400, "team_size": 32,
       "rows": [
         {"structure": "gfsl", "backend": "interleaved",
          "mixture": "[10,10,80]", "key_range": 2048, "n_ops": 400,
-         "shards": 1, "distribution": "uniform", "gen_fraction": 1.0,
-         "mops": 410.2, "model_seconds": 9.7e-07, "wall_seconds": 0.81,
-         "transactions_per_op": 6.1, "l2_hit_rate": 0.93,
+         "shards": 1, "distribution": "uniform", "adaptive": false,
+         "elastic": false, "source": "replay",
+         "gen_fraction": 1.0, "mops": 410.2, "model_seconds": 9.7e-07,
+         "wall_seconds": 0.81, "transactions_per_op": 6.1,
+         "l2_hit_rate": 0.93,
+         "counters": {"chunk_reads": ..., "lock_spins": ..., ...},
          "bottleneck": "issue", "occupancy": 0.5, "oom": false,
          "issue_cycles": 6311.0, "bandwidth_cycles": 1200.4,
-         "latency_cycles": 905.2, "serialization_cycles": 310.7,
-         "counters": {"chunk_reads": ..., "lock_spins": ..., ...}},
+         "latency_cycles": 905.2, "serialization_cycles": 310.7},
         ...
       ]
     }
 
-Schema v2 adds the ``shards`` row dimension (``repro.shard``
-partitioned builds); v1 files are still comparable — a missing
-``shards`` key reads as 1.  Schema v3 adds bottleneck attribution:
-every row carries the cost model's three roofline terms plus the
-analytic serialization charge (all in cycles), and ``bottleneck``
-names whichever binds (``issue``/``bandwidth``/``latency``/
-``serialization``); ``transactions_per_op`` and the cycle terms are
-validated non-null for every non-OOM row.  Schema v4 adds the
-``distribution`` row dimension (key distribution of the generated
-workload; missing reads as ``"uniform"``, so v3 baselines keep
-matching) and ``gen_fraction`` — the share of the cell's ops the
-backend replayed as per-op generators rather than vectorized waves
-(the fallback residue; 1.0 for generator-only backends).  Schema v5
-adds the ``source`` row dimension (``"replay"`` for grid cells, the
-default when missing — so v4 baselines keep matching — and
-``"serve"`` for :mod:`repro.serve` campaign rows); ``source`` is part
-of the row identity, so the regression gate never compares a serve row
-against a replay row.  Serve rows additionally carry per-request
-latency percentiles ``p50_us``/``p99_us`` (step clock, 1 step = 1 µs)
-and the ``rejected``/``shed``/``retries`` robustness counters.
-Schema v6 adds the ``adaptive`` row dimension (elasticity controller
-on/off; missing reads as ``false``, so v5 baselines keep matching, and
-static vs adaptive runs of one campaign are distinct rows) plus, on
-serve rows, the controller columns ``target_p99_us``,
-``healthy_p99_us`` (p99 over non-chaos-frozen shards), and the final
-per-shard ``shard_rates`` (tokens/kstep) / ``shard_windows`` (steps) —
-validated when present, so v5 serve rows migrated into a v6 file stay
-valid.  Schema v7 adds the ``elastic`` row dimension
-(telemetry-driven resharding on/off; missing reads as ``false``, so v6
-baselines keep matching, and a resharded campaign never gates against
-its frozen-mapping twin) plus, on serve rows, the migration counters
-``migrations``/``migration_aborts``/``migrated_keys`` and a
-``migration_events`` list (one dict per attempt, the CI artifact
-material) — all validated only when present.
+Rows are matched across files on the ``ROW_IDENTITY`` fields.  Every
+row carries the ``_COMMON`` fields; grid cells (``source: "replay"``)
+add the cost-model attribution in ``_REPLAY`` and :mod:`repro.serve`
+campaign rows (``source: "serve"``) the request-path fields in
+``_SERVE``.  Every listed field is required.  A file written under any
+other schema id is refused, not read through a compatibility path:
+regenerate it.
 """
 
 from __future__ import annotations
@@ -81,7 +56,7 @@ from pathlib import Path
 from .counters import MetricsCollector
 from .spans import SpanTracer, merge_chrome
 
-SCHEMA_ID = "repro-bench/7"
+SCHEMA_ID = "repro-bench/8"
 BENCH_GLOB = "BENCH_*.json"
 _BENCH_RE = re.compile(r"^BENCH_.*\.json$")
 
@@ -92,41 +67,80 @@ DEFAULT_MIXES = ((10, 10, 80),)
 DEFAULT_SHARDS = (1,)
 DEFAULT_THRESHOLD = 0.20
 
-#: Keys every row must carry (validate_bench enforces presence + type).
-_ROW_NUMBERS = ("key_range", "n_ops", "model_seconds", "wall_seconds",
-                "transactions_per_op", "l2_hit_rate", "occupancy",
-                "issue_cycles", "bandwidth_cycles", "latency_cycles",
-                "serialization_cycles", "gen_fraction")
-_ROW_STRINGS = ("structure", "backend", "mixture", "bottleneck",
-                "distribution")
-#: Legal row sources (v5); a missing ``source`` reads as "replay".
+#: The fields a row is matched on across BENCH files, in key order.
+#: Serve rows never pair with replay rows, adaptive campaigns never with
+#: static ones, and resharded runs never with frozen-mapping ones.
+ROW_IDENTITY = ("structure", "backend", "mixture", "key_range", "n_ops",
+                "shards", "distribution", "adaptive", "elastic", "source")
 ROW_SOURCES = ("replay", "serve")
-#: Extra numeric fields serve-mode rows must carry.
-_SERVE_NUMBERS = ("p50_us", "p99_us")
-_SERVE_COUNTS = ("rejected", "shed", "retries")
-#: v6 controller fields — validated only when present (v5 serve rows
-#: migrated into a v6 file carry none of them).
-_SERVE_V6_NUMBERS = ("target_p99_us", "healthy_p99_us")
-_SERVE_V6_LISTS = ("shard_rates", "shard_windows")
-#: v7 migration counters — validated only when present (pre-elastic
-#: serve rows carry none of them).
-_SERVE_V7_COUNTS = ("migrations", "migration_aborts", "migrated_keys")
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+# Field kinds: (what the error says it must be, predicate).
+_STR = ("a string", lambda v: isinstance(v, str))
+_BOOL = ("a boolean", lambda v: isinstance(v, bool))
+_NUM = ("a finite number", _number)
+_COUNT = ("a non-negative integer", lambda v: _integer(v) and v >= 0)
+_POSITIVE = ("a positive integer", lambda v: _integer(v) and v >= 1)
+_NUMS = ("a non-empty list of numbers",
+         lambda v: isinstance(v, list) and bool(v) and all(map(_number, v)))
+_LIST = ("a list", lambda v: isinstance(v, list))
+
+#: Required on every row: the identity, then the measurement.
+_COMMON = {
+    "structure": _STR, "backend": _STR, "mixture": _STR,
+    "key_range": _COUNT, "n_ops": _COUNT, "shards": _POSITIVE,
+    "distribution": _STR, "adaptive": _BOOL, "elastic": _BOOL,
+    "source": (f"one of {ROW_SOURCES}", lambda v: v in ROW_SOURCES),
+    "gen_fraction": _NUM,
+    "mops": ("a finite number or null", lambda v: v is None or _number(v)),
+    "model_seconds": _NUM, "wall_seconds": _NUM,
+    "transactions_per_op": _NUM, "l2_hit_rate": _NUM,
+    "counters": ("an object of integers",
+                 lambda v: isinstance(v, dict)
+                 and all(map(_integer, v.values()))),
+}
+#: Required on grid cells: the cost model's binding bound and its terms.
+_REPLAY = {
+    "bottleneck": _STR, "occupancy": _NUM, "oom": _BOOL,
+    "issue_cycles": _NUM, "bandwidth_cycles": _NUM,
+    "latency_cycles": _NUM, "serialization_cycles": _NUM,
+}
+#: Required on serve campaign rows: latency, robustness, controller and
+#: migration results.
+_SERVE = {
+    "p50_us": _NUM, "p99_us": _NUM,
+    "rejected": _COUNT, "shed": _COUNT, "retries": _COUNT,
+    "target_p99_us": _NUM, "healthy_p99_us": _NUM,
+    "shard_rates": _NUMS, "shard_windows": _NUMS,
+    "migrations": _COUNT, "migration_aborts": _COUNT,
+    "migrated_keys": _COUNT, "migration_events": _LIST,
+}
 
 
 def row_key(row: dict) -> tuple:
-    """The identity a row is matched on across BENCH files (``shards``
-    defaults to 1, ``distribution`` to "uniform", ``adaptive`` and
-    ``elastic`` to False, and ``source`` to "replay" so
-    schema-v1/v3/v4/v5/v6 rows keep matching — serve rows never pair
-    with replay rows in the regression gate, adaptive campaigns never
-    pair with static ones, and resharded runs never pair with
-    frozen-mapping ones).  ``source`` stays last."""
-    return (row["structure"], row["backend"], row["mixture"],
-            row["key_range"], row["n_ops"], row.get("shards", 1),
-            row.get("distribution", "uniform"),
-            bool(row.get("adaptive", False)),
-            bool(row.get("elastic", False)),
-            row.get("source", "replay"))
+    """The identity a row is matched on across BENCH files."""
+    return tuple(row[field] for field in ROW_IDENTITY)
+
+
+def _new_doc(rows: list, seed: int, n_ops: int, team_size: int) -> dict:
+    return {
+        "schema": SCHEMA_ID,
+        "created_utc": datetime.now(timezone.utc).isoformat(
+            timespec="seconds"),
+        "seed": seed,
+        "n_ops": n_ops,
+        "team_size": team_size,
+        "rows": rows,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +158,10 @@ def run_grid(backends, structures, key_ranges=DEFAULT_RANGES,
 
     ``shard_counts`` adds a shard dimension: each ``S > 1`` cell builds
     a :mod:`repro.shard` partitioned map of S co-located instances;
-    ``S = 1`` is the classic single-instance build (identical rows to
-    schema v1).  ``distribution`` selects the key distribution for
-    every cell's workload (``"uniform"``/``"zipf"``/``"hotspot"``;
-    ``zipf_s`` is the Zipf exponent)."""
+    ``S = 1`` is the classic single-instance build.  ``distribution``
+    selects the key distribution for every cell's workload
+    (``"uniform"``/``"zipf"``/``"hotspot"``; ``zipf_s`` is the Zipf
+    exponent)."""
     from ..workloads.generator import Mixture, generate
     from ..workloads.runner import run_workload
 
@@ -177,6 +191,8 @@ def run_grid(backends, structures, key_ranges=DEFAULT_RANGES,
                             "n_ops": n_ops,
                             "shards": n_shards,
                             "distribution": distribution,
+                            "adaptive": False,
+                            "elastic": False,
                             "source": "replay",
                             "gen_fraction": (0.0 if r.oom else
                                              r.gen_ops / max(1, r.n_ops)),
@@ -200,28 +216,28 @@ def run_grid(backends, structures, key_ranges=DEFAULT_RANGES,
                             if n_shards != 1:
                                 cell += f"/s{n_shards}"
                             traces[cell] = metrics.spans
-    doc = {
-        "schema": SCHEMA_ID,
-        "created_utc": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
-        "seed": seed,
-        "n_ops": n_ops,
-        "team_size": team_size,
-        "rows": rows,
-    }
-    return doc, traces
+    return _new_doc(rows, seed, n_ops, team_size), traces
 
 
 # ---------------------------------------------------------------------------
 # Schema validation
 # ---------------------------------------------------------------------------
 
+def require_schema(doc: dict, what: str) -> None:
+    """Raise ``ValueError`` naming both schema ids unless ``doc`` was
+    written under ``SCHEMA_ID``; ``what`` names the document."""
+    schema = doc.get("schema")
+    if schema != SCHEMA_ID:
+        raise ValueError(f"{what} is {schema}; this build writes "
+                         f"{SCHEMA_ID} — regenerate the baseline")
+
+
 def validate_bench(doc) -> list[str]:
     """Validate a BENCH document; returns a list of problems (empty =
     schema-valid)."""
-    errors: list[str] = []
     if not isinstance(doc, dict):
         return ["document is not a JSON object"]
+    errors: list[str] = []
     if doc.get("schema") != SCHEMA_ID:
         errors.append(f"schema must be {SCHEMA_ID!r}, got "
                       f"{doc.get('schema')!r}")
@@ -233,74 +249,14 @@ def validate_bench(doc) -> list[str]:
         errors.append("rows must be a non-empty list")
         return errors
     for i, row in enumerate(rows):
-        where = f"rows[{i}]"
         if not isinstance(row, dict):
-            errors.append(f"{where} is not an object")
+            errors.append(f"rows[{i}] is not an object")
             continue
-        for key in _ROW_STRINGS:
-            if not isinstance(row.get(key), str):
-                errors.append(f"{where}.{key} must be a string")
-        for key in _ROW_NUMBERS:
-            if not isinstance(row.get(key), (int, float)) \
-                    or isinstance(row.get(key), bool):
-                errors.append(f"{where}.{key} must be a number")
-        mops = row.get("mops")
-        if mops is not None and (not isinstance(mops, (int, float))
-                                 or isinstance(mops, bool)
-                                 or math.isnan(mops)):
-            errors.append(f"{where}.mops must be a finite number or null")
-        shards = row.get("shards", 1)
-        if not isinstance(shards, int) or isinstance(shards, bool) \
-                or shards < 1:
-            errors.append(f"{where}.shards must be a positive integer")
-        source = row.get("source", "replay")
-        if source not in ROW_SOURCES:
-            errors.append(f"{where}.source must be one of {ROW_SOURCES}, "
-                          f"got {source!r}")
-        elif source == "serve":
-            for key in _SERVE_NUMBERS:
-                if not isinstance(row.get(key), (int, float)) \
-                        or isinstance(row.get(key), bool):
-                    errors.append(f"{where}.{key} must be a number "
-                                  f"(required on serve rows)")
-            for key in _SERVE_COUNTS:
-                value = row.get(key)
-                if not isinstance(value, int) or isinstance(value, bool) \
-                        or value < 0:
-                    errors.append(f"{where}.{key} must be a non-negative "
-                                  f"integer (required on serve rows)")
-            if "adaptive" in row and not isinstance(row["adaptive"], bool):
-                errors.append(f"{where}.adaptive must be a boolean")
-            if "elastic" in row and not isinstance(row["elastic"], bool):
-                errors.append(f"{where}.elastic must be a boolean")
-            for key in _SERVE_V7_COUNTS:
-                if key in row and (not isinstance(row[key], int)
-                                   or isinstance(row[key], bool)
-                                   or row[key] < 0):
-                    errors.append(f"{where}.{key} must be a non-negative "
-                                  f"integer")
-            if "migration_events" in row and \
-                    not isinstance(row["migration_events"], list):
-                errors.append(f"{where}.migration_events must be a list")
-            for key in _SERVE_V6_NUMBERS:
-                if key in row and (not isinstance(row[key], (int, float))
-                                   or isinstance(row[key], bool)):
-                    errors.append(f"{where}.{key} must be a number")
-            for key in _SERVE_V6_LISTS:
-                if key not in row:
-                    continue
-                value = row[key]
-                if (not isinstance(value, list) or not value
-                        or not all(isinstance(v, (int, float))
-                                   and not isinstance(v, bool)
-                                   for v in value)):
-                    errors.append(f"{where}.{key} must be a non-empty "
-                                  f"list of numbers")
-        if not isinstance(row.get("counters"), dict):
-            errors.append(f"{where}.counters must be an object")
-        elif not all(isinstance(v, int) and not isinstance(v, bool)
-                     for v in row["counters"].values()):
-            errors.append(f"{where}.counters values must be integers")
+        extra = _SERVE if row.get("source") == "serve" else _REPLAY
+        for fields in (_COMMON, extra):
+            for name, (what, ok) in fields.items():
+                if name not in row or not ok(row[name]):
+                    errors.append(f"rows[{i}].{name} must be {what}")
     return errors
 
 
@@ -317,15 +273,18 @@ def compare_bench(new: dict, old: dict,
     counterpart, and OOM rows, are reported but never gated.  Returns
     ``{"regressions": [...], "improvements": [...], "unmatched": [...]}``
     where each entry carries the row identity and both throughputs.
+    Raises ``ValueError`` when ``old`` was written under another
+    schema.
     """
-    old_rows = {row_key(r): r for r in old.get("rows", [])}
+    require_schema(old, "baseline")
+    old_rows = {row_key(r): r for r in old["rows"]}
     regressions, improvements, unmatched = [], [], []
-    for row in new.get("rows", []):
+    for row in new["rows"]:
         prev = old_rows.get(row_key(row))
         if prev is None:
             unmatched.append({"row": row_key(row), "reason": "new cell"})
             continue
-        new_mops, old_mops = row.get("mops"), prev.get("mops")
+        new_mops, old_mops = row["mops"], prev["mops"]
         if new_mops is None or old_mops is None or old_mops <= 0:
             continue
         delta = new_mops / old_mops - 1.0
@@ -340,29 +299,27 @@ def compare_bench(new: dict, old: dict,
 
 
 def shard_bound_warnings(doc: dict) -> list[str]:
-    """One warning line per config whose binding bound differs between
-    the S=1 cell and any S>1 cell of the same (structure, backend,
-    mixture, key_range, n_ops) — shard-scaling anomalies (e.g. sharding
-    cutting tx/op while MOPS stays flat because a different term binds)
-    are then self-diagnosing in ``repro bench`` output."""
-    base: dict[tuple, str] = {}
-    for row in doc.get("rows", []):
-        if row.get("shards", 1) == 1 and not row.get("oom"):
-            base[row_key(row)[:5]] = row.get("bottleneck", "?")
+    """One warning line per replay config whose binding bound differs
+    between the S=1 cell and any S>1 cell of the same identity — shard-
+    scaling anomalies (e.g. sharding cutting tx/op while MOPS stays flat
+    because a different term binds) are then self-diagnosing in
+    ``repro bench`` output."""
+    cells = [r for r in doc["rows"]
+             if r["source"] == "replay" and not r["oom"]]
+
+    def config(row):
+        return tuple(row[f] for f in ROW_IDENTITY if f != "shards")
+
+    base = {config(r): r["bottleneck"] for r in cells if r["shards"] == 1}
     warnings: list[str] = []
-    for row in doc.get("rows", []):
-        sh = row.get("shards", 1)
-        if sh == 1 or row.get("oom"):
-            continue
-        cfg = row_key(row)[:5]
-        b1 = base.get(cfg)
-        bS = row.get("bottleneck", "?")
-        if b1 is not None and bS != b1:
-            s, b, m, kr, _n = cfg
+    for row in cells:
+        b1, bS = base.get(config(row)), row["bottleneck"]
+        if row["shards"] != 1 and b1 is not None and bS != b1:
             warnings.append(
-                f"{s}/{b} {m} @{kr:,}: binding bound changes "
-                f"{b1} (S=1) -> {bS} (S={sh}) — shard scaling is "
-                f"shifting the bottleneck, not just tx/op")
+                f"{row['structure']}/{row['backend']} {row['mixture']} "
+                f"@{row['key_range']:,}: binding bound changes "
+                f"{b1} (S=1) -> {bS} (S={row['shards']}) — shard scaling "
+                f"is shifting the bottleneck, not just tx/op")
     return warnings
 
 
@@ -373,6 +330,18 @@ def shard_bound_warnings(doc: dict) -> list[str]:
 #: Counters surfaced in the markdown table (full set lives in the JSON).
 _MD_COUNTERS = ("restarts", "lock_spins", "splits", "merges",
                 "zombie_encounters")
+
+
+def _cell_name(key: tuple) -> str:
+    f = dict(zip(ROW_IDENTITY, key))
+    return (f"{f['structure']}/{f['backend']}"
+            + (f" x{f['shards']}" if f["shards"] != 1 else "")
+            + (f" {f['distribution']}"
+               if f["distribution"] != "uniform" else "")
+            + (" adaptive" if f["adaptive"] else "")
+            + (" elastic" if f["elastic"] else "")
+            + (f" [{f['source']}]" if f["source"] != "replay" else "")
+            + f" {f['mixture']} @{f['key_range']:,}")
 
 
 def render_markdown(doc: dict, comparison: dict | None = None,
@@ -389,23 +358,23 @@ def render_markdown(doc: dict, comparison: dict | None = None,
                  + " | ".join(_MD_COUNTERS) + " |")
     lines.append("|" + "---|" * (13 + len(_MD_COUNTERS)))
     for row in doc["rows"]:
-        c = row.get("counters", {})
-        mops = "OOM" if row.get("mops") is None else f"{row['mops']:.1f}"
-        gen = row.get("gen_fraction")
+        if row["source"] != "replay":
+            continue
+        c = row["counters"]
+        mops = "OOM" if row["mops"] is None else f"{row['mops']:.1f}"
         lines.append(
             f"| {row['structure']} | {row['backend']} | {row['mixture']} "
-            f"| {row['key_range']:,} | {row.get('shards', 1)} "
-            f"| {row.get('distribution', 'uniform')} | {mops} "
+            f"| {row['key_range']:,} | {row['shards']} "
+            f"| {row['distribution']} | {mops} "
             f"| {row['transactions_per_op']:.1f} "
             f"| {row['l2_hit_rate']:.2f} "
-            f"| {row.get('bottleneck', '?')} "
-            f"| {'?' if gen is None else f'{gen:.0%}'} "
+            f"| {row['bottleneck']} "
+            f"| {row['gen_fraction']:.0%} "
             f"| {c.get('waves', 0)} "
             f"| {row['wall_seconds']:.2f} | "
             + " | ".join(str(c.get(name, 0)) for name in _MD_COUNTERS)
             + " |")
-    serve_rows = [r for r in doc["rows"]
-                  if r.get("source", "replay") == "serve"]
+    serve_rows = [r for r in doc["rows"] if r["source"] == "serve"]
     if serve_rows:
         lines.append("")
         lines.append("## Serve campaigns (request-path latency)")
@@ -415,64 +384,31 @@ def render_markdown(doc: dict, comparison: dict | None = None,
                      "retries |")
         lines.append("|" + "---|" * 11)
         for row in serve_rows:
-            mode = ("adaptive" if row.get("adaptive", False) else "static")
-            if row.get("elastic", False):
+            mode = "adaptive" if row["adaptive"] else "static"
+            if row["elastic"]:
                 mode += "+elastic"
-            healthy = row.get("healthy_p99_us")
             lines.append(
                 f"| {row['structure']} | {row['backend']} "
-                f"| {row['mixture']} "
-                f"| {row.get('distribution', 'uniform')} "
-                f"| {mode} "
+                f"| {row['mixture']} | {row['distribution']} | {mode} "
                 f"| {row['p50_us']:.0f} | {row['p99_us']:.0f} "
-                f"| {'-' if healthy is None else f'{healthy:.0f}'} "
+                f"| {row['healthy_p99_us']:.0f} "
                 f"| {row['rejected']} | {row['shed']} "
                 f"| {row['retries']} |")
     if comparison is not None:
         lines.append("")
         lines.append(f"## Regression check vs {baseline_name or 'baseline'} "
                      f"(threshold {threshold:.0%})")
-        regs = comparison["regressions"]
-        if not regs:
+        if not comparison["regressions"]:
             lines.append("")
             lines.append("No regressions.")
-
-        def cell_name(key):
-            (s, b, m, kr, n, sh, dist, adaptive, elastic,
-             src) = _pad_row_key(key)
-            return (f"{s}/{b}" + (f" x{sh}" if sh != 1 else "")
-                    + (f" {dist}" if dist != "uniform" else "")
-                    + (" adaptive" if adaptive else "")
-                    + (" elastic" if elastic else "")
-                    + (f" [{src}]" if src != "replay" else ""), m, kr)
-        for entry in regs:
-            cell, m, kr = cell_name(entry["row"])
-            lines.append(f"- **REGRESSION** {cell} {m} @{kr:,}: "
-                         f"{entry['old_mops']:.1f} → "
-                         f"{entry['new_mops']:.1f} MOPS "
-                         f"({entry['delta']:+.1%})")
-        for entry in comparison["improvements"]:
-            cell, m, kr = cell_name(entry["row"])
-            lines.append(f"- improvement {cell} {m} @{kr:,}: "
-                         f"{entry['old_mops']:.1f} → "
-                         f"{entry['new_mops']:.1f} MOPS "
-                         f"({entry['delta']:+.1%})")
+        for label, entries in (("**REGRESSION**", comparison["regressions"]),
+                               ("improvement", comparison["improvements"])):
+            for entry in entries:
+                lines.append(f"- {label} {_cell_name(entry['row'])}: "
+                             f"{entry['old_mops']:.1f} → "
+                             f"{entry['new_mops']:.1f} MOPS "
+                             f"({entry['delta']:+.1%})")
     return "\n".join(lines) + "\n"
-
-
-def _pad_row_key(key) -> tuple:
-    """Pad a possibly pre-v7 row identity to the v7 10-element shape
-    (pre-v5 keys lack ``source``; v5 keys lack ``adaptive`` and v6
-    keys lack ``elastic``, each of which slots in just before the
-    trailing ``source``)."""
-    key = tuple(key)
-    if len(key) == 7:
-        key = key + ("replay",)
-    if len(key) == 8:
-        key = key[:7] + (False,) + key[7:]
-    if len(key) == 9:
-        key = key[:8] + (False,) + key[8:]
-    return key
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +444,28 @@ def write_bench(doc: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, allow_nan=False)
         fh.write("\n")
+
+
+def merge_rows(path, rows: list[dict]) -> None:
+    """Merge ``rows`` into the BENCH file at ``path``, creating it when
+    missing: each row replaces any existing row with the same identity,
+    and the merged document is validated before it is written.  Raises
+    ``ValueError`` when the existing file was written under another
+    schema or the merged document is not schema-valid."""
+    path = Path(path)
+    if path.is_file():
+        doc = load_bench(path)
+        require_schema(doc, f"merge target {path}")
+    else:
+        doc = _new_doc([], seed=rows[0]["counters"].get("seed", 0),
+                       n_ops=rows[0]["n_ops"], team_size=32)
+    keys = {row_key(r) for r in rows}
+    doc["rows"] = [r for r in doc["rows"] if row_key(r) not in keys] + rows
+    errors = validate_bench(doc)
+    if errors:
+        raise ValueError("BENCH document failed schema validation: "
+                         + "; ".join(errors))
+    write_bench(doc, path)
 
 
 def write_trace(traces: dict[str, SpanTracer], path) -> None:

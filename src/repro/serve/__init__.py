@@ -17,7 +17,7 @@ from .admission import TokenBucket
 from .aio import (TIMED_OUT, Future, HangError, Queue, QueueEmpty,
                   QueueFull, Task, VirtualLoop)
 from .bench import (ServeCampaignConfig, ServeReport, latency_histogram,
-                    merge_serve_row, run_serve_campaign, serve_bench_row)
+                    run_serve_campaign, serve_bench_row)
 from .breaker import CircuitBreaker
 from .controller import (ControllerConfig, ElasticityController,
                          derive_controller)
@@ -41,6 +41,6 @@ __all__ = [
     "LoadConfig", "LoadPlan", "PlannedRequest", "build_plan",
     "sizing_workload", "make_clients", "run_client",
     "ServeCampaignConfig", "ServeReport", "run_serve_campaign",
-    "latency_histogram", "serve_bench_row", "merge_serve_row",
+    "latency_histogram", "serve_bench_row",
     "ReshardConfig", "ReshardPlan", "ReshardPolicy",
 ]

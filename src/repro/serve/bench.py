@@ -13,8 +13,8 @@ loop, then audited:
 * **invariants** — every shard still passes
   :func:`~repro.core.validate_structure`.
 
-The report folds into a schema-v5 BENCH row (``source: "serve"``) with
-p50/p99 request latency and the rejection/shed/retry counters, plus a
+The report folds into a BENCH row (``source: "serve"``) with p50/p99
+request latency and the rejection/shed/retry counters, plus a
 log2-bucketed latency histogram for the CI artifact.
 """
 
@@ -92,7 +92,7 @@ class ServeReport:
     shard_rates: list = field(default_factory=list)
     shard_windows: list = field(default_factory=list)
     ctrl_timeline: list = field(default_factory=list)
-    #: One dict per migration attempt (elastic runs; schema-v7 rows).
+    #: One dict per migration attempt (elastic runs; BENCH row material).
     migration_events: list = field(default_factory=list)
     #: Routing generations published during the run.
     routing_history: list = field(default_factory=list)
@@ -329,11 +329,10 @@ def latency_histogram(stats: ServeStats) -> dict:
 
 
 def serve_bench_row(cfg: ServeCampaignConfig, report: ServeReport) -> dict:
-    """A schema-v7 BENCH row for one serve campaign (``source:
-    "serve"`` keeps it out of replay-row regression comparisons;
-    ``adaptive`` and ``elastic`` are part of the row identity so
-    static, adaptive, and resharded runs of the same campaign coexist
-    in one file)."""
+    """A BENCH row for one serve campaign (``source: "serve"`` keeps it
+    out of replay-row regression comparisons; ``adaptive`` and
+    ``elastic`` are part of the row identity so static, adaptive, and
+    resharded runs of the same campaign coexist in one file)."""
     st = report.stats
     load = cfg.load
     model_seconds = report.total_steps * 1e-6     # 1 step = 1 µs
@@ -352,6 +351,8 @@ def serve_bench_row(cfg: ServeCampaignConfig, report: ServeReport) -> dict:
         "n_ops": load.n_requests,
         "shards": int(cfg.structure.partition("@")[2] or 1),
         "distribution": load.distribution,
+        "adaptive": bool(cfg.adaptive),
+        "elastic": bool(cfg.elastic),
         "source": "serve",
         "gen_fraction": (st.gen_ops / st.flushed_ops
                          if st.flushed_ops else 0.0),
@@ -361,20 +362,11 @@ def serve_bench_row(cfg: ServeCampaignConfig, report: ServeReport) -> dict:
         "transactions_per_op": (report.transactions
                                 / max(1, st.completed)),
         "l2_hit_rate": report.l2_hit_rate,
-        "bottleneck": "serve",
-        "occupancy": 0.0,
-        "oom": False,
-        "issue_cycles": 0.0,
-        "bandwidth_cycles": 0.0,
-        "latency_cycles": 0.0,
-        "serialization_cycles": 0.0,
         "p50_us": report.p50_us if report.p50_us is not None else 0.0,
         "p99_us": report.p99_us if report.p99_us is not None else 0.0,
         "rejected": st.rejected,
         "shed": st.shed,
         "retries": st.retries,
-        "adaptive": bool(cfg.adaptive),
-        "elastic": bool(cfg.elastic),
         "target_p99_us": float(cfg.target_p99),
         "healthy_p99_us": (report.healthy_p99_us
                            if report.healthy_p99_us is not None else 0.0),
@@ -386,35 +378,3 @@ def serve_bench_row(cfg: ServeCampaignConfig, report: ServeReport) -> dict:
         "migration_events": list(report.migration_events),
         "counters": counters,
     }
-
-
-def merge_serve_row(row: dict, path) -> None:
-    """Write (or merge) a serve row into a BENCH file: an existing file
-    keeps its replay rows, any previous serve row with the same
-    identity is replaced, and the document is stamped with the current
-    schema id."""
-    from pathlib import Path
-
-    from ..metrics import bench as B
-
-    path = Path(path)
-    if path.is_file():
-        doc = B.load_bench(path)
-        doc["schema"] = B.SCHEMA_ID
-        doc["rows"] = [r for r in doc.get("rows", [])
-                       if B.row_key(r) != B.row_key(row)]
-        doc["rows"].append(row)
-    else:
-        from datetime import datetime, timezone
-        doc = {"schema": B.SCHEMA_ID,
-               "created_utc": datetime.now(timezone.utc).isoformat(
-                   timespec="seconds"),
-               "seed": row.get("counters", {}).get("seed", 0),
-               "n_ops": row["n_ops"],
-               "team_size": 32,
-               "rows": [row]}
-    errors = B.validate_bench(doc)
-    if errors:
-        raise ValueError("serve bench row failed schema validation: "
-                         + "; ".join(errors))
-    B.write_bench(doc, path)

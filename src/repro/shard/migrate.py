@@ -31,7 +31,7 @@ Failures are attempt-scoped: a frozen shard or an injected abort ends
 the attempt with the destination untouched (nothing is mutated before
 the critical window) and retries after a backoff, up to
 ``max_attempts``.  Every attempt appends a migration event row —
-the bench schema v7 time series.
+the ``migration_events`` time series of a serve BENCH row.
 """
 
 from __future__ import annotations

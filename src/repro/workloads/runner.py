@@ -77,7 +77,7 @@ class RunResult:
     #: backends).  ``gen_ops / n_ops`` is the bench report's "gen%".
     gen_ops: int = 0
     #: Cost-model attribution: the three roofline terms plus the
-    #: analytic serialization charge (bench schema v3 columns).  The
+    #: analytic serialization charge (BENCH replay-row columns).  The
     #: binding bound is ``bottleneck``.
     issue_cycles: float = 0.0
     bandwidth_cycles: float = 0.0

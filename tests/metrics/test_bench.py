@@ -1,11 +1,19 @@
-"""BENCH document engine: grid, schema, comparison, files, CLI."""
+"""BENCH document engine: grid, schema, comparison, merge, files, CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.chaos import ServeChaosConfig
 from repro.cli import main as cli_main
 from repro.metrics import bench as B
+from repro.serve import (LoadConfig, ServeCampaignConfig, run_serve_campaign,
+                         serve_bench_row)
+
+RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+#: A committed baseline written under an older schema (read-only history).
+OLD_SCHEMA_FILE = RESULTS / "BENCH_2026-08-08.json"
 
 
 @pytest.fixture(scope="module")
@@ -13,6 +21,31 @@ def tiny_doc():
     doc, traces = B.run_grid(["sequential"], ["gfsl"], key_ranges=(256,),
                              n_ops=40, seed=7, team_size=8)
     return doc
+
+
+@pytest.fixture(scope="module")
+def shard_doc():
+    doc, _ = B.run_grid(["vectorized"], ["gfsl"], key_ranges=(512,),
+                        n_ops=60, seed=7, shard_counts=(1, 2))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def serve_row():
+    load = LoadConfig(n_requests=150, n_clients=8, key_range=512,
+                      rate=800.0, distribution="zipf", seed=11)
+    chaos = ServeChaosConfig(freeze_shard=0, freeze_at=100,
+                             freeze_steps=200, seed=11)
+    cfg = ServeCampaignConfig(structure="gfsl@2", load=load, chaos=chaos,
+                              admit_rate=400.0)
+    report = run_serve_campaign(cfg)
+    assert report.ok, report.summary()
+    return serve_bench_row(cfg, report)
+
+
+@pytest.fixture
+def mixed_doc(tiny_doc, serve_row):
+    return dict(tiny_doc, rows=tiny_doc["rows"] + [serve_row])
 
 
 class TestRunGrid:
@@ -23,8 +56,12 @@ class TestRunGrid:
         (row,) = tiny_doc["rows"]
         assert row["structure"] == "gfsl"
         assert row["backend"] == "sequential"
+        assert (row["shards"], row["distribution"], row["adaptive"],
+                row["elastic"], row["source"]) \
+            == (1, "uniform", False, False, "replay")
         assert row["mops"] > 0
         assert row["wall_seconds"] > 0
+        assert row["gen_fraction"] == 1.0     # sequential: all generators
         assert row["counters"]["chunk_reads"] > 0
         assert all(isinstance(v, int) for v in row["counters"].values())
 
@@ -47,17 +84,31 @@ class TestRunGrid:
         assert list(traces) == ["gfsl/interleaved/[10,10,80]@256"]
         assert len(next(iter(traces.values())).spans) > 0
 
-    def test_shard_dimension(self):
-        doc, _ = B.run_grid(["vectorized"], ["gfsl"], key_ranges=(512,),
-                            n_ops=60, seed=7, shard_counts=(1, 2))
-        assert B.validate_bench(doc) == []
-        shards = [row["shards"] for row in doc["rows"]]
-        assert shards == [1, 2]
-        # Shard count is part of the row identity.
-        keys = {B.row_key(r) for r in doc["rows"]}
-        assert len(keys) == 2
-        # All cells produced real throughput.
-        assert all(row["mops"] > 0 for row in doc["rows"])
+    def test_shard_dimension(self, shard_doc):
+        assert B.validate_bench(shard_doc) == []
+        assert [row["shards"] for row in shard_doc["rows"]] == [1, 2]
+        for row in shard_doc["rows"]:
+            assert row["mops"] > 0
+            assert 0.0 <= row["gen_fraction"] < 1.0
+            # The binding bound is consistent with the cycle terms.
+            roof = max(row["issue_cycles"], row["bandwidth_cycles"],
+                       row["latency_cycles"])
+            if row["serialization_cycles"] > roof:
+                assert row["bottleneck"] == "serialization"
+
+
+def _fake_doc(mops, **fields):
+    row = {"structure": "gfsl", "backend": "sequential",
+           "mixture": "[10,10,80]", "key_range": 256, "n_ops": 10,
+           "shards": 1, "distribution": "uniform", "adaptive": False,
+           "elastic": False, "source": "replay", "gen_fraction": 1.0,
+           "mops": mops, "model_seconds": 1.0, "wall_seconds": 1.0,
+           "transactions_per_op": 1.0, "l2_hit_rate": 0.5, "counters": {},
+           "bottleneck": "issue", "occupancy": 0.5, "oom": False,
+           "issue_cycles": 1.0, "bandwidth_cycles": 1.0,
+           "latency_cycles": 1.0, "serialization_cycles": 1.0, **fields}
+    return {"schema": B.SCHEMA_ID, "created_utc": "t", "seed": 1,
+            "n_ops": 10, "rows": [row]}
 
 
 class TestValidate:
@@ -75,16 +126,57 @@ class TestValidate:
                    rows=[dict(tiny_doc["rows"][0], counters={"x": 1.5})])
         assert any("counters" in e for e in B.validate_bench(bad))
 
+    def test_each_source_carries_only_its_own_fields(self, mixed_doc):
+        assert B.validate_bench(mixed_doc) == []
+        replay, serve = mixed_doc["rows"]
+        assert set(replay) == set(B._COMMON) | set(B._REPLAY)
+        assert set(serve) == set(B._COMMON) | set(B._SERVE)
+        # A static campaign records the shared bucket on every shard.
+        assert (serve["shard_rates"], serve["shard_windows"]) \
+            == ([400.0, 400.0], [200, 200])
 
-def _fake_doc(mops):
-    return {"schema": B.SCHEMA_ID, "created_utc": "t", "seed": 1,
-            "n_ops": 10,
-            "rows": [{"structure": "gfsl", "backend": "sequential",
-                      "mixture": "[10,10,80]", "key_range": 256,
-                      "n_ops": 10, "mops": mops, "model_seconds": 1.0,
-                      "wall_seconds": 1.0, "transactions_per_op": 1.0,
-                      "l2_hit_rate": 0.5, "bottleneck": "dram",
-                      "occupancy": 0.5, "oom": False, "counters": {}}]}
+    @pytest.mark.parametrize("source,field", [
+        *(("replay", f) for f in (*B._COMMON, *B._REPLAY)),
+        *(("serve", f) for f in B._SERVE)])
+    def test_every_listed_field_is_required(self, mixed_doc, source, field):
+        row = dict(next(r for r in mixed_doc["rows"]
+                        if r["source"] == source))
+        row.pop(field)
+        errors = B.validate_bench(dict(mixed_doc, rows=[row]))
+        assert any(f".{field} " in e for e in errors), errors
+
+    @pytest.mark.parametrize("field,bad", [
+        ("rejected", -1), ("migrations", -1), ("migrations", 1.5),
+        ("migration_aborts", True),
+        ("migrated_keys", "3"), ("adaptive", "yes"), ("elastic", 0),
+        ("shards", 0), ("source", "mystery"), ("target_p99_us", "fast"),
+        ("healthy_p99_us", True), ("shard_rates", []),
+        ("shard_rates", [1.0, "x"]), ("shard_windows", 150),
+        ("migration_events", {"step": 1})])
+    def test_malformed_values_rejected(self, serve_row, field, bad):
+        doc = _fake_doc(1.0)
+        doc["rows"] = [dict(serve_row, **{field: bad})]
+        errors = B.validate_bench(doc)
+        assert any(f".{field} " in e for e in errors), errors
+
+
+class TestRowIdentity:
+    def test_identity_is_the_required_identity_fields(self, tiny_doc):
+        row = tiny_doc["rows"][0]
+        assert set(B.ROW_IDENTITY) <= set(B._COMMON)
+        assert B.row_key(row) == tuple(row[f] for f in B.ROW_IDENTITY)
+        with pytest.raises(KeyError):        # no defaults, no padding
+            B.row_key({k: v for k, v in row.items() if k != "elastic"})
+
+    @pytest.mark.parametrize("field,value", [
+        ("shards", 4), ("distribution", "hotspot"), ("adaptive", True),
+        ("elastic", True), ("source", "serve")])
+    def test_identity_fields_never_pair(self, field, value):
+        twin = _fake_doc(0.001, **{field: value})
+        assert B.row_key(twin["rows"][0]) \
+            != B.row_key(_fake_doc(100.0)["rows"][0])
+        cmp = B.compare_bench(twin, _fake_doc(100.0), threshold=0.20)
+        assert cmp["regressions"] == [] and len(cmp["unmatched"]) == 1
 
 
 class TestCompare:
@@ -111,20 +203,23 @@ class TestCompare:
                               threshold=0.20)
         assert cmp["regressions"] == []
 
-    def test_v1_rows_without_shards_still_match(self):
-        # Schema-v1 rows have no "shards" key; they read as shards=1 and
-        # keep matching v2 rows with explicit shards=1.
-        new = _fake_doc(70.0)
-        new["rows"][0]["shards"] = 1
-        cmp = B.compare_bench(new, _fake_doc(100.0), threshold=0.20)
-        assert len(cmp["regressions"]) == 1 and cmp["unmatched"] == []
+    def test_refuses_a_baseline_of_another_schema(self):
+        with pytest.raises(ValueError, match="repro-bench/6.*"
+                           + B.SCHEMA_ID):
+            B.compare_bench(_fake_doc(1.0), B.load_bench(OLD_SCHEMA_FILE))
 
-    def test_shard_counts_distinguish_rows(self):
-        new = _fake_doc(70.0)
-        new["rows"][0]["shards"] = 4
-        cmp = B.compare_bench(new, _fake_doc(100.0), threshold=0.20)
-        assert cmp["regressions"] == []
-        assert len(cmp["unmatched"]) == 1
+    @pytest.mark.parametrize("bound,fields,warned", [
+        ("bandwidth", {}, True), ("issue", {}, False),
+        ("bandwidth", {"backend": "interleaved"}, False),
+        ("oom", {"oom": True}, False)])
+    def test_shard_bound_warnings(self, bound, fields, warned):
+        doc = _fake_doc(1.0)
+        doc["rows"].append(dict(doc["rows"][0], shards=4, bottleneck=bound,
+                                **fields))
+        warnings = B.shard_bound_warnings(doc)
+        assert len(warnings) == warned
+        if warned:
+            assert "issue (S=1) -> bandwidth (S=4)" in warnings[0]
 
 
 class TestFiles:
@@ -147,16 +242,64 @@ class TestFiles:
         with pytest.raises(ValueError):
             B.write_bench(doc, tmp_path / "BENCH_x.json")
 
+    def test_merge_refuses_a_file_of_another_schema(self, serve_row,
+                                                    tmp_path):
+        path = tmp_path / "BENCH_old.json"
+        path.write_text(OLD_SCHEMA_FILE.read_text())
+        with pytest.raises(ValueError) as err:
+            B.merge_rows(path, [serve_row])
+        assert "repro-bench/6" in str(err.value)
+        assert B.SCHEMA_ID in str(err.value)
+        assert path.read_text() == OLD_SCHEMA_FILE.read_text()
+
+    def test_merge_validates_before_writing(self, serve_row, tmp_path):
+        path = tmp_path / "BENCH_bad.json"
+        with pytest.raises(ValueError, match="p99_us"):
+            B.merge_rows(path, [dict(serve_row, p99_us=None)])
+        assert not path.exists()
+
+
+class TestCommittedBaseline:
+    """The newest committed BENCH file is readable by this build and
+    covers every cell the CI bench-smoke grids gate on."""
+
+    def test_valid_and_covers_the_ci_grid(self):
+        doc = B.load_bench(B.latest_bench(RESULTS))
+        assert B.validate_bench(doc) == []
+        keys = {B.row_key(r) for r in doc["rows"]}
+        ci_cells = ([(s, b, 1) for s in ("gfsl", "mc")
+                     for b in ("sequential", "interleaved", "vectorized")]
+                    + [("gfsl", "vectorized", 4)])
+        for structure, backend, shards in ci_cells:
+            assert (structure, backend, "[10,10,80]", B.DEFAULT_RANGES[0],
+                    B.DEFAULT_OPS, shards, "uniform", False, False,
+                    "replay") in keys
+
 
 class TestMarkdown:
     def test_table_and_regression_lines(self, tiny_doc):
         cmp = B.compare_bench(_fake_doc(70.0), _fake_doc(100.0))
         md = B.render_markdown(tiny_doc, cmp, baseline_name="BENCH_old.json")
         assert "| structure | backend |" in md
+        assert "| dist |" in md and "| gen% |" in md and "| bound |" in md
+        assert "| uniform |" in md and "| 100% |" in md
         assert "**REGRESSION**" in md
         assert "BENCH_old.json" in md
         md2 = B.render_markdown(tiny_doc)
         assert "REGRESSION" not in md2
+        assert "Serve campaigns" not in md2
+
+    def test_serve_section_and_mode_labels(self, mixed_doc, serve_row):
+        elastic = dict(serve_row, adaptive=True, elastic=True)
+        doc = dict(mixed_doc, rows=mixed_doc["rows"] + [elastic])
+        cmp = {"regressions": [{"row": B.row_key(elastic), "old_mops": 2.0,
+                                "new_mops": 1.0, "delta": -0.5}],
+               "improvements": [], "unmatched": []}
+        md = B.render_markdown(doc, cmp, "old")
+        assert "## Serve campaigns (request-path latency)" in md
+        assert "| mode |" in md and "| healthy p99 µs |" in md
+        assert "| static |" in md and "| adaptive+elastic |" in md
+        assert "adaptive elastic [serve]" in md
 
 
 class TestCli:
@@ -201,6 +344,14 @@ class TestCli:
                                    "--baseline", str(tmp_path / "nope.json")])
         assert rc == 2
         capsys.readouterr()
+
+    def test_other_schema_baseline_is_usage_error(self, tmp_path, capsys):
+        rc = cli_main(self.ARGS + ["--out-dir", str(tmp_path),
+                                   "--baseline", str(OLD_SCHEMA_FILE)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"bench: baseline {OLD_SCHEMA_FILE} is repro-bench/6; this "
+            f"build writes {B.SCHEMA_ID} — regenerate the baseline\n")
 
     def test_same_date_rerun_compares_against_older_file(self, tmp_path,
                                                          capsys):

@@ -1,10 +1,8 @@
-"""Bench schema v3: bottleneck attribution columns + shard-bound
-warnings.
+"""Replay rows: bottleneck attribution and the markdown ``bound`` column.
 
-Every row must carry non-null ``transactions_per_op``, ``bottleneck``,
-and the four cycle-attribution terms (the three roofline bounds plus
-the serialization charge), and ``shard_bound_warnings`` must flag
-configs whose binding bound differs between S=1 and S>1.
+Every grid row carries non-null ``transactions_per_op``, ``bottleneck``
+and the four cycle-attribution terms (the three roofline bounds plus the
+serialization charge), and the markdown summary shows the binding bound.
 """
 
 import pytest
@@ -37,49 +35,8 @@ class TestCycleColumns:
             if row["serialization_cycles"] > roof:
                 assert row["bottleneck"] == "serialization"
 
-    def test_validate_rejects_missing_cycle_field(self, sharded_doc):
-        for f in _CYCLE_FIELDS + ("transactions_per_op",):
-            row = dict(sharded_doc["rows"][0])
-            row.pop(f)
-            bad = dict(sharded_doc, rows=[row])
-            assert any(f in e for e in B.validate_bench(bad)), f
-            row = dict(sharded_doc["rows"][0], **{f: None})
-            bad = dict(sharded_doc, rows=[row])
-            assert any(f in e for e in B.validate_bench(bad)), f
-
     def test_markdown_shows_bound_column(self, sharded_doc):
         md = B.render_markdown(sharded_doc)
         assert "| bound |" in md
         assert any(f"| {row['bottleneck']} |" in md
                    for row in sharded_doc["rows"])
-
-
-def _doc(rows):
-    return {"schema": B.SCHEMA_ID, "rows": rows}
-
-
-def _row(shards=1, bottleneck="issue", backend="vectorized", oom=False):
-    return {"structure": "gfsl", "backend": backend,
-            "mixture": "[10,10,80]", "key_range": 2048, "n_ops": 400,
-            "shards": shards, "bottleneck": bottleneck, "oom": oom}
-
-
-class TestShardBoundWarnings:
-    def test_flags_bound_shift(self):
-        warnings = B.shard_bound_warnings(
-            _doc([_row(1, "issue"), _row(4, "bandwidth")]))
-        assert len(warnings) == 1
-        assert "issue" in warnings[0] and "bandwidth" in warnings[0]
-        assert "S=4" in warnings[0]
-
-    def test_silent_when_bounds_agree(self):
-        assert B.shard_bound_warnings(
-            _doc([_row(1, "issue"), _row(4, "issue")])) == []
-
-    def test_ignores_other_configs_and_oom(self):
-        # Different backend at S=1: no matching baseline → no warning.
-        assert B.shard_bound_warnings(
-            _doc([_row(1, "issue", backend="sequential"),
-                  _row(4, "bandwidth")])) == []
-        assert B.shard_bound_warnings(
-            _doc([_row(1, "issue"), _row(4, "oom", oom=True)])) == []

@@ -1,12 +1,9 @@
-"""Bench schema v4: distribution dimension + gen-fallback residue.
+"""Replay rows: the ``distribution`` dimension and gen-fallback residue.
 
-Every row carries ``distribution`` (part of the row identity) and
+Every grid row carries ``distribution`` (part of the row identity) and
 ``gen_fraction`` — the share of ops replayed through per-op generators
-rather than the vectorized fast path; the markdown summary shows both,
-and v3 baselines still compare (missing fields default).  The schema
-has since moved to v5 (the ``source`` row dimension; see
-test_bench_v5.py) — these tests pin that the v4 row contract is
-preserved inside it."""
+rather than the vectorized fast path; the markdown summary shows both.
+"""
 
 import pytest
 
@@ -29,7 +26,6 @@ def hotspot_doc():
 
 class TestSchema:
     def test_schema_id_and_validation(self, doc):
-        assert B.SCHEMA_ID == "repro-bench/7"
         assert doc["schema"] == B.SCHEMA_ID
         assert B.validate_bench(doc) == []
 
@@ -44,25 +40,6 @@ class TestSchema:
         assert (by_backend["vectorized"]["gen_fraction"]
                 < by_backend["sequential"]["gen_fraction"])
 
-    def test_validate_rejects_missing_new_fields(self, doc):
-        for f in ("gen_fraction",):
-            row = dict(doc["rows"][0])
-            row.pop(f)
-            bad = dict(doc, rows=[row])
-            assert any(f in e for e in B.validate_bench(bad)), f
-
-    def test_distribution_is_part_of_row_identity(self, doc, hotspot_doc):
-        uniform_keys = {B.row_key(r) for r in doc["rows"]}
-        hotspot_keys = {B.row_key(r) for r in hotspot_doc["rows"]}
-        assert not (uniform_keys & hotspot_keys)
-        assert all(k[-4] == "hotspot" for k in hotspot_keys)
-
-    def test_v3_rows_without_distribution_still_key(self, doc):
-        legacy = dict(doc["rows"][0])
-        legacy.pop("distribution")
-        assert B.row_key(legacy)[-4] == "uniform"
-        assert B.row_key(legacy) == B.row_key(doc["rows"][0])
-
 
 class TestMarkdown:
     def test_columns_present(self, doc):
@@ -73,22 +50,3 @@ class TestMarkdown:
 
     def test_hotspot_rows_labelled(self, hotspot_doc):
         assert "| hotspot |" in B.render_markdown(hotspot_doc)
-
-
-class TestRegressionCompare:
-    def test_compare_matches_v3_style_baseline(self, doc):
-        """A baseline written before the distribution column existed
-        still matches today's uniform rows."""
-        legacy_rows = []
-        for r in doc["rows"]:
-            lr = dict(r)
-            lr.pop("distribution")
-            lr.pop("gen_fraction")
-            lr["mops"] = r["mops"] * 2     # fake: old build twice as fast
-            legacy_rows.append(lr)
-        # compare_bench pairs rows by row_key — a v3 row (no
-        # distribution) must collide with its v4 uniform twin.
-        baseline = {"schema": "repro-bench/3", "rows": legacy_rows}
-        out = B.compare_bench(doc, baseline, threshold=0.2)
-        assert not out["unmatched"]
-        assert len(out["regressions"]) == len(doc["rows"])

@@ -1,10 +1,10 @@
-"""Bench schema v5: the ``source`` row dimension + serve-campaign rows.
+"""Serve campaign rows beside replay rows in one BENCH document.
 
-v5 adds ``source`` ("replay" grid cells vs "serve" campaign rows) to
-the row identity — the regression gate must never compare a serve row
-against a replay row — and requires ``p50_us``/``p99_us`` and the
-``rejected``/``shed``/``retries`` counters on serve rows.  v4 baselines
-(no ``source``) keep matching replay rows.
+``source`` ("replay" grid cells vs "serve" campaign rows) is part of
+the row identity, so the regression gate never compares a serve row
+against a replay row; serve rows carry the request-path fields and
+replay rows need none of them; ``merge_rows`` adds serve rows to a file
+by identity.
 """
 
 import pytest
@@ -12,8 +12,7 @@ import pytest
 from repro.chaos import ServeChaosConfig
 from repro.metrics import bench as B
 from repro.serve import (LoadConfig, ServeCampaignConfig,
-                         merge_serve_row, run_serve_campaign,
-                         serve_bench_row)
+                         run_serve_campaign, serve_bench_row)
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +46,6 @@ class TestRowIdentity:
         assert B.row_key(serve_row)[-1] == "serve"
         assert B.row_key(replay_doc["rows"][0])[-1] == "replay"
 
-    def test_v4_rows_without_source_read_as_replay(self, replay_doc):
-        legacy = dict(replay_doc["rows"][0])
-        legacy.pop("source")
-        assert B.row_key(legacy)[-1] == "replay"
-        assert B.row_key(legacy) == B.row_key(replay_doc["rows"][0])
-
     def test_serve_never_collides_with_replay(self, replay_doc, serve_row):
         twin = dict(serve_row, source="replay")
         assert B.row_key(twin) != B.row_key(serve_row)
@@ -61,32 +54,6 @@ class TestRowIdentity:
 class TestValidation:
     def test_mixed_document_is_valid(self, replay_doc, serve_row):
         assert B.validate_bench(with_serve(replay_doc, serve_row)) == []
-
-    @pytest.mark.parametrize("field", ["p50_us", "p99_us"])
-    def test_serve_rows_require_latency_fields(self, replay_doc,
-                                               serve_row, field):
-        bad = dict(serve_row)
-        bad.pop(field)
-        errors = B.validate_bench(with_serve(replay_doc, bad))
-        assert any(field in e for e in errors)
-
-    @pytest.mark.parametrize("field", ["rejected", "shed", "retries"])
-    def test_serve_rows_require_robustness_counts(self, replay_doc,
-                                                  serve_row, field):
-        bad = dict(serve_row)
-        bad.pop(field)
-        errors = B.validate_bench(with_serve(replay_doc, bad))
-        assert any(field in e for e in errors)
-
-    def test_negative_count_rejected(self, replay_doc, serve_row):
-        bad = dict(serve_row, rejected=-1)
-        errors = B.validate_bench(with_serve(replay_doc, bad))
-        assert any("rejected" in e for e in errors)
-
-    def test_unknown_source_rejected(self, replay_doc):
-        bad_row = dict(replay_doc["rows"][0], source="mystery")
-        errors = B.validate_bench(dict(replay_doc, rows=[bad_row]))
-        assert any("source" in e for e in errors)
 
     def test_replay_rows_need_no_serve_fields(self, replay_doc):
         assert "p99_us" not in replay_doc["rows"][0]
@@ -101,20 +68,6 @@ class TestRegressionGate:
         assert [u["row"][-1] for u in out["unmatched"]] == ["serve"]
         assert not out["regressions"]
 
-    def test_v4_baseline_still_matches_replay_rows(self, replay_doc,
-                                                   serve_row):
-        legacy_rows = []
-        for r in replay_doc["rows"]:
-            lr = dict(r)
-            lr.pop("source")
-            lr["mops"] = r["mops"] * 2        # fake: old build faster
-            legacy_rows.append(lr)
-        baseline = {"schema": "repro-bench/4", "rows": legacy_rows}
-        out = B.compare_bench(with_serve(replay_doc, serve_row),
-                              baseline, threshold=0.2)
-        assert len(out["regressions"]) == len(replay_doc["rows"])
-        assert [u["row"][-1] for u in out["unmatched"]] == ["serve"]
-
 
 class TestMarkdown:
     def test_serve_section_rendered(self, replay_doc, serve_row):
@@ -125,19 +78,11 @@ class TestMarkdown:
     def test_no_serve_section_without_serve_rows(self, replay_doc):
         assert "Serve campaigns" not in B.render_markdown(replay_doc)
 
-    def test_regression_entries_handle_v4_keys(self, replay_doc):
-        legacy_key = B.row_key(replay_doc["rows"][0])[:7]    # v4 shape
-        comparison = {"regressions": [
-            {"row": legacy_key, "old_mops": 2.0, "new_mops": 1.0,
-             "delta": -0.5}], "improvements": [], "unmatched": []}
-        md = B.render_markdown(replay_doc, comparison, "old")
-        assert "**REGRESSION**" in md
-
 
 class TestMergeServeRow:
     def test_creates_a_fresh_valid_file(self, serve_row, tmp_path):
         path = tmp_path / "BENCH_fresh.json"
-        merge_serve_row(serve_row, path)
+        B.merge_rows(path, [serve_row])
         doc = B.load_bench(path)
         assert doc["schema"] == B.SCHEMA_ID
         assert B.validate_bench(doc) == []
@@ -145,8 +90,8 @@ class TestMergeServeRow:
 
     def test_remerge_replaces_not_duplicates(self, serve_row, tmp_path):
         path = tmp_path / "BENCH_fresh.json"
-        merge_serve_row(serve_row, path)
-        merge_serve_row(dict(serve_row, mops=123.0), path)
+        B.merge_rows(path, [serve_row])
+        B.merge_rows(path, [dict(serve_row, mops=123.0)])
         doc = B.load_bench(path)
         assert len(doc["rows"]) == 1
         assert doc["rows"][0]["mops"] == 123.0
@@ -156,9 +101,9 @@ class TestMergeServeRow:
                                                        tmp_path):
         path = tmp_path / "BENCH_mixed.json"
         B.write_bench(replay_doc, path)
-        merge_serve_row(serve_row, path)
+        B.merge_rows(path, [serve_row])
         doc = B.load_bench(path)
         assert len(doc["rows"]) == len(replay_doc["rows"]) + 1
         assert B.validate_bench(doc) == []
-        sources = [r.get("source") for r in doc["rows"]]
+        sources = [r["source"] for r in doc["rows"]]
         assert sources.count("serve") == 1

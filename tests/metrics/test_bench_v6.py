@@ -1,19 +1,18 @@
-"""Bench schema v6: the ``adaptive`` row dimension + controller columns.
+"""Serve rows: the ``adaptive`` dimension and controller columns.
 
-v6 adds ``adaptive`` (elasticity controller on/off) to the row identity
+``adaptive`` (elasticity controller on/off) is part of the row identity
 — static and adaptive runs of the same campaign are distinct rows, so a
-BENCH file can hold both and the regression gate never pairs them — and
-optional controller columns (``target_p99_us``, ``healthy_p99_us``,
-``shard_rates``, ``shard_windows``) validated only when present, so v5
-serve rows migrated into a v6 file stay valid.
+BENCH file holds both and the regression gate never pairs them — and
+serve rows record the controller's final state (``target_p99_us``,
+``healthy_p99_us``, ``shard_rates``, ``shard_windows``).
 """
 
 import pytest
 
 from repro.chaos import ServeChaosConfig
 from repro.metrics import bench as B
-from repro.serve import (LoadConfig, ServeCampaignConfig, merge_serve_row,
-                         run_serve_campaign, serve_bench_row)
+from repro.serve import (LoadConfig, ServeCampaignConfig, run_serve_campaign,
+                         serve_bench_row)
 
 
 def campaign(adaptive):
@@ -45,34 +44,20 @@ def doc(rows):
 class TestRowIdentity:
     def test_adaptive_is_part_of_the_key(self, rows):
         assert B.row_key(rows[False]) != B.row_key(rows[True])
-        # Since v7 the key ends (..., adaptive, elastic, source).
+        # The key ends (..., adaptive, elastic, source).
         assert B.row_key(rows[False])[-3] is False
         assert B.row_key(rows[True])[-3] is True
-        # ``source`` stays last, as v5 consumers assume.
         assert B.row_key(rows[True])[-1] == "serve"
-
-    def test_v5_rows_without_adaptive_read_as_static(self, rows):
-        legacy = dict(rows[False])
-        legacy.pop("adaptive")
-        assert B.row_key(legacy) == B.row_key(rows[False])
-
-    def test_pad_handles_v4_and_v5_keys(self, rows):
-        key = B.row_key(rows[False])
-        assert B._pad_row_key(key[:7]) \
-            == key[:7] + (False, False, "replay")
-        v5 = key[:7] + ("serve",)
-        assert B._pad_row_key(v5) == key[:7] + (False, False, "serve")
-        assert B._pad_row_key(key) == key
 
     def test_static_and_adaptive_coexist_in_one_file(self, rows, tmp_path):
         path = tmp_path / "BENCH_both.json"
-        merge_serve_row(rows[False], path)
-        merge_serve_row(rows[True], path)
+        B.merge_rows(path, [rows[False]])
+        B.merge_rows(path, [rows[True]])
         out = B.load_bench(path)
         assert len(out["rows"]) == 2
         assert B.validate_bench(out) == []
         # Re-merging one of them replaces, not duplicates.
-        merge_serve_row(dict(rows[True], mops=9.0), path)
+        B.merge_rows(path, [dict(rows[True], mops=9.0)])
         out = B.load_bench(path)
         assert len(out["rows"]) == 2
         assert sorted(r["adaptive"] for r in out["rows"]) == [False, True]
@@ -82,27 +67,6 @@ class TestValidation:
     def test_v6_rows_are_valid(self, doc):
         assert doc["rows"][1]["adaptive"] is True
         assert B.validate_bench(doc) == []
-
-    def test_v5_serve_row_without_controller_fields_is_valid(self, doc):
-        legacy = dict(doc["rows"][0])
-        for key in ("adaptive", "target_p99_us", "healthy_p99_us",
-                    "shard_rates", "shard_windows"):
-            legacy.pop(key)
-        assert B.validate_bench(dict(doc, rows=[legacy])) == []
-
-    @pytest.mark.parametrize("field,bad", [
-        ("adaptive", "yes"),
-        ("target_p99_us", "fast"),
-        ("healthy_p99_us", True),
-        ("shard_rates", []),
-        ("shard_rates", [1.0, "x"]),
-        ("shard_windows", 150),
-    ])
-    def test_malformed_controller_fields_rejected(self, doc, field, bad):
-        row = dict(doc["rows"][1])
-        row[field] = bad
-        errors = B.validate_bench(dict(doc, rows=[row]))
-        assert any(field in e for e in errors), (field, errors)
 
     def test_regression_gate_never_pairs_static_with_adaptive(self, doc,
                                                               rows):
@@ -118,13 +82,6 @@ class TestMarkdown:
         md = B.render_markdown(doc)
         assert "| mode |" in md and "| healthy p99 µs |" in md
         assert "| static |" in md and "| adaptive |" in md
-
-    def test_v5_serve_row_renders_without_healthy_p99(self, doc):
-        legacy = dict(doc["rows"][0])
-        for key in ("adaptive", "healthy_p99_us"):
-            legacy.pop(key)
-        md = B.render_markdown(dict(doc, rows=[legacy]))
-        assert "| static |" in md and "| - |" in md
 
     def test_regression_entries_label_adaptive_cells(self, doc, rows):
         comparison = {"regressions": [

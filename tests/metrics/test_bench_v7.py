@@ -1,18 +1,17 @@
-"""Bench schema v7: the ``elastic`` row dimension + migration columns.
+"""Serve rows: the ``elastic`` dimension and migration columns.
 
-v7 adds ``elastic`` (telemetry-driven resharding on/off) to the row
+``elastic`` (telemetry-driven resharding on/off) is part of the row
 identity — a resharded campaign and its frozen-mapping twin are
 distinct rows, so one BENCH file holds both and the regression gate
-never pairs them — plus migration counters and the per-attempt
-``migration_events`` list on serve rows, validated only when present
-so v6 serve rows migrated into a v7 file stay valid.
+never pairs them — and serve rows carry the migration counters and the
+per-attempt ``migration_events`` list.
 """
 
 import pytest
 
 from repro.metrics import bench as B
-from repro.serve import (LoadConfig, ServeCampaignConfig, merge_serve_row,
-                         run_serve_campaign, serve_bench_row)
+from repro.serve import (LoadConfig, ServeCampaignConfig, run_serve_campaign,
+                         serve_bench_row)
 
 
 def campaign(elastic):
@@ -43,35 +42,10 @@ def doc(rows):
 
 
 class TestRowIdentity:
-    def test_elastic_is_part_of_the_key(self, rows):
-        assert B.row_key(rows[False]) != B.row_key(rows[True])
-        assert B.row_key(rows[False])[-2] is False
-        assert B.row_key(rows[True])[-2] is True
-        # ``source`` stays last, as every pre-v7 consumer assumes.
-        assert B.row_key(rows[True])[-1] == "serve"
-
-    def test_v6_rows_without_elastic_read_as_frozen(self, rows):
-        legacy = dict(rows[False])
-        legacy.pop("elastic")
-        assert B.row_key(legacy) == B.row_key(rows[False])
-
-    def test_pad_handles_v5_and_v6_keys(self, rows):
-        v7 = B.row_key(rows[False])
-        assert len(v7) == 10
-        # v5 key: no adaptive, no elastic.
-        v5 = v7[:7] + (v7[-1],)
-        assert B._pad_row_key(v5) == v7[:7] + (False, False, v7[-1])
-        # v6 key: adaptive present, elastic missing.
-        v6 = v7[:8] + (v7[-1],)
-        assert B._pad_row_key(v6) == v7[:8] + (False, v7[-1])
-        # pre-v5 key: no source either.
-        assert B._pad_row_key(v7[:7]) \
-            == v7[:7] + (False, False, "replay")
-
     def test_both_modes_coexist_in_one_file(self, rows, tmp_path):
         path = tmp_path / "BENCH_2026-08-09.json"
         for row in (rows[False], rows[True]):
-            merge_serve_row(row, path)
+            B.merge_rows(path, [row])
         doc = B.load_bench(path)
         assert doc["schema"] == B.SCHEMA_ID
         assert len(doc["rows"]) == 2
@@ -82,26 +56,6 @@ class TestRowIdentity:
 class TestValidation:
     def test_v7_rows_are_valid(self, doc):
         assert B.validate_bench(doc) == []
-
-    def test_v6_serve_row_without_migration_fields_is_valid(self, doc):
-        legacy = dict(doc["rows"][0])
-        for key in ("elastic", "migrations", "migration_aborts",
-                    "migrated_keys", "migration_events"):
-            legacy.pop(key, None)
-        assert B.validate_bench({**doc, "rows": [legacy]}) == []
-
-    @pytest.mark.parametrize("field,bad", [
-        ("elastic", "yes"),
-        ("migrations", -1),
-        ("migrations", 1.5),
-        ("migration_aborts", True),
-        ("migrated_keys", "3"),
-        ("migration_events", {"step": 1}),
-    ])
-    def test_malformed_migration_fields_rejected(self, doc, field, bad):
-        broken = {**dict(doc["rows"][1]), field: bad}
-        errors = B.validate_bench({**doc, "rows": [broken]})
-        assert any(field in e for e in errors), errors
 
 
 class TestRowContents:

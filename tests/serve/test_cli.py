@@ -6,11 +6,13 @@ scripts and CI can switch on *what* failed without parsing messages.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 import repro.cli as cli
 from repro.core.locks import LockTimeout
+from repro.metrics import bench as B
 from repro.core.pool import OutOfChunks
 from repro.serve.errors import Overloaded
 
@@ -68,8 +70,23 @@ class TestServeBenchCommand:
         assert sum(histogram["point_us"].values()) \
             == histogram["point_samples"]
         doc = json.loads(bench.read_text())
-        assert doc["schema"] == "repro-bench/7"
+        assert doc["schema"] == B.SCHEMA_ID
         assert doc["rows"][0]["source"] == "serve"
+
+    def test_bench_out_of_another_schema_is_a_usage_error(self, tmp_path,
+                                                          capsys):
+        old = (Path(__file__).resolve().parents[2] / "benchmarks"
+               / "results" / "BENCH_2026-08-08.json")
+        bench = tmp_path / "BENCH_old.json"
+        bench.write_text(old.read_text())
+        code = cli.main([
+            "serve-bench", "--structure", "gfsl@2", "--requests", "150",
+            "--clients", "8", "--range", "512", "--rate", "800",
+            "--admit-rate", "400", "--seed", "11", "--bench-out", str(bench)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "repro-bench/6" in err and B.SCHEMA_ID in err
+        assert bench.read_text() == old.read_text()
 
     def test_max_p99_gate_fails_closed(self, capsys):
         code = cli.main([
