@@ -25,7 +25,9 @@ All in-flight searches advance in lock-step: each iteration gathers
 every search's current chunk with one numpy fancy-index and computes
 every team's ballot decision with one vectorized comparison, exactly
 the semantics of Algorithms 4.2–4.4/4.6 (``search_down`` +
-``search_lateral``) but many ops wide.
+``search_lateral``) but many ops wide.  Calls of at most
+``_SMALL_BATCH`` keys run the same lock-step on Python ints instead,
+where numpy's fixed cost per array op would dominate.
 
 The kernels require quiescent memory (the wave's update ops have not
 started), which is what makes the lock-free restart path unreachable;
@@ -46,8 +48,9 @@ generator.  Fallback hints stay valid across the batched phase because
 batched groups never change chunk linkage and wave keys are distinct —
 a hint chunk is re-walked laterally and re-validated under the lock.
 
-Tracer accounting is preserved per wave step: each traversal iteration
-records one coalesced chunk access *per in-flight op* through
+Tracer accounting is preserved per wave step, and both traversal paths
+issue the same per-step batches: each traversal iteration records one
+coalesced chunk access *per in-flight op*, in op order, through
 :meth:`~repro.gpu.tracer.TransactionTracer.access_words_batch`, and
 each batched critical-section phase records one batch (lock CAS /
 re-read under lock / publish store) for the whole group — so the cost
@@ -64,6 +67,14 @@ from . import constants as C
 from .chunk import pack_next
 
 _DOWN, _LATERAL = 0, 1
+
+# Traversal calls of at most this many keys take the Python-int
+# lock-step path: below it numpy's fixed cost per array op (about 25 per
+# step) outweighs the per-op Python loop.  Set by measurement (DESIGN.md
+# §12, "Small batches").
+_SMALL_BATCH = 16
+
+_MAX_STEPS = 100_000    # beyond this a structure is corrupted
 
 # Op codes of repro.engine.batch / repro.workloads.generator, restated
 # locally to keep core free of engine imports.
@@ -119,42 +130,162 @@ def _traverse(sls, owner: np.ndarray, keys: np.ndarray, tracer,
     non-fallback ops, since the descent visits the enclosing chunk of
     every level), the list of op indices that must be replayed through
     their generator, and the per-call diagnostics dict.
+
+    Calls of at most ``_SMALL_BATCH`` keys walk on Python ints
+    (:func:`_lockstep_ints`), larger ones on numpy rows
+    (:func:`_lockstep_arrays`); both issue the same tracer batches and
+    return the same values.
     """
     m = int(keys.size)
-    geo = sls[0].geo
     words = sls[0].ctx.mem.raw()
-    dsize, n = geo.dsize, geo.n
-    mask32 = np.uint64(C.MASK32)
-    S = len(sls)
-    max_levels = np.fromiter((s.layout.max_level for s in sls),
-                             dtype=np.int64, count=S)
-    width = int(max_levels.max())
+    max_levels = [s.layout.max_level for s in sls]
+    head_bases = [s.layout.head_base for s in sls]
+    chunk_bases = [s.layout.chunks_base for s in sls]
+    width = max(max_levels)
 
     # Every search starts with the coalesced head-array read of
     # Algorithm 4.2; memory is quiescent so one snapshot per instance
     # serves all its ops, but the cost model still sees one access per
     # op (at that op's instance's head base).
-    head_bases = np.fromiter((s.layout.head_base for s in sls),
-                             dtype=np.int64, count=S)
-    chunk_bases = np.fromiter((s.layout.chunks_base for s in sls),
-                              dtype=np.int64, count=S)
+    own = owner.tolist()
     if tracer is not None:
-        tracer.access_words_batch(head_bases[owner], max_levels[owner],
+        tracer.access_words_batch([head_bases[o] for o in own],
+                                  [max_levels[o] for o in own],
                                   coalesced=True)
         tracer.record_compute(m)
-    counts = np.zeros((S, width), dtype=np.int64)
-    ptrs = np.zeros((S, width), dtype=np.int64)
-    height0 = np.zeros(S, dtype=np.int64)
-    for si in range(S):
-        ml = int(max_levels[si])
-        head = words[head_bases[si]: head_bases[si] + ml]
-        counts[si, :ml] = (head & mask32).astype(np.int64)
-        ptrs[si, :ml] = (head >> np.uint64(32)).astype(np.int64)
-        nz = np.nonzero(counts[si, :ml] > 0)[0]
-        height0[si] = int(nz[-1]) if nz.size else 0
+    head_ptrs = [[0] * width for _ in sls]
+    height0 = [0] * len(sls)
+    for si in set(own):
+        hb, ml = head_bases[si], max_levels[si]
+        head = words[hb: hb + ml].tolist()
+        head_ptrs[si][:ml] = [w >> 32 for w in head]
+        height0[si] = next((lv for lv in range(ml - 1, -1, -1)
+                            if head[lv] & C.MASK32), 0)
 
-    cbase = chunk_bases[owner]
-    height = height0[owner].copy()
+    if m <= _SMALL_BATCH:
+        return _lockstep_ints(sls[0].geo, words, own, keys.tolist(),
+                              [chunk_bases[o] for o in own], head_ptrs,
+                              height0, tracer, record_path, track_upper)
+    return _lockstep_arrays(sls[0].geo, words, owner, keys,
+                            np.asarray(chunk_bases, dtype=np.int64)[owner],
+                            np.asarray(head_ptrs, dtype=np.int64),
+                            np.asarray(height0, dtype=np.int64), tracer,
+                            record_path, track_upper)
+
+
+def _highest_le(W: list, dsize: int, key: int) -> int:
+    """Scalar ``highest_set_lane(ballot(entry key <= key))`` over the
+    data lanes of one chunk, or NONE_TID."""
+    for j in range(dsize - 1, -1, -1):
+        if W[j] & C.MASK32 <= key:
+            return j
+    return C.NONE_TID
+
+
+def _holds(W: list, dsize: int, key: int) -> bool:
+    return any(w & C.MASK32 == key for w in W[:dsize])
+
+
+def _lockstep_ints(geo, words, owner: list, keys: list, cbase: list,
+                   head_ptrs, height0, tracer, record_path: bool,
+                   track_upper: bool):
+    """:func:`_traverse` for small calls: the same per-step state
+    machine as :func:`_lockstep_arrays`, one op at a time on Python
+    ints.  Each step still issues one tracer batch over the in-flight
+    ops in index order, and appends the step's backtrack fallbacks,
+    then its restart fallbacks, in index order."""
+    m = len(keys)
+    n, dsize = geo.n, geo.dsize
+    lock_idx, next_idx = geo.lock_idx, geo.next_idx
+    height = [height0[o] for o in owner]
+    pcurr = [head_ptrs[o][h] for o, h in zip(owner, height)]
+    descending = [h > 0 for h in height]
+    prev: list = [None] * m             # last lateral chunk, if any
+    prev_ptr = [0] * m
+    found = [False] * m
+    upper = [False] * m
+    paths = [list(head_ptrs[o]) for o in owner] if record_path else None
+    fallback: list[int] = []
+    diag = _fresh_diag(m)
+    act = list(range(m))
+    steps = 0
+
+    while act:
+        steps += 1
+        if steps > _MAX_STEPS:          # corrupted structure: let the
+            fallback.extend(act)        # generators raise a precise fault
+            diag["fallback_stuck"] += len(act)
+            break
+        addrs = [cbase[i] + pcurr[i] * n for i in act]
+        if tracer is not None:
+            tracer.access_words_batch(addrs, n, coalesced=True)
+            tracer.record_compute(len(act))
+        still: list[int] = []
+        backtracks: list[int] = []
+        restarts: list[int] = []
+        for i, a in zip(act, addrs):
+            W = words[a: a + n].tolist()
+            k = keys[i]
+            nw = W[next_idx]
+            zomb = W[lock_idx] == C.ZOMBIE
+            beyond = nw & C.MASK32 < k
+            if not descending[i]:       # bottom-level lateral row
+                if zomb or beyond:
+                    pcurr[i] = nw >> 32
+                    still.append(i)
+                else:
+                    if record_path:
+                        paths[i][0] = pcurr[i]
+                    found[i] = _holds(W, dsize, k)
+                continue
+            if zomb:                    # skip frozen zombies
+                pcurr[i] = nw >> 32
+            elif beyond:                # lateral step
+                prev[i] = W
+                prev_ptr[i] = pcurr[i]
+                pcurr[i] = nw >> 32
+            else:
+                tid = _highest_le(W, dsize, k)
+                src, src_ptr = W, pcurr[i]
+                if tid == C.NONE_TID:   # backtrack into the previous chunk
+                    src, src_ptr = prev[i], prev_ptr[i]
+                    if src is None:     # the lock-free restart —
+                        restarts.append(i)  # unreachable when quiescent
+                        continue
+                    tid = _highest_le(src, dsize, k)
+                if track_upper and _holds(src, dsize, k):
+                    upper[i] = True
+                if tid == C.NONE_TID:
+                    backtracks.append(i)
+                    continue
+                if record_path:
+                    paths[i][height[i]] = src_ptr
+                pcurr[i] = src[tid] >> 32
+                height[i] -= 1
+                prev[i] = None
+                descending[i] = height[i] > 0
+            still.append(i)
+        fallback.extend(backtracks)
+        fallback.extend(restarts)
+        diag["fallback_backtrack"] += len(backtracks)
+        diag["fallback_restart"] += len(restarts)
+        act = still
+
+    return (np.array(found, dtype=bool),
+            np.array(paths, dtype=np.int64) if record_path else None,
+            np.array(upper, dtype=bool), fallback, diag)
+
+
+def _lockstep_arrays(geo, words, owner: np.ndarray, keys: np.ndarray,
+                     cbase: np.ndarray, ptrs: np.ndarray,
+                     height0: np.ndarray, tracer, record_path: bool,
+                     track_upper: bool):
+    """:func:`_traverse` for large calls: every in-flight op is one row
+    of the step's numpy arrays."""
+    m = int(keys.size)
+    dsize, n = geo.dsize, geo.n
+    mask32 = np.uint64(C.MASK32)
+    height = height0[owner]
     pcurr = ptrs[owner, height]
     phase = np.where(height > 0, _DOWN, _LATERAL).astype(np.int8)
     prev = np.zeros((m, n), dtype=np.uint64)
@@ -165,7 +296,7 @@ def _traverse(sls, owner: np.ndarray, keys: np.ndarray, tracer,
     active = np.ones(m, dtype=bool)
     # The "artificial array": every level defaults to its head chunk —
     # always a valid lateral starting point (search_slow does the same).
-    paths = ptrs[owner].copy() if record_path else None
+    paths = ptrs[owner] if record_path else None
     fallback: list[int] = []
     offs = np.arange(n, dtype=np.int64)
     steps = 0
@@ -176,7 +307,7 @@ def _traverse(sls, owner: np.ndarray, keys: np.ndarray, tracer,
         if act.size == 0:
             break
         steps += 1
-        if steps > 100_000:  # corrupted structure: let the generators
+        if steps > _MAX_STEPS:  # corrupted structure: let the generators
             fallback.extend(act.tolist())  # raise a precise fault
             active[act] = False
             diag["fallback_stuck"] += act.size
@@ -378,60 +509,51 @@ def vector_search(sl, keys: np.ndarray, tracer=None):
 # The vectorized update critical sections
 # ---------------------------------------------------------------------------
 
-def _batchable(geo, W, op_sel, key_sel, mask32):
+def _batchable(geo, W: list, ops: list, keys: list):
     """Decide whether one target chunk's operation group can be executed
-    batched under every sequential schedule.  Returns the live entries
-    on success, None on any hazard (the conflict-group contract of
-    DESIGN.md §12)."""
-    if int(W[geo.lock_idx]) != C.UNLOCKED:      # locked or zombie
+    batched under every sequential schedule.  ``W`` is the chunk's word
+    image and ``ops``/``keys`` the group, all Python ints.  Returns the
+    live entries on success, None on any hazard (the conflict-group
+    contract of DESIGN.md §12)."""
+    if W[geo.lock_idx] != C.UNLOCKED:           # locked or zombie
         return None
-    dk = (W[: geo.dsize] & mask32).astype(np.int64)
-    live = dk != C.EMPTY_KEY
-    if not bool(((dk != C.EMPTY_KEY) & (dk != C.NEG_INF_KEY)).any()):
+    live = [w for w in W[: geo.dsize] if w & C.MASK32 != C.EMPTY_KEY]
+    live_keys = {w & C.MASK32 for w in live}
+    if not live_keys - {C.NEG_INF_KEY}:
         return None                             # head-counter discipline
-    nlive = int(np.count_nonzero(live))
-    ins = op_sel == _OP_INSERT
-    n_ins = int(np.count_nonzero(ins))
-    n_del = int(op_sel.size) - n_ins
-    if nlive + n_ins > geo.dsize:               # a schedule could split
+    ins_keys = [k for o, k in zip(ops, keys) if o == _OP_INSERT]
+    del_keys = [k for o, k in zip(ops, keys) if o != _OP_INSERT]
+    if len(live) + len(ins_keys) > geo.dsize:   # a schedule could split
         return None
-    if nlive - n_del <= geo.merge_threshold:    # a schedule could merge
+    if len(live) - len(del_keys) <= geo.merge_threshold:
+        return None                             # a schedule could merge
+    maxf = W[geo.next_idx] & C.MASK32
+    if max(keys) > maxf:                        # stale enclosure hint
         return None
-    maxf = int(W[geo.next_idx] & mask32)
-    if bool((key_sel > maxf).any()):            # stale enclosure hint
-        return None
-    dk_live = dk[live]
-    ins_present = np.isin(key_sel[ins], dk_live)
-    del_absent = ~np.isin(key_sel[~ins], dk_live)
-    if bool(ins_present.any()) or bool(del_absent.any()):
+    if (not live_keys.isdisjoint(ins_keys)
+            or not live_keys.issuperset(del_keys)):
         return None                             # stale presence hint
-    if n_ins and bool((key_sel[~ins] == maxf).any()):
+    if ins_keys and maxf in del_keys:
         return None            # boundary-delete + insert: order-sensitive
-    return W[: geo.dsize][live]
+    return live
 
 
-def _chunk_image(geo, entries, op_sel, key_sel, val_sel, maxf: int,
-                 nxt: int, mask32) -> np.ndarray:
+def _chunk_image(geo, entries: list, ops: list, keys: list, vals: list,
+                 maxf: int, nxt: int) -> list:
     """The chunk's published word image after applying the group: live
     entries minus deletes plus inserts, sorted, EMPTY-padded, boundary
     lowered to the highest remaining key iff the boundary key was
     deleted, lock released."""
-    ins = op_sel == _OP_INSERT
-    del_keys = key_sel[~ins]
-    ekeys = (entries & mask32).astype(np.int64)
-    kept = entries[~np.isin(ekeys, del_keys)]
-    if ins.any():
-        new = (key_sel[ins].astype(np.uint64)
-               | (val_sel[ins].astype(np.uint64) << np.uint64(32)))
-        kept = np.concatenate([kept, new])
-    kept = kept[np.argsort((kept & mask32).astype(np.int64),
-                           kind="stable")]
-    img = np.full(geo.n, np.uint64(C.EMPTY_KV), dtype=np.uint64)
-    img[: kept.size] = kept
-    if bool((del_keys == maxf).any()):
-        maxf = int((kept[-1] & mask32))
-    img[geo.next_idx] = np.uint64(pack_next(maxf, nxt))
-    img[geo.lock_idx] = np.uint64(C.UNLOCKED)
+    del_keys = {k for o, k in zip(ops, keys) if o != _OP_INSERT}
+    kept = [w for w in entries if w & C.MASK32 not in del_keys]
+    kept += [C.pack_kv(k, v) for o, k, v in zip(ops, keys, vals)
+             if o == _OP_INSERT]
+    kept.sort(key=lambda w: w & C.MASK32)
+    img = kept + [C.EMPTY_KV] * (geo.n - len(kept))
+    if maxf in del_keys:
+        maxf = kept[-1] & C.MASK32
+    img[geo.next_idx] = pack_next(maxf, nxt)
+    img[geo.lock_idx] = C.UNLOCKED
     return img
 
 
@@ -497,44 +619,48 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
     idx = np.nonzero(cand)[0]
 
     words = sls[0].ctx.mem.raw()
-    chunk_bases = np.fromiter((s.layout.chunks_base for s in sls),
-                              dtype=np.int64, count=len(sls))
-    mask32 = np.uint64(C.MASK32)
     n = geo.n
+    S = len(sls)
+    # One pass groups the candidates by target chunk; groups run in
+    # sorted (instance, chunk) order, which fixes the order of
+    # batched_addrs and so of the three phase batches and the scatter.
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, si, ptr in zip(idx.tolist(), owner[idx].tolist(),
+                          paths[idx, 0].tolist()):
+        groups.setdefault((si, ptr), []).append(i)
+    ops_l, keys_l, vals_l = ops.tolist(), keys.tolist(), values.tolist()
     batched_addrs: list[int] = []
-    images: list[np.ndarray] = []
-    per_shard_groups = np.zeros(len(sls), dtype=np.int64)
-    per_shard_ins = np.zeros(len(sls), dtype=np.int64)
-    per_shard_del = np.zeros(len(sls), dtype=np.int64)
-
-    if idx.size:
-        tgt = paths[idx, 0]
-        cluster = owner[idx] * np.int64(2**32) + tgt
-        for cid in np.unique(cluster):
-            sel = idx[cluster == cid]
-            si = int(owner[sel[0]])
-            addr = int(chunk_bases[si] + paths[sel[0], 0] * n)
-            W = words[addr: addr + n]
-            op_sel, key_sel = ops[sel], keys[sel]
-            entries = _batchable(geo, W, op_sel, key_sel, mask32)
-            if entries is None:
-                continue
-            maxf = int(W[geo.next_idx] & mask32)
-            nxt = int(W[geo.next_idx] >> np.uint64(32))
-            images.append(_chunk_image(geo, entries, op_sel, key_sel,
-                                       values[sel], maxf, nxt, mask32))
-            batched_addrs.append(addr)
-            handled[sel] = True
-            results[sel] = True
-            n_ins = int(np.count_nonzero(op_sel == _OP_INSERT))
-            per_shard_groups[si] += 1
-            per_shard_ins[si] += n_ins
-            per_shard_del[si] += len(sel) - n_ins
+    images: list[list[int]] = []
+    batched: list[int] = []
+    per_shard_groups = [0] * S
+    per_shard_ins = [0] * S
+    per_shard_del = [0] * S
+    for si, ptr in sorted(groups):
+        sel = groups[si, ptr]
+        addr = sls[si].layout.chunks_base + ptr * n
+        W = words[addr: addr + n].tolist()
+        op_sel = [ops_l[i] for i in sel]
+        key_sel = [keys_l[i] for i in sel]
+        entries = _batchable(geo, W, op_sel, key_sel)
+        if entries is None:
+            continue
+        nw = W[geo.next_idx]
+        images.append(_chunk_image(geo, entries, op_sel, key_sel,
+                                   [vals_l[i] for i in sel],
+                                   nw & C.MASK32, nw >> 32))
+        batched_addrs.append(addr)
+        batched.extend(sel)
+        n_ins = op_sel.count(_OP_INSERT)
+        per_shard_groups[si] += 1
+        per_shard_ins[si] += n_ins
+        per_shard_del[si] += len(sel) - n_ins
 
     if batched_addrs:
+        handled[batched] = True
+        results[batched] = True
         addrs = np.asarray(batched_addrs, dtype=np.int64)
-        g = int(addrs.size)
-        n_batched = int(per_shard_ins.sum() + per_shard_del.sum())
+        g = len(batched_addrs)
+        n_batched = len(batched)
         if tracer is not None:
             # Phase 1 — lock acquire: one scalar atomic CAS per group.
             tracer.access_words_batch(addrs + geo.lock_idx, 1,
@@ -549,13 +675,13 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
         # must be notified explicitly before the wave publishes.
         mem = sls[0].ctx.mem
         if mem.write_barrier is not None:
-            for a in addrs.tolist():
-                mem.write_barrier(int(a), n)
+            for a in batched_addrs:
+                mem.write_barrier(a, n)
             mgr = sls[0].ctx._epochs
             if mgr is not None:
                 mgr.note_publish("batch_wave")
         words[addrs[:, None] + np.arange(n, dtype=np.int64)] = \
-            np.stack(images)
+            np.array(images, dtype=np.uint64)
         if tracer is not None:
             # Phase 3 — publish: one coalesced chunk-wide store carrying
             # data, boundary, and lock release.
@@ -564,13 +690,13 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
             tracer.record_compute(n_batched)   # the modify work itself
         for si, s in enumerate(sls):
             if per_shard_groups[si]:
-                s.op_stats.inserts += int(per_shard_ins[si])
-                s.op_stats.deletes += int(per_shard_del[si])
+                s.op_stats.inserts += per_shard_ins[si]
+                s.op_stats.deletes += per_shard_del[si]
                 mc = getattr(s, "metrics", None)
                 if mc is not None:
-                    mc.lock_acquired += int(per_shard_groups[si])
-                    mc.lock_released += int(per_shard_groups[si])
-                    mc.chunk_reads += int(per_shard_groups[si])
+                    mc.lock_acquired += per_shard_groups[si]
+                    mc.lock_released += per_shard_groups[si]
+                    mc.chunk_reads += per_shard_groups[si]
         diag["batched"] = n_batched
     diag["fallback_conflict"] = int(np.count_nonzero(~handled))
     _publish_diag(diag)

@@ -174,28 +174,29 @@ class TransactionTracer:
 
         # TLB: run unique pages (first-occurrence order) through the LRU;
         # repeats within the batch are guaranteed hits.
-        pages = addrs // self.tlb_page_words
-        uniq_pages, first_idx = np.unique(pages, return_index=True)
-        self._tlb_access_many(uniq_pages[np.argsort(first_idx)].tolist())
+        self._tlb_access_many(
+            dict.fromkeys((addrs // self.tlb_page_words).tolist()))
 
         # Lines covered by each access (chunk accesses span 1–2 lines).
         wpl = self.words_per_line
         nw = np.asarray(n_words, dtype=np.int64)
         first = addrs // wpl
         last = (addrs + (nw - 1)) // wpl
-        counts = last - first + 1
-        total = int(counts.sum())
-        if total == m:
-            lines = first
-        else:
-            starts = np.repeat(first, counts)
-            offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts,
-                                                counts)
-            lines = starts + offs
-        uniq_lines, first_idx = np.unique(lines, return_index=True)
-        hits, misses = self.l2.access_many(
-            uniq_lines[np.argsort(first_idx)].tolist())
-        dup_hits = total - int(uniq_lines.size)  # in-batch repeats: hits
+        lines = first.tolist()
+        total = m
+        if lines != last.tolist():
+            # Each access's lines first..last, padded to the widest
+            # access with repeats of its own last line: a repeat of a
+            # line already listed changes neither the deduplicated set
+            # nor its first-occurrence order.
+            spans = last - first
+            total += int(spans.sum())
+            widest = np.arange(int(spans.max()) + 1)
+            lines = np.minimum(first[:, None] + widest,
+                               last[:, None]).ravel().tolist()
+        uniq_lines = dict.fromkeys(lines)
+        hits, misses = self.l2.access_many(uniq_lines)
+        dup_hits = total - len(uniq_lines)  # in-batch repeats: hits
         stats.transactions += total
         stats.l2_hit_transactions += hits + dup_hits
         stats.dram_transactions += misses

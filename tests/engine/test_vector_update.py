@@ -209,3 +209,32 @@ def test_sharded_update_wave_matches_sequential(shards):
     assert res_v.results == res_s.results
     assert st_v.keys() == st_s.keys()
     assert st_v.items() == st_s.items()
+
+
+@pytest.mark.parametrize("kind", ["gfsl", "gfsl@4"])
+def test_groups_publish_in_chunk_order(kind):
+    """Batched groups run in ascending (instance, chunk) order whatever
+    the wave's op order: it fixes the order of the three phase batches
+    the tracer classifies and of the image scatter."""
+    w = generate(MIX_10_10_80, key_range=4_000, n_ops=10, seed=3)
+    st = make_structure(kind, w, seed=0)
+    present = set(st.keys())
+    absent = [k for k in range(1, 4_001) if k not in present][::97][:12]
+    keys = np.array(absent[::-1], dtype=np.int64)      # descending
+    tracer = st.ctx.tracer
+    phases = []
+    orig = tracer.access_words_batch
+
+    def record(addrs, n_words, **kw):
+        phases.append(np.asarray(addrs).tolist())
+        return orig(addrs, n_words, **kw)
+
+    tracer.access_words_batch = record
+    _res, handled, _f, _p = st.vector_update_wave(
+        np.full(keys.size, OP_INSERT, dtype=np.int64), keys,
+        np.ones(keys.size, dtype=np.int64), tracer=tracer)
+    assert bool(handled.all())
+    lock_cas, reread, publish = phases[-3:]
+    assert len(reread) == keys.size and reread == sorted(reread)
+    assert publish == reread
+    assert lock_cas == [a + st.geo.lock_idx for a in reread]
