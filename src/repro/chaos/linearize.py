@@ -20,7 +20,9 @@ prunings that keep it exact yet fast:
   ``(linearized-mask, present)`` states), threading the set of feasible
   register states from group to group.  Group sizes are bounded by how
   many operations on one key genuinely overlap, so the exact search
-  stays tiny even for 10k-op campaigns.
+  stays tiny even for 10k-op campaigns.  A one-event group (most of
+  them) is a single register replay, charged the one visit its search
+  would take.
 
 A search that still explodes (``MAX_VISITS`` states) falls back to a
 *net-effect* check for that key — prefill + successful inserts −
@@ -33,13 +35,32 @@ history: a :class:`SnapshotObservation` records the key set a frozen
 snapshot read returned plus the step interval over which the pin was
 held, and is consistent iff there exists a single instant ``t`` inside
 that interval at which *every* key's presence matches the observation
-under some legal linearization.  The check reuses the per-key engine:
-for each key a pinned pseudo-event ``contains(k, k ∈ S)`` at ``[t, t]``
-(in doubled step coordinates, so midpoints between real stamps are
-representable) is appended to the key's own events and fed through
-:func:`_check_key`; the feasible instants are intersected across keys,
-and an empty intersection is a :class:`SnapshotViolation` — the
-snapshot was not a consistent cut.
+under some legal linearization.  Per key that is a pinned pseudo-event
+``contains(k, k ∈ S)`` at ``[t, t]`` (in doubled step coordinates, so
+midpoints between real stamps are representable).  The feasible
+instants are intersected across keys in key order, and an empty
+intersection is a :class:`SnapshotViolation` — the snapshot was not a
+consistent cut.
+
+Every snapshot reuses one table per key (:class:`_KeyTable`), built once
+per :func:`check_history` call from the key's main check: its overlap
+groups, the feasible states ``fwd[g]`` before each group, and the live
+states — those of ``fwd[g]`` from which the groups from ``g`` on can
+still end in the final state.  A pinned read either lies strictly
+between two groups or joins exactly one group: every point of a group's
+span ``[first start, largest end]`` is covered by one of its events, so
+the read overlaps that group and no other, and it never reaches past
+the span.  Between groups the read is feasible iff the observed state
+is live there; inside group ``g`` only ``g`` plus the read is searched,
+from ``fwd[g]``, and an outcome must be live after ``g`` (memoized per
+key, real-time signature and observed state across snapshots).  The
+quiescent-window test and the candidate instants are bisects on the
+key's sorted group spans and stamps.  The lookups are exact as long as
+the search of the history plus the read would stay under
+``MAX_VISITS``; a query whose visit upper bound (the main check's
+visits, with the pinned group's search in place of its group's)
+reaches it runs that whole search instead, net-effect fallback
+included, so overflow verdicts are unchanged.
 """
 
 from __future__ import annotations
@@ -73,12 +94,6 @@ class HistoryRecorder:
                end: int) -> None:
         self.events.append(HistoryEvent(op, int(key), bool(result),
                                         int(start), int(end)))
-
-    def per_key(self) -> dict[int, list[HistoryEvent]]:
-        out: dict[int, list[HistoryEvent]] = {}
-        for e in self.events:
-            out.setdefault(e.key, []).append(e)
-        return out
 
     def __len__(self) -> int:
         return len(self.events)
@@ -122,6 +137,13 @@ def _group_outcomes(group: list[HistoryEvent], initial: bool,
     states a legal linearization can end in, starting from ``initial``.
     Empty set ⇒ no legal linearization exists."""
     n = len(group)
+    if n == 1:
+        # The search would visit ``(0, initial)`` once and replay.
+        budget[0] -= 1
+        if budget[0] <= 0:
+            raise _SearchOverflow
+        ok, nxt = _replay(group[0].op, group[0].result, initial)
+        return {nxt} if ok else set()
     hb = [[group[i].end < group[j].start for j in range(n)]
           for i in range(n)]
     full = (1 << n) - 1
@@ -170,11 +192,11 @@ def check_key_history(events: list[HistoryEvent], initial: bool,
                       final: bool) -> bool:
     """Exact per-key linearizability check with real-time constraints.
 
-    Raises :class:`_SearchOverflow`-free: overflow falls back to the
-    net-effect condition (see module docstring); callers that care use
-    :func:`check_history`, which reports fallback keys.
+    A search that overflows ``MAX_VISITS`` falls back to the net-effect
+    condition (see module docstring); callers that need to know use
+    :func:`check_history`, which counts fallback keys.
     """
-    ok, fellback = _check_key(events, initial, final)
+    ok, _ = _check_key(events, initial, final)
     return ok
 
 
@@ -183,19 +205,158 @@ def _check_key(events: list[HistoryEvent], initial: bool,
     """Returns ``(linearizable, used_fallback)``."""
     if not events:
         return initial == final, False
-    budget = [MAX_VISITS]
-    states = {initial}
-    try:
-        for group in _overlap_groups(events):
-            nxt: set[bool] = set()
-            for s in states:
-                nxt |= _group_outcomes(group, s, budget)
-            if not nxt:
-                return False, False
-            states = nxt
-        return final in states, False
-    except _SearchOverflow:
-        return _net_effect_ok(events, initial, final), True
+    return _KeyTable(events, initial, final).verdict()
+
+
+def _doubled(e: HistoryEvent) -> HistoryEvent:
+    return HistoryEvent(e.op, e.key, e.result, 2 * e.start, 2 * e.end)
+
+
+class _KeyTable:
+    """One key's main check, kept for the snapshot judge.
+
+    ``fwd[g]`` is the set of feasible states before group ``g``
+    (``fwd[-1]`` after the last), ``outs[g]`` maps each of them to its
+    outcomes in group ``g`` and ``spent[g]`` is the budget the group
+    took; once a set is empty the later groups search nothing.  ``fwd``
+    is ``None`` if the search overflowed ``MAX_VISITS``.  :meth:`index`
+    adds what the snapshot lookups need; only keys some snapshot judges
+    pay for it.
+    """
+
+    def __init__(self, events: list[HistoryEvent], initial: bool,
+                 final: bool):
+        self.key = events[0].key
+        self.events, self.initial, self.final = events, initial, final
+        self.groups = _overlap_groups(events)
+        self.outs: list[dict[bool, set[bool]]] = []
+        self.spent: list[int] = []
+        self.live: list[set[bool]] | None = None
+        self.bounds: list[int] | None = None
+        budget = [MAX_VISITS]
+        fwd = [{initial}]
+        try:
+            for group in self.groups:
+                before = budget[0]
+                outs: dict[bool, set[bool]] = {}
+                nxt: set[bool] = set()
+                for s in fwd[-1]:
+                    outs[s] = out = _group_outcomes(group, s, budget)
+                    nxt |= out
+                self.outs.append(outs)
+                self.spent.append(before - budget[0])
+                fwd.append(nxt)
+        except _SearchOverflow:
+            fwd = None
+        self.fwd = fwd
+
+    def verdict(self) -> tuple[bool, bool]:
+        """``(linearizable, used_fallback)`` of the main check."""
+        if self.fwd is None:
+            return _net_effect_ok(self.events, self.initial,
+                                  self.final), True
+        return self.final in self.fwd[-1], False
+
+    def index(self) -> None:
+        """Build the doubled group spans and ``live[g]``: the states of
+        ``fwd[g]`` from which the groups from ``g`` on can still end in
+        the final state."""
+        if self.live is not None:
+            return
+        self.group_starts = [2 * g[0].start for g in self.groups]
+        self.group_ends = [2 * max(e.end for e in g) for g in self.groups]
+        self.live = []
+        if self.fwd is not None:
+            live = self.fwd[-1] & {self.final}
+            self.live.append(live)
+            for outs in reversed(self.outs):
+                live = {s for s, out in outs.items() if out & live}
+                self.live.append(live)
+            self.live.reverse()
+            self.visits = sum(self.spent)
+
+    def _stamps(self) -> None:
+        """The sorted doubled stamps, for the candidate instants and the
+        real-time signature of a pinned read."""
+        self.starts = sorted(2 * e.start for e in self.events)
+        self.ends = sorted(2 * e.end for e in self.events)
+        self.bounds = sorted(set(self.starts) | set(self.ends))
+        self.memo: dict[tuple[int, int, bool], bool] = {}
+
+    def at_quiet_window(self, w0: int, w1: int, want: bool) -> bool | None:
+        """If no event overlaps the doubled window ``[w0, w1]``, the
+        pinned read sits at the same real-time position for every
+        instant of it: return its verdict.  Otherwise ``None``."""
+        if w0 > w1:
+            quiet = all(2 * e.end < w0 or 2 * e.start > w1
+                        for e in self.events)
+        else:
+            # A group's events cover its whole span, so an event
+            # overlaps the window iff a group span does.
+            g = bisect_left(self.group_ends, w0)
+            quiet = g == len(self.groups) or self.group_starts[g] > w1
+        return self.feasible(w0, want) if quiet else None
+
+    def add_instants(self, w0: int, w1: int, into: set[int]) -> None:
+        """Add each doubled event boundary ± 1 that lies in
+        ``[w0, w1]``: a pinned read's feasibility changes only there.
+        Boundaries and window ends are even, so only boundaries inside
+        the window contribute."""
+        if self.bounds is None:
+            self._stamps()
+        i = bisect_left(self.bounds, w0)
+        j = bisect_right(self.bounds, w1)
+        for b in self.bounds[i:j]:
+            for t in (b - 1, b, b + 1):
+                if w0 <= t <= w1:
+                    into.add(t)
+
+    def feasible(self, t: int, want: bool) -> bool:
+        """Can a read pinned at doubled instant ``t`` see ``want``?"""
+        g = bisect_right(self.group_starts, t) - 1
+        inside = g >= 0 and t <= self.group_ends[g]
+        if (not inside and self.fwd is not None
+                and self.visits + len(self.fwd[g + 1]) < MAX_VISITS):
+            return want in self.live[g + 1]
+        if self.bounds is None:
+            self._stamps()
+        # The verdict depends only on the read's real-time position
+        # among this key's events.
+        sig = (bisect_left(self.ends, t),
+               len(self.starts) - bisect_right(self.starts, t), want)
+        got = self.memo.get(sig)
+        if got is None:
+            if inside and self.fwd is not None:
+                got = self._search_group(g, t, want)
+            if got is None:
+                got = self._search_whole(t, want)
+            self.memo[sig] = got
+        return got
+
+    def _search_group(self, g: int, t: int, want: bool) -> bool | None:
+        """Search group ``g`` plus the pinned read from ``fwd[g]``;
+        ``None`` if the search of the whole history plus the read could
+        reach ``MAX_VISITS``."""
+        group = [_doubled(e) for e in self.groups[g]]
+        group.append(HistoryEvent("contains", self.key, want, t, t))
+        # The other groups visit at most what the main check spent on
+        # them: the read can only shrink the state sets after ``g``.
+        budget = [MAX_VISITS - (self.visits - self.spent[g])]
+        out: set[bool] = set()
+        try:
+            for s in self.fwd[g]:
+                out |= _group_outcomes(group, s, budget)
+        except _SearchOverflow:
+            return None
+        return bool(out & self.live[g + 1])
+
+    def _search_whole(self, t: int, want: bool) -> bool:
+        """The whole doubled history plus the pinned read, searched as
+        one key (net-effect fallback included)."""
+        doubled = [_doubled(e) for e in self.events]
+        doubled.append(HistoryEvent("contains", self.key, want, t, t))
+        ok, _ = _check_key(doubled, self.initial, self.final)
+        return ok
 
 
 @dataclass(frozen=True)
@@ -267,78 +428,72 @@ class LinearizabilityReport:
                 f"{verdict}{note}{snaps}")
 
 
-def _check_snapshot(obs: SnapshotObservation,
-                    per_key: dict[int, list[HistoryEvent]],
-                    initial: set, final: set) -> str | None:
-    """Judge one snapshot against the recorded history.
+class _SnapshotJudge:
+    """Judges snapshots against one history's key tables.
 
-    Returns ``None`` if some instant ``t ∈ [obs.start, obs.end]`` exists
-    at which every relevant key's presence can equal ``k ∈ obs.keys``
-    under a legal linearization, else a human-readable reason.  Works in
-    doubled step coordinates so instants *between* real event stamps are
-    representable; candidate instants are the (doubled) event boundaries
-    inside the window ±1 plus the window ends — feasibility of a pinned
-    read only changes at event boundaries, so the finite set is exact.
+    The sorted key universe (prefill keys plus every key the history
+    touched or leaked) is built once; each snapshot bisects it for its
+    ``[lo, hi]`` window.  Returns ``None`` if some instant
+    ``t ∈ [obs.start, obs.end]`` fits every key of the window, else the
+    reason.  The candidate instants are the window ends plus the doubled
+    event boundaries inside the window ±1 — feasibility of a pinned read
+    only changes at event boundaries, so the finite set is exact.
     """
-    relevant = {k for k in set(initial) | set(obs.keys) | set(per_key)
-                if obs.lo <= k <= obs.hi}
-    dynamic: list[tuple[int, list[HistoryEvent], bool]] = []
-    for k in sorted(relevant):
-        want = k in obs.keys
-        evs = per_key.get(k, [])
-        if not evs:
-            # No ops ever touched k: presence is constant at prefill.
-            if want != (k in initial):
-                return (f"key {k}: snapshot says {want}, but the key was "
-                        f"never operated on and prefill says "
-                        f"{k in initial}")
-            continue
-        dynamic.append((k, evs, want))
 
-    w0, w1 = 2 * obs.start, 2 * obs.end
-    instants = {w0, w1}
-    for _, evs, _ in dynamic:
-        for e in evs:
-            for b in (2 * e.start, 2 * e.end):
-                for t in (b - 1, b, b + 1):
-                    if w0 <= t <= w1:
-                        instants.add(t)
-    feasible = set(instants)
+    def __init__(self, per_key: dict[int, list[HistoryEvent]],
+                 tables: dict[int, _KeyTable], initial: set):
+        self.tables, self.initial = tables, initial
+        self.known = initial | set(per_key)
+        self.universe = sorted(self.known)
 
-    for k, evs, want in dynamic:
-        doubled = [HistoryEvent(e.op, e.key, e.result,
-                                2 * e.start, 2 * e.end) for e in evs]
-        # Feasibility of the pinned read depends only on its real-time
-        # position among this key's events — two instants with the same
-        # (events ended before, events starting after) counts give the
-        # same verdict, so memoize on that signature.
-        ends = sorted(e.end for e in doubled)
-        starts = sorted(e.start for e in doubled)
-        memo: dict[tuple[int, int], bool] = {}
+    def __call__(self, obs: SnapshotObservation) -> str | None:
+        lo, hi, seen = obs.lo, obs.hi, obs.keys
+        # An observed key the history never touched and prefill lacks.
+        stray = min((k for k in seen
+                     if lo <= k <= hi and k not in self.known), default=None)
+        dynamic: list[tuple[_KeyTable, bool]] = []
+        for k in self.universe[bisect_left(self.universe, lo):
+                               bisect_right(self.universe, hi)]:
+            if stray is not None and k > stray:
+                break
+            want = k in seen
+            table = self.tables.get(k)
+            if table is None:
+                # No ops ever touched k: presence is constant at prefill.
+                if want != (k in self.initial):
+                    return _never_operated(k, want, k in self.initial)
+                continue
+            table.index()
+            dynamic.append((table, want))
+        if stray is not None:
+            return _never_operated(stray, True, False)
 
-        def feasible_at(t: int) -> bool:
-            sig = (bisect_left(ends, t),
-                   len(starts) - bisect_right(starts, t))
-            got = memo.get(sig)
-            if got is None:
-                pinned = HistoryEvent("contains", k, want, t, t)
-                got, _ = _check_key(doubled + [pinned], k in initial,
-                                    k in final)
-                memo[sig] = got
-            return got
+        w0, w1 = 2 * obs.start, 2 * obs.end
+        feasible = {w0, w1}
+        verdicts = []
+        for table, want in dynamic:
+            ok = table.at_quiet_window(w0, w1, want)
+            if ok is None:
+                # A key quiet over the window adds no instant but w0/w1.
+                table.add_instants(w0, w1, feasible)
+            verdicts.append((table, want, ok))
+        for table, want, ok in verdicts:
+            if ok is None:
+                feasible = {t for t in feasible if table.feasible(t, want)}
+                if not feasible:
+                    return (f"no single instant satisfies all keys (first "
+                            f"emptied at key {table.key}, snapshot says "
+                            f"{want})")
+            elif not ok:
+                return (f"key {table.key}: snapshot says {want}, "
+                        f"infeasible at every instant of a quiescent "
+                        f"window")
+        return None
 
-        if all(2 * e.end < w0 or 2 * e.start > w1 for e in evs):
-            # No event overlaps the window: the pinned read lands in the
-            # same real-time position for every t, so test once.
-            if not feasible_at(w0):
-                return (f"key {k}: snapshot says {want}, infeasible at "
-                        f"every instant of a quiescent window")
-            continue
-        feasible = {t for t in feasible if feasible_at(t)}
-        if not feasible:
-            return (f"no single instant satisfies all keys "
-                    f"(first emptied at key {k}, snapshot says {want})")
-    return None
+
+def _never_operated(key: int, want: bool, prefill: bool) -> str:
+    return (f"key {key}: snapshot says {want}, but the key was never "
+            f"operated on and prefill says {prefill}")
 
 
 def check_history(recorder: HistoryRecorder | list[HistoryEvent],
@@ -361,19 +516,29 @@ def check_history(recorder: HistoryRecorder | list[HistoryEvent],
 
     report = LinearizabilityReport(ok=True, checked_keys=len(per_key),
                                    events=len(events))
+    tables: dict[int, _KeyTable] = {}
     for k, evs in per_key.items():
-        ok, fellback = _check_key(evs, k in initial, k in final)
+        init, fin = k in initial, k in final
+        if evs:
+            table = _KeyTable(evs, init, fin)
+            ok, fellback = table.verdict()
+            if snapshots:
+                tables[k] = table
+        else:
+            ok, fellback = init == fin, False
         if fellback:
             report.fallback_keys += 1
         if not ok:
             report.ok = False
-            report.violations.append(
-                Violation(k, evs, k in initial, k in final))
+            report.violations.append(Violation(k, evs, init, fin))
 
-    for obs in snapshots or ():
-        report.snapshots_checked += 1
-        detail = _check_snapshot(obs, per_key, initial, final)
-        if detail is not None:
-            report.ok = False
-            report.snapshot_violations.append(SnapshotViolation(obs, detail))
+    if snapshots:
+        judge = _SnapshotJudge(per_key, tables, initial)
+        for obs in snapshots:
+            report.snapshots_checked += 1
+            detail = judge(obs)
+            if detail is not None:
+                report.ok = False
+                report.snapshot_violations.append(
+                    SnapshotViolation(obs, detail))
     return report

@@ -144,9 +144,8 @@ class TestCheckHistory:
         r.record("contains", 5, True, 3, 4)
         r.record("delete", 9, False, 0, 1)   # fails: 9 never present
         assert len(r) == 3
-        pk = r.per_key()
-        assert set(pk) == {5, 9} and len(pk[5]) == 2
-        assert pk[5][0].result is True
+        assert [e.key for e in r.events] == [5, 5, 9]
+        assert r.events[0].result is True
 
         report = check_history(r, initial_keys=[], final_keys=[5])
         assert report.ok, report.summary()
