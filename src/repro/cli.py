@@ -356,12 +356,6 @@ def cmd_serve_bench(args) -> int:
         reshard_max_migrations=args.max_migrations,
         snapshot_audit=args.snapshot_audit,
         retry_attempts=args.retries, check=not args.no_check)
-    if args.adaptive and cfg.admit_rate is None:
-        print("serve-bench: --adaptive needs a positive --admit-rate "
-              "(the controller adjusts the admission budget)",
-              file=sys.stderr)
-        return 2
-
     try:
         report = run_serve_campaign(cfg)
     except ValueError as e:          # misconfiguration, named by the cause

@@ -236,18 +236,21 @@ def make_structure(kind: str, workload, *, shards: int | None = None,
 
     ``shards`` (or an ``@<shards>`` suffix on ``kind``) builds a
     :class:`~repro.shard.ShardedMap` of co-located instances; a
-    ``partitioner`` keyword ("range"/"hash" or a ready partitioner) then
-    selects the key-space split.
+    ``partitioner`` keyword (``"range"``/``"hash"`` or a ready
+    :class:`~repro.shard.RoutingTable`) then selects the key-space
+    split and ``headroom`` over-provisions each shard's pool.  Those
+    two keywords raise :class:`ValueError` on an unsharded build.
     """
     base_kind, kind_shards = parse_structure_kind(kind)
     n = kind_shards if shards is None else int(shards)
     if shards is not None and "@" in kind and shards != kind_shards:
         raise ValueError(f"conflicting shard counts: {kind!r} vs {shards}")
     if "@" not in kind and shards is None:
-        # No sharding requested: the classic instance-owns-device build
-        # (shard-only knobs are meaningless here and dropped).
-        params.pop("partitioner", None)
-        params.pop("headroom", None)
+        # No sharding requested: the classic instance-owns-device build.
+        for name in ("partitioner", "headroom"):
+            if name in params:
+                raise ValueError(f"{name!r} applies only to sharded "
+                                 f"builds; {kind!r} has no shards")
         return structure_spec(base_kind).build(workload, **params)
     from ..shard import build_sharded  # runtime: shard imports engine
     return build_sharded(base_kind, n, workload, **params)

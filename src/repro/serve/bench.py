@@ -165,10 +165,10 @@ SKEWED_DISTRIBUTIONS = ("zipf", "hotspot", "front")
 
 
 def _structure_kwargs(cfg: ServeCampaignConfig, plan) -> dict:
-    """Partitioner/headroom build kwargs for sharded campaigns.
+    """``partitioner``/``headroom`` build kwargs for sharded campaigns.
 
     ``"auto"`` resolves to quantile-sampled boundaries
-    (:meth:`~repro.shard.RangePartitioner.from_sample`) for skewed
+    (:meth:`~repro.shard.RoutingTable.from_sample`) for skewed
     distributions and plain linspace ranges otherwise; the sample is
     the plan's point-request key stream, so the boundaries are a pure
     function of the campaign seed."""
@@ -181,10 +181,10 @@ def _structure_kwargs(cfg: ServeCampaignConfig, plan) -> dict:
         spec = ("sampled" if cfg.load.distribution in SKEWED_DISTRIBUTIONS
                 else "range")
     if spec == "sampled":
-        from ..shard import RangePartitioner
+        from ..shard import RoutingTable
         sample = [pr.key for pr in plan.requests if pr.kind != "range"]
-        spec = RangePartitioner.from_sample(n_shards, cfg.load.key_range,
-                                            sample)
+        spec = RoutingTable.from_sample(n_shards, cfg.load.key_range,
+                                        sample)
     return {"partitioner": spec, "headroom": cfg.headroom}
 
 

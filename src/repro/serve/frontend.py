@@ -2,7 +2,7 @@
 
 Many client coroutines submit single get/put/delete/range requests with
 per-request deadlines.  Point requests are routed by the structure's
-partitioner to a per-shard bounded queue; a dispatcher task per shard
+routing table to a per-shard bounded queue; a dispatcher task per shard
 coalesces them — flush on ``coalesce_size`` or ``coalesce_steps``
 timeout, whichever first — into one :class:`~repro.engine.OpBatch`
 executed through ``execute_batch(commit="batch")`` (one epoch bump per
@@ -87,7 +87,7 @@ class ServeFrontend:
                  retry: RetryPolicy | None = None,
                  recorder: HistoryRecorder | None = None,
                  faults=None, metrics: MetricsCollector | None = None,
-                 elastic: bool = False, reshard=None, migration=None,
+                 elastic: bool = False, reshard=None,
                  snapshot_audit: bool = False):
         self.structure = structure
         self.loop = loop
@@ -120,7 +120,11 @@ class ServeFrontend:
         # Admission: one shared bucket (static), or one per shard under
         # the elasticity controller (adaptive; needs a finite rate to
         # steer).  ``buckets[sid]`` is the submit-path view either way.
-        self.adaptive = bool(adaptive) and admit_rate is not None
+        if adaptive and admit_rate is None:
+            raise ValueError(
+                "--adaptive needs a positive --admit-rate (the controller "
+                "adjusts the admission budget)")
+        self.adaptive = bool(adaptive)
         self.controller: ElasticityController | None = None
         self._occ_hwm = [0] * self.n_shards
         if self.adaptive:
@@ -142,18 +146,18 @@ class ServeFrontend:
             self.buckets = [self.bucket] * self.n_shards
 
         # Elastic resharding (DESIGN.md §16) consumes the controller's
-        # telemetry, so it needs the controller; it is a no-op without
-        # multiple shards and a routing table to publish through.
+        # telemetry, so it needs the controller, and it moves key ranges
+        # between shards, so it needs several and a boundary table.
         if elastic and not adaptive:
             raise ValueError(
                 "--elastic needs --adaptive (the reshard policy consumes "
                 "the elasticity controller's telemetry)")
-        if elastic and admit_rate is None:
+        if elastic and (self.n_shards < 2
+                        or not structure.routing.range_expressible):
             raise ValueError(
-                "--elastic needs a finite --admit-rate (the elasticity "
-                "controller steers the admission budget)")
-        self.elastic = (bool(elastic) and self.n_shards > 1
-                        and hasattr(structure, "routing"))
+                "--elastic needs at least 2 shards and a range-expressible "
+                "routing table (range or sampled, not hash)")
+        self.elastic = bool(elastic)
         self.reshard_policy = None
         self.migrator = None
         self.snapshot_audit = bool(snapshot_audit)
@@ -166,7 +170,6 @@ class ServeFrontend:
             self.reshard_policy = ReshardPolicy(self.n_shards, target_p99,
                                                 reshard)
             self.migrator = MigrationExecutor(structure, loop,
-                                              config=migration,
                                               faults=faults,
                                               stats=self.stats)
             # Bounded per-shard sample of recently routed point keys —

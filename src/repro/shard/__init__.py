@@ -10,24 +10,17 @@ concurrently under the simulated scheduler.
 """
 
 from .migrate import MigrationConfig, MigrationExecutor
-from .partition import (PARTITIONERS, HashPartitioner, Partitioner,
-                        RangePartitioner, make_partitioner)
 from .router import merge_waves, round_robin_order, split_indices
 from .routing import RoutingTable
 from .sharded import ShardedMap, ShardedSnapshot, build_sharded
 
 __all__ = [
-    "PARTITIONERS",
-    "HashPartitioner",
     "MigrationConfig",
     "MigrationExecutor",
-    "Partitioner",
-    "RangePartitioner",
     "RoutingTable",
     "ShardedMap",
     "ShardedSnapshot",
     "build_sharded",
-    "make_partitioner",
     "merge_waves",
     "round_robin_order",
     "split_indices",

@@ -1,101 +1,153 @@
-"""Versioned key→shard routing: generation-numbered boundary tables.
+"""Versioned key→shard routing: the sharded map's only key→shard mapping.
 
-PR 5's :class:`~repro.shard.partition.Partitioner` pins the key→shard
-mapping at construction time, so a hot key range wedges one shard
-forever.  A :class:`RoutingTable` makes the mapping *versioned*: each
-**generation** is an immutable ``(boundaries, owners)`` table —
-``boundaries[i]`` is the first key of segment ``i`` and ``owners[i]``
-the shard id serving it — and publishing a migration
-(:meth:`publish_move`) creates generation ``g+1`` without touching
-``g``.  Lookups optionally carry a generation, so a batch split under
-plan ``g`` keeps routing against ``g`` even if a migration publishes
-``g+1`` mid-flight (the engine hooks latch the generation at
-split time; see :meth:`~repro.shard.sharded.ShardedMap.split_batch`).
+A :class:`RoutingTable` maps every key to exactly one shard id in
+``[0, n_shards)``, deterministically, which preserves per-key operation
+order across the batch router.  Each **generation** is an immutable
+``(boundaries, owners)`` table: ``boundaries[i]`` is the first key of
+segment ``i`` and ``owners[i]`` the shard serving it, searched like the
+sorted keys of a GFSL chunk.  :meth:`publish_move` creates generation
+``g+1`` without touching ``g``, and lookups optionally carry a
+generation, so a batch split under plan ``g`` keeps routing against
+``g`` even if a migration publishes ``g+1`` mid-flight (see
+:meth:`~repro.shard.sharded.ShardedMap.split_batch`).
 
-Generation 0 delegates straight to the wrapped partitioner (the same
-numpy pass, bit for bit), so a table that never migrates is routing-
-identical to the pre-refactor static path — the differential-identity
-contract the shard test suite pins.
-
-Only *range-expressible* partitioners can migrate: a hash mapping has
-no contiguous key range to donate, so :meth:`publish_move` raises for
-it (the table still works as a static generation-0 router).
+Generation 0 comes from a constructor: :meth:`~RoutingTable.range`
+(linspace key ranges, Jiffy-style: dense per-shard key spaces,
+skew-prone), :meth:`~RoutingTable.from_sample` (quantile boundaries
+of a key sample) or :meth:`~RoutingTable.hash` (splitmix64 mix: any
+distribution balances, ordering is lost).  A hash table has no
+contiguous key range to donate, so it stays a static generation 0:
+:meth:`~RoutingTable.segments` and :meth:`~RoutingTable.publish_move`
+raise for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .partition import Partitioner
-
 
 class RoutingTable:
-    """Generation-numbered boundary maps over a wrapped partitioner."""
+    """Generation-numbered boundary maps (or a static hash mapping)."""
 
-    def __init__(self, partitioner: Partitioner):
-        self.partitioner = partitioner
-        self.n_shards = int(partitioner.n_shards)
+    def __init__(self, n_shards: int, boundaries=None, *,
+                 hash_seed: int | None = None):
+        """Generation 0: ``boundaries`` (``n_shards + 1`` sorted keys
+        over ``[1, top + 1)``, shard ``i`` owning segment ``i``) or the
+        hash mapping seeded by ``hash_seed``."""
+        if n_shards < 1:
+            raise ValueError("need at least one shard")
+        self.n_shards = int(n_shards)
+        self._hash_seed = hash_seed
+        #: Whether the mapping has a boundary form (and so can migrate).
+        self.range_expressible = hash_seed is None
         #: Current (latest published) generation number.
         self.generation = 0
-        # generation (>= 1) -> (boundaries int64[S], owners int64[S]).
+        # generation -> (boundaries int64[S], owners int64[S]).
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Top key of the sized key space, reported as the last
+        # segment's inclusive end (keys above it still route there).
+        self._top = 0
+        if boundaries is not None:
+            bounds = np.asarray(boundaries, dtype=np.int64)
+            self._top = int(bounds[-1]) - 1
+            self._tables[0] = (bounds[:-1],
+                               np.arange(self.n_shards, dtype=np.int64))
         #: One record per published move (the migration-event material).
         self.history: list[dict] = []
+
+    # -- constructors ----------------------------------------------------
+    @classmethod
+    def range(cls, n_shards: int, key_range: int) -> "RoutingTable":
+        """Shard ``s`` owns keys in ``[boundaries[s], boundaries[s+1])``
+        over ``[1, key_range]``.  Keys outside the range route to the
+        first or last shard (the range is a sizing hint, not a hard
+        bound — routing must stay total)."""
+        if key_range < n_shards:
+            raise ValueError("key_range must cover at least one key per "
+                             "shard")
+        # n_shards+1 boundaries over [1, key_range+1); linspace keeps the
+        # buckets within one key of each other.
+        return cls(n_shards, np.linspace(1, key_range + 1, n_shards + 1
+                                         ).astype(np.int64))
+
+    @classmethod
+    def from_sample(cls, n_shards: int, key_range: int,
+                    sample) -> "RoutingTable":
+        """Quantile boundaries from a key sample, so each shard sees a
+        roughly equal share of the *sampled traffic* instead of the key
+        space — the linspace split is badly skewed when the workload is
+        (e.g.) front-loaded zipf and the hot mass all lands in shard 0.
+
+        Interior boundaries are the sample's ``i/n_shards`` quantiles
+        (floored to int, forced non-decreasing; duplicate quantiles
+        under extreme skew leave some shards with an empty slice, which
+        routing handles fine).  The outer boundaries stay ``1`` and
+        ``key_range + 1``.  An empty sample gives the :meth:`range`
+        table."""
+        table = cls.range(n_shards, key_range)
+        sample = np.asarray(sample, dtype=np.int64)
+        if sample.size == 0:
+            return table         # nothing to learn from: keep linspace
+        qs = np.linspace(0.0, 1.0, n_shards + 1)[1:-1]
+        interior = np.floor(np.quantile(sample, qs)).astype(np.int64) + 1
+        bounds = np.empty(n_shards + 1, dtype=np.int64)
+        bounds[0] = 1
+        bounds[-1] = key_range + 1
+        bounds[1:-1] = np.maximum.accumulate(
+            np.clip(interior, 1, key_range + 1))
+        return cls(n_shards, bounds)
+
+    @classmethod
+    def hash(cls, n_shards: int, seed: int = 0) -> "RoutingTable":
+        """Splitmix64-mixed key modulo the shard count."""
+        return cls(n_shards, hash_seed=int(seed))
 
     # -- lookups ---------------------------------------------------------
     def shard_of_array(self, keys, generation: int | None = None
                        ) -> np.ndarray:
         """Vectorized key→shard lookup under one generation's plan
-        (default: the current generation).  Generation 0 is the wrapped
-        partitioner's own pass — identical arrays, identical cost."""
-        gen = self.generation if generation is None else int(generation)
-        if gen == 0:
-            return self.partitioner.shard_of_array(keys)
-        boundaries, owners = self._tables[gen]
+        (default: the current generation)."""
         keys = np.asarray(keys, dtype=np.int64)
-        seg = np.searchsorted(boundaries, keys, side="right") - 1
-        return owners[np.clip(seg, 0, len(owners) - 1)]
+        if not self.range_expressible:
+            # splitmix64 finalizer, vectorized over uint64.
+            z = keys.astype(np.uint64)
+            with np.errstate(over="ignore"):
+                z = z + np.uint64(0x9E3779B97F4A7C15 + self._hash_seed)
+                z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+                z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+                z = z ^ (z >> np.uint64(31))
+            return (z % np.uint64(self.n_shards)).astype(np.int64)
+        boundaries, owners = self._tables[
+            self.generation if generation is None else int(generation)]
+        # Keys below boundaries[1] (including those below the first
+        # boundary) land in segment 0, keys past the last in the last.
+        return owners[np.searchsorted(boundaries[1:], keys, side="right")]
 
     def shard_of(self, key: int, generation: int | None = None) -> int:
-        gen = self.generation if generation is None else int(generation)
-        if gen == 0:
-            return self.partitioner.shard_of(key)
         return int(self.shard_of_array(
-            np.asarray([key], dtype=np.int64), gen)[0])
+            np.asarray([key], dtype=np.int64), generation)[0])
 
     # -- table materialisation -------------------------------------------
     def _materialize(self, generation: int | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(boundaries, owners)`` arrays of one generation.
-        Generation 0 requires a range-expressible partitioner (one with
-        ``boundaries``); hash mappings have no segment form."""
-        gen = self.generation if generation is None else int(generation)
-        if gen > 0:
-            return self._tables[gen]
-        part = self.partitioner
-        if not hasattr(part, "boundaries"):
+        """The ``(boundaries, owners)`` arrays of one generation; a hash
+        mapping has no segment form."""
+        if not self.range_expressible:
             raise ValueError(
-                f"partitioner {getattr(part, 'name', part)!r} is not "
-                "range-expressible: it has no boundary form to migrate")
-        # partitioner.boundaries has n_shards+1 entries over
-        # [1, key_range+1); segment i starts at boundaries[i].  Keys
-        # above the last boundary clip into the last shard, which the
-        # searchsorted-and-clip lookup reproduces.
-        bounds = np.asarray(part.boundaries[:-1], dtype=np.int64)
-        owners = np.arange(self.n_shards, dtype=np.int64)
-        return bounds, owners
+                "hash routing is not range-expressible: it has no "
+                "boundary form to migrate")
+        return self._tables[
+            self.generation if generation is None else int(generation)]
 
     def segments(self, sid: int | None = None,
                  generation: int | None = None) -> list[tuple[int, int, int]]:
         """``(lo, hi_inclusive, owner)`` triples of one generation's
         plan, in key order (``hi`` of the last segment is unbounded and
-        reported as the partitioner's top boundary minus one, or 2^32-2
-        without one).  ``sid`` filters to one shard's owned segments."""
+        reported as the table's top key, or 2^32-2 once a move has cut
+        past it).  ``sid`` filters to one shard's owned segments."""
         bounds, owners = self._materialize(generation)
-        top = None
-        if hasattr(self.partitioner, "boundaries"):
-            top = int(np.asarray(self.partitioner.boundaries)[-1]) - 1
-        if top is None or top < int(bounds[-1]):
+        top = self._top
+        if top < int(bounds[-1]):
             top = (1 << 32) - 2
         out = []
         for i in range(len(bounds)):
@@ -152,6 +204,6 @@ class RoutingTable:
         return self.generation
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"RoutingTable(gen={self.generation}, "
-                f"n_shards={self.n_shards}, "
-                f"partitioner={self.partitioner!r})")
+        kind = "range" if self.range_expressible else "hash"
+        return (f"RoutingTable({kind}, gen={self.generation}, "
+                f"n_shards={self.n_shards})")

@@ -42,7 +42,6 @@ from ..engine.interface import (STRUCTURES, _expected_keys, region_words,
                                 structure_spec)
 from ..gpu.kernel import GPUContext
 from ..metrics.counters import MetricsCollector
-from .partition import Partitioner, make_partitioner
 from .router import merge_waves, round_robin_order, split_indices
 from .routing import RoutingTable
 
@@ -79,16 +78,14 @@ class _AggregateOpStats:
 class ShardedMap:
     """S co-located structure instances behind one ConcurrentMap."""
 
-    def __init__(self, shards: list, partitioner: Partitioner,
+    def __init__(self, shards: list, routing: RoutingTable,
                  ctx: GPUContext, kind: str):
-        if len(shards) != partitioner.n_shards:
-            raise ValueError("partitioner/shard-count mismatch")
+        if len(shards) != routing.n_shards:
+            raise ValueError("routing/shard-count mismatch")
         self.shards = list(shards)
-        self.partitioner = partitioner
-        #: Versioned key→shard routing (generation 0 delegates to the
-        #: static partitioner bit-for-bit; migrations publish new
+        #: Versioned key→shard routing (migrations publish new
         #: generations without touching old ones — DESIGN.md §16).
-        self.routing = RoutingTable(partitioner)
+        self.routing = routing
         # Generation latched at batch-split time so every dispatch of
         # one batch routes against the plan it was split under, even if
         # a migration publishes a newer generation mid-flight.
@@ -220,9 +217,9 @@ class ShardedMap:
         return max(highs) if highs else None
 
     def range_query(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Inclusive ordered window, merged across shards (a range
-        partitioner touches only the shards overlapping the window; hash
-        partitioning scatters the window everywhere).
+        """Inclusive ordered window, merged from every shard's walk
+        (under range routing the shards outside the window contribute
+        nothing, but each is still walked).
 
         When every shard supports snapshots the merge is rebased onto
         **one** cross-shard epoch pin, so the window is a single
@@ -256,20 +253,23 @@ class ShardedMap:
                    if hasattr(s, "compact"))
 
     # -- engine shard-aware hooks -----------------------------------------
-    def split_batch(self, batch: OpBatch) -> list[np.ndarray]:
-        """Stable per-shard op-id arrays for ``batch`` (also refreshes
-        :attr:`last_shard_ops` for balance reporting).
-
-        Latches the routing generation: every vector dispatch of this
+    def _split_keys(self, keys) -> list[np.ndarray]:
+        """Stable per-shard index arrays for ``keys`` under the current
+        generation, which it latches: every vector dispatch of this
         batch routes against the same plan the split used, even if a
-        migration publishes a newer generation before the batch
-        drains."""
+        migration publishes a newer generation before the batch drains.
+        Also refreshes :attr:`last_shard_ops` for balance reporting."""
         self._route_gen = self.routing.generation
         per_shard = split_indices(
-            self.routing.shard_of_array(batch.keys, self._route_gen),
+            self.routing.shard_of_array(keys, self._route_gen),
             self.n_shards)
         self.last_shard_ops = [int(ix.size) for ix in per_shard]
         return per_shard
+
+    def split_batch(self, batch: OpBatch) -> list[np.ndarray]:
+        """Stable per-shard op-id arrays for ``batch`` (see
+        :meth:`_split_keys`)."""
+        return self._split_keys(batch.keys)
 
     def batch_order(self, batch: OpBatch) -> np.ndarray:
         """Interleaved-backend replay order: op ids dealt round-robin
@@ -291,13 +291,8 @@ class ShardedMap:
                 f"wave_size {wave_size} is below the shard count "
                 f"{self.n_shards}; each shard needs a budget of >= 1")
         keys = np.asarray(keys, dtype=np.int64)
-        self._route_gen = self.routing.generation
-        per_shard = split_indices(
-            self.routing.shard_of_array(keys, self._route_gen),
-            self.n_shards)
-        self.last_shard_ops = [int(ix.size) for ix in per_shard]
         plans = []
-        for ix in per_shard:
+        for ix in self._split_keys(keys):
             ids = ix.tolist()
             plans.append([[ids[j] for j in wave]
                           for wave in plan(keys[ix], shard_budget)])
@@ -452,6 +447,24 @@ class ShardedSnapshot:
 # Builder
 # ---------------------------------------------------------------------------
 
+def _resolve_routing(spec, n_shards: int, key_range: int) -> RoutingTable:
+    """Generation-0 routing from ``"range"``, ``"hash"`` or a ready
+    :class:`RoutingTable` (e.g. :meth:`RoutingTable.from_sample`)."""
+    if isinstance(spec, str):
+        if spec == "range":
+            return RoutingTable.range(n_shards, max(key_range, n_shards))
+        if spec == "hash":
+            return RoutingTable.hash(n_shards)
+        raise ValueError(f"unknown partitioner {spec!r} "
+                         "(available: range, hash)")
+    if isinstance(spec, RoutingTable):
+        if spec.n_shards != n_shards:
+            raise ValueError(f"routing table covers {spec.n_shards} "
+                             f"shards, map has {n_shards}")
+        return spec
+    raise TypeError(f"cannot build routing from {spec!r}")
+
+
 def build_sharded(kind: str, n_shards: int, workload, *,
                   team_size: int = 32, p_chunk: float = 1.0,
                   p_key: float = 0.5, device=None, seed: int = 0,
@@ -463,7 +476,8 @@ def build_sharded(kind: str, n_shards: int, workload, *,
     prefill plus the inserts routed to it, the shared context is sized
     to the sum of the aligned regions, and each shard bulk-builds and
     L2-warms its own region through the registry's placement-explicit
-    builders.
+    builders.  ``partitioner`` is ``"range"``, ``"hash"`` or a ready
+    generation-0 :class:`RoutingTable` of ``n_shards`` shards.
 
     ``headroom`` over-provisions every shard's pool by that factor —
     required for elastic resharding, where a migration rebuilds a
@@ -476,14 +490,15 @@ def build_sharded(kind: str, n_shards: int, workload, *,
         raise ValueError("need at least one shard")
     if headroom < 1.0:
         raise ValueError("headroom must be >= 1.0")
-    part = make_partitioner(partitioner, n_shards, int(workload.key_range))
+    routing = _resolve_routing(partitioner, n_shards,
+                               int(workload.key_range))
 
     prefill = np.asarray(workload.prefill, dtype=np.int64)
     ops = np.asarray(workload.ops)
     insert_keys = np.asarray(workload.keys, dtype=np.int64)[ops == OP_INSERT]
-    pf_ids = (part.shard_of_array(prefill) if prefill.size
+    pf_ids = (routing.shard_of_array(prefill) if prefill.size
               else np.zeros(0, dtype=np.int64))
-    ins_ids = (part.shard_of_array(insert_keys) if insert_keys.size
+    ins_ids = (routing.shard_of_array(insert_keys) if insert_keys.size
                else np.zeros(0, dtype=np.int64))
 
     expected = [
@@ -510,4 +525,4 @@ def build_sharded(kind: str, n_shards: int, workload, *,
               expected=expected[s])
         for s in range(n_shards)
     ]
-    return ShardedMap(shards, part, ctx, kind)
+    return ShardedMap(shards, routing, ctx, kind)

@@ -103,6 +103,14 @@ class TestServeBenchCommand:
         assert code == 2
         assert "--elastic needs --adaptive" in capsys.readouterr().err
 
+    def test_adaptive_without_admit_rate_is_a_usage_error(self, capsys):
+        code = cli.main([
+            "serve-bench", "--structure", "gfsl@2", "--requests", "100",
+            "--adaptive", "--admit-rate", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve-bench: ") and "--admit-rate" in err
+
     def test_elastic_run_writes_the_migration_artifact(self, tmp_path,
                                                        capsys):
         mig = tmp_path / "migration_events.json"

@@ -18,9 +18,10 @@ from repro.serve.errors import CircuitOpen, Overloaded
 from repro.workloads import MIX_10_10_80, generate
 
 
-def build(loop, structure="gfsl", **kw):
+def build(loop, structure="gfsl", partitioner=None, **kw):
     w = generate(MIX_10_10_80, key_range=512, n_ops=64, seed=5)
-    st = make_structure(structure, w, team_size=8, seed=0)
+    shard_kw = {} if partitioner is None else {"partitioner": partitioner}
+    st = make_structure(structure, w, team_size=8, seed=0, **shard_kw)
     return ServeFrontend(st, loop, **kw)
 
 
@@ -312,9 +313,21 @@ def test_every_submission_gets_a_future():
 @pytest.mark.parametrize("kw,cause", [
     ({"admit_rate": 400.0}, "--adaptive"),
     ({"adaptive": True}, "--admit-rate"),
+    ({"structure": "pq", "adaptive": True, "admit_rate": 600.0},
+     "at least 2 shards"),
+    ({"partitioner": "hash", "adaptive": True, "admit_rate": 400.0},
+     "range-expressible"),
 ])
 def test_elastic_without_its_preconditions_raises(kw, cause):
-    """elastic=True is never silently dropped: a missing controller or
-    admission rate is a typed error naming what is unmet."""
+    """elastic=True is never silently dropped: a missing controller,
+    admission rate, second shard or boundary table is a typed error
+    naming what is unmet."""
+    kw = {"structure": "gfsl@2", **kw}
     with pytest.raises(ValueError, match=cause):
-        build(VirtualLoop(), structure="gfsl@2", elastic=True, **kw)
+        build(VirtualLoop(), elastic=True, **kw)
+
+
+def test_adaptive_without_an_admission_rate_raises():
+    """adaptive=True never silently falls back to static admission."""
+    with pytest.raises(ValueError, match="--admit-rate"):
+        build(VirtualLoop(), structure="gfsl@2", adaptive=True)

@@ -12,7 +12,7 @@ import pytest
 from repro.chaos import ServeChaosConfig
 from repro.serve import (LoadConfig, ReshardConfig, ReshardPolicy,
                          ServeCampaignConfig, run_serve_campaign)
-from repro.shard import RoutingTable, make_partitioner
+from repro.shard import RoutingTable
 
 N_SHARDS = 4
 KEY_RANGE = 4_096
@@ -27,7 +27,7 @@ def _entries(p99s, occupancy=None, breakers=None):
 
 
 def _routing():
-    return RoutingTable(make_partitioner("range", N_SHARDS, KEY_RANGE))
+    return RoutingTable.range(N_SHARDS, KEY_RANGE)
 
 
 def _front_samples(hot=0, n=100):

@@ -1,6 +1,6 @@
 """Differential: a 1-shard ShardedMap IS the bare structure.
 
-The sharding layer's no-op contract: with ``shards=1`` the partitioner
+The sharding layer's no-op contract: with ``shards=1`` the routing table
 routes everything to shard 0, the round-robin batch order is the
 identity, the per-shard wave plan equals the global plan, and the
 single instance is placed at base 0 of an identically-sized context —

@@ -1,17 +1,24 @@
-"""Partitioner unit tests: totality, determinism, balance."""
+"""Generation-0 routing tables: totality, determinism, balance, and the
+``build_sharded`` resolver of the ``partitioner`` keyword."""
 
 import numpy as np
 import pytest
 
-from repro.shard import (HashPartitioner, Partitioner, RangePartitioner,
-                         make_partitioner)
+from repro.shard import RoutingTable, build_sharded
+from repro.workloads import MIX_10_10_80, generate
 
 ALL_KINDS = ("range", "hash")
 
 
+def _table(kind, n_shards, key_range):
+    if kind == "range":
+        return RoutingTable.range(n_shards, key_range)
+    return RoutingTable.hash(n_shards)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_total_and_deterministic(kind):
-    part = make_partitioner(kind, 4, 10_000)
+    part = _table(kind, 4, 10_000)
     keys = np.arange(1, 10_001, dtype=np.int64)
     ids = part.shard_of_array(keys)
     assert ids.min() >= 0 and ids.max() < 4
@@ -24,7 +31,7 @@ def test_total_and_deterministic(kind):
 
 
 def test_range_partitioner_is_contiguous_and_balanced():
-    part = RangePartitioner(4, 1000)
+    part = RoutingTable.range(4, 1000)
     ids = part.shard_of_array(np.arange(1, 1001, dtype=np.int64))
     # Contiguous: shard ids are non-decreasing over sorted keys.
     assert np.all(np.diff(ids) >= 0)
@@ -36,19 +43,22 @@ def test_range_partitioner_is_contiguous_and_balanced():
 
 
 def test_hash_partitioner_balances_clustered_keys():
-    part = HashPartitioner(4)
+    part = RoutingTable.hash(4)
     clustered = np.arange(1, 2001, dtype=np.int64)  # one dense run
     counts = np.bincount(part.shard_of_array(clustered), minlength=4)
     assert counts.min() > 0.15 * clustered.size  # no starved shard
 
 
-def test_make_partitioner_validation():
-    with pytest.raises(ValueError):
-        make_partitioner("nope", 2, 100)
-    ready = RangePartitioner(2, 100)
-    assert make_partitioner(ready, 2, 100) is ready
-    with pytest.raises(ValueError):
-        make_partitioner(ready, 4, 100)  # shard-count mismatch
+def test_build_sharded_resolves_the_partitioner():
+    w = generate(MIX_10_10_80, key_range=100, n_ops=20, seed=1)
+    with pytest.raises(ValueError, match="unknown partitioner"):
+        build_sharded("gfsl", 2, w, partitioner="nope", team_size=8)
+    ready = RoutingTable.range(2, 100)
+    assert build_sharded("gfsl", 2, w, partitioner=ready,
+                         team_size=8).routing is ready
+    with pytest.raises(ValueError, match="covers 2 shards"):
+        build_sharded("gfsl", 4, w, partitioner=ready)  # count mismatch
     with pytest.raises(TypeError):
-        make_partitioner(42, 2, 100)
-    assert isinstance(ready, Partitioner)  # protocol conformance
+        build_sharded("gfsl", 2, w, partitioner=42)
+    hashed = build_sharded("gfsl", 2, w, partitioner="hash", team_size=8)
+    assert not hashed.routing.range_expressible

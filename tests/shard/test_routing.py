@@ -1,32 +1,40 @@
-"""RoutingTable: versioned boundary maps over a static partitioner."""
+"""RoutingTable: versioned boundary maps from a generation-0 table."""
 
 import numpy as np
 import pytest
 
-from repro.shard import RoutingTable, make_partitioner
+from repro.shard import RoutingTable
 
 KEY_RANGE = 4_096
 
 
 def _table(n_shards=4, kind="range"):
-    return RoutingTable(make_partitioner(kind, n_shards, KEY_RANGE))
+    if kind == "range":
+        return RoutingTable.range(n_shards, KEY_RANGE)
+    return RoutingTable.hash(n_shards)
 
 
-def test_generation_zero_delegates_to_the_partitioner():
+def test_generation_zero_is_the_constructed_table():
     for kind in ("range", "hash"):
         rt = _table(kind=kind)
+        fresh = _table(kind=kind)
         keys = np.arange(1, KEY_RANGE + 1, dtype=np.int64)
         assert rt.generation == 0
         np.testing.assert_array_equal(
-            rt.shard_of_array(keys), rt.partitioner.shard_of_array(keys))
+            rt.shard_of_array(keys), rt.shard_of_array(keys, 0))
+        np.testing.assert_array_equal(
+            rt.shard_of_array(keys), fresh.shard_of_array(keys))
         for k in (1, 17, KEY_RANGE):
-            assert rt.shard_of(k) == rt.partitioner.shard_of(k)
+            assert rt.shard_of(k) == int(rt.shard_of_array([k], 0)[0])
+    # Range generation 0 is the linspace split, one segment per shard.
+    assert _table().segments() == [(1, 1024, 0), (1025, 2048, 1),
+                                   (2049, 3072, 2), (3073, 4096, 3)]
 
 
 def test_publish_move_rewrites_owners_inside_the_range_only():
     rt = _table()
     keys = np.arange(1, KEY_RANGE + 1, dtype=np.int64)
-    before = rt.partitioner.shard_of_array(keys)
+    before = rt.shard_of_array(keys)
     lo, hi = 100, 300
     gen = rt.publish_move(lo, hi, dst=3, step=42)
     assert gen == rt.generation == 1
@@ -74,8 +82,10 @@ def test_hash_partitioner_cannot_migrate_but_still_routes():
     rt = _table(kind="hash")
     with pytest.raises(ValueError, match="range-expressible"):
         rt.publish_move(10, 20, dst=1)
+    with pytest.raises(ValueError, match="range-expressible"):
+        rt.segments()
     assert rt.generation == 0
-    assert rt.shard_of(55) == rt.partitioner.shard_of(55)
+    assert rt.shard_of(55) == _table(kind="hash").shard_of(55)
 
 
 def test_publish_move_validates_inputs():

@@ -150,6 +150,15 @@ def test_make_structure_shard_forms():
         build_sharded("gfsl", 0, w)
 
 
+@pytest.mark.parametrize("name,value", [("partitioner", "hash"),
+                                        ("headroom", 2.0)])
+def test_shard_only_keywords_raise_on_an_unsharded_build(name, value):
+    """An unsharded build names a shard-only keyword instead of
+    silently dropping it."""
+    with pytest.raises(ValueError, match=name):
+        make_structure("gfsl", _workload(), **{name: value})
+
+
 def test_sharded_execute_batch_matches_sequential_reference():
     w = _workload(seed=21)
     batch = OpBatch.from_workload(w)
