@@ -22,14 +22,14 @@ N_KEYS = 20_000
 def gfsl():
     sl = GFSL(capacity_chunks=suggest_capacity(N_KEYS * 2), team_size=32,
               seed=1)
-    bulk_build_into(sl, [(k, 0) for k in range(2, 2 * N_KEYS, 2)])
+    bulk_build_into(sl, np.arange(2, 2 * N_KEYS, 2))
     return sl
 
 
 @pytest.fixture(scope="module")
 def mc():
     m = MCSkiplist(capacity_words=N_KEYS * 24, seed=1)
-    mc_bulk(m, [(k, 0) for k in range(2, 2 * N_KEYS, 2)])
+    mc_bulk(m, np.arange(2, 2 * N_KEYS, 2))
     return m
 
 

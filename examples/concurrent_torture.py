@@ -26,7 +26,7 @@ def main() -> None:
     sl = GFSL(capacity_chunks=2048, team_size=16, seed=seed)
     prefill = sorted(int(k) for k in
                      rng.choice(np.arange(1, 400), size=120, replace=False))
-    bulk_build_into(sl, [(k, 0) for k in prefill], rng=sl.rng)
+    bulk_build_into(sl, prefill, rng=sl.rng)
     print(f"prefilled {len(prefill)} keys in range [1, 400) "
           f"(~{len(prefill) // 9 + 1} bottom chunks — a contention furnace)")
 

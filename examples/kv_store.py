@@ -102,8 +102,7 @@ def main() -> None:
     # Bulk-load the index; every record initially points at heap slot 0
     # (a shared tombstone), then a sample gets real payloads via put().
     store._heap = [b"<bulk-loaded>"]
-    bulk_build_into(store.index, [(int(k), 0) for k in keys],
-                    rng=store.index.rng)
+    bulk_build_into(store.index, keys, rng=store.index.rng)
     sample = [int(k) for k in keys[:5]]
     for k in sample:
         store.put(k, f"value-of-{k}".encode())

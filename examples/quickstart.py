@@ -8,6 +8,8 @@ device-side cost counters the benchmarks are built on.
 Run:  python examples/quickstart.py
 """
 
+import numpy as np
+
 from repro.core import (GFSL, bulk_build_into, suggest_capacity,
                         validate_structure)
 
@@ -28,7 +30,8 @@ def main() -> None:
     print("basic ops OK — structure:", sl.items())
 
     # --- bulk load (the benchmark prefill path; replaces contents) ----
-    bulk_build_into(sl, [(k, k % 1000) for k in range(1_000, 9_000, 7)])
+    keys = np.arange(1_000, 9_000, 7)
+    bulk_build_into(sl, keys, keys % 1000)
     print(f"bulk-loaded {len(sl)} keys (previous contents replaced)")
 
     # --- range query (chunked nodes make this one coalesced read per

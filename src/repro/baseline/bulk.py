@@ -13,27 +13,31 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.bulk import sorted_kv
 from . import node as N
 from .mc_skiplist import MCSkiplist
 
 
-def bulk_build_into(mc: MCSkiplist, items,
+def bulk_build_into(mc: MCSkiplist, keys, values=None,
                     rng: np.random.Generator | None = None,
                     shuffle_layout: bool = True) -> dict:
-    """Populate a fresh :class:`MCSkiplist` with ``items`` host-side.
+    """Populate a fresh :class:`MCSkiplist` host-side with ``keys`` (int
+    array; need not be sorted but must be unique) mapped to ``values``
+    (int array of the same length, all 0 when None).
 
     Returns per-level node counts.  ``shuffle_layout`` permutes node
     placement in the pool so that key order does not imply address order
     (as after a random-order prefill).
     """
     rng = rng if rng is not None else np.random.default_rng(0xB0B)
-    items = sorted(items)
-    n = len(items)
+    keys, vals = sorted_kv(keys, values)
+    n = int(keys.size)
     mem = mc.ctx.mem
     if n == 0:
         return {}
-    keys = np.asarray([k for k, _ in items], dtype=np.uint64)
-    vals = np.asarray([v for _, v in items], dtype=np.uint64)
+    if keys[0] < 0:
+        raise ValueError("bulk build keys must be non-negative")
+    keys = keys.astype(np.uint64)
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("bulk build keys must be unique")
 
@@ -55,23 +59,28 @@ def bulk_build_into(mc: MCSkiplist, items,
     addrs[order] = base + place_offsets  # addrs[i] = address of key i
 
     raw = mem.raw()
-    raw[addrs] = keys | (vals << np.uint64(32))
-    raw[addrs + 1] = heights.astype(np.uint64)
+    # Headers and level-0 links go out in placement order (rising
+    # addresses, cheaper than key order's scattered writes); each upper
+    # level filters the members of the level below.
+    at = base + place_offsets  # at[j] = address of key order[j]
+    succ = np.append(addrs[1:], mc.tail).astype(np.uint64)
+    raw[at] = (keys | (vals << np.uint64(32)))[order]
+    raw[at + 1] = heights[order].astype(np.uint64)
+    raw[at + N.HEADER_WORDS] = succ[order]
 
-    counts: dict[int, int] = {}
     head_links = mc.head + N.HEADER_WORDS
-    for level in range(mc.max_level):
-        member = np.nonzero(heights > level)[0]
+    mem.write_word(head_links, N.pack_link(int(addrs[0])))
+    counts = {0: n}
+    member = np.arange(n)
+    for level in range(1, mc.max_level):
+        member = member[heights[member] > level]
         counts[level] = int(member.size)
         if member.size == 0:
             mem.write_word(head_links + level, N.pack_link(mc.tail))
             continue
         level_addrs = addrs[member]
-        link_addrs = level_addrs + N.HEADER_WORDS + level
-        succ = np.empty(member.size, dtype=np.uint64)
-        succ[:-1] = level_addrs[1:].astype(np.uint64)
-        succ[-1] = np.uint64(mc.tail)
-        raw[link_addrs] = succ
+        succ = np.append(level_addrs[1:], mc.tail).astype(np.uint64)
+        raw[level_addrs + N.HEADER_WORDS + level] = succ
         mem.write_word(head_links + level, N.pack_link(int(level_addrs[0])))
     return counts
 

@@ -150,7 +150,7 @@ def cmd_stress(args) -> int:
               team_size=args.team_size, seed=args.seed)
     prefill = rng.choice(np.arange(1, args.range + 1),
                          size=args.range // 2, replace=False)
-    bulk_build_into(sl, [(int(k), 0) for k in prefill], rng=sl.rng)
+    bulk_build_into(sl, prefill, rng=sl.rng)
     ops, gens = [], []
     for _ in range(args.ops):
         k = int(rng.integers(1, args.range + 1))

@@ -34,10 +34,25 @@ def _per_chunk(geo: ChunkGeometry, fill: float) -> int:
     return max(2, min(geo.dsize, round(geo.dsize * fill)))
 
 
-def bulk_build_into(sl, items, rng: np.random.Generator | None = None,
+def sorted_kv(keys, values=None) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` (int64) and ``values`` (uint64, zeros when None) as flat
+    arrays in ascending key order — the input both bulk builders take."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if values is None:
+        return np.sort(keys), np.zeros(keys.size, dtype=np.uint64)
+    vals = np.asarray(values, dtype=np.uint64)
+    if vals.shape != keys.shape:
+        raise ValueError("bulk build values must have one entry per key")
+    order = np.argsort(keys, kind="stable")
+    return keys[order], vals[order]
+
+
+def bulk_build_into(sl, keys, values=None,
+                    rng: np.random.Generator | None = None,
                     fill: float = DEFAULT_FILL) -> dict:
-    """(Re)populate a GFSL with ``items`` (iterable of ``(key, value)``;
-    keys need not be sorted but must be unique).
+    """(Re)populate a GFSL with ``keys`` (int array; need not be sorted
+    but must be unique user keys) mapped to ``values`` (int array of the
+    same length, all 0 when None).
 
     **Replaces** the structure's current contents: the pool is formatted
     back to its initial state first, so building into a structure that
@@ -53,12 +68,12 @@ def bulk_build_into(sl, items, rng: np.random.Generator | None = None,
     sl._format()
     rng = rng if rng is not None else np.random.default_rng(0xB111D)
 
-    items = sorted(items)
-    if items and items[0][0] < C.MIN_USER_KEY:
+    keys, vals = sorted_kv(keys, values)
+    n_items = int(keys.size)
+    if n_items and keys[0] < C.MIN_USER_KEY:
         raise ValueError("bulk build keys must be user keys")
-    keys = np.asarray([k for k, _ in items], dtype=np.uint64)
-    vals = np.asarray([v for _, v in items], dtype=np.uint64)
-    if keys.size and np.any(keys[1:] == keys[:-1]):
+    keys = keys.astype(np.uint64)
+    if n_items and np.any(keys[1:] == keys[:-1]):
         raise ValueError("bulk build keys must be unique")
 
     per_chunk = _per_chunk(geo, fill)
@@ -82,8 +97,8 @@ def bulk_build_into(sl, items, rng: np.random.Generator | None = None,
             raise OutOfChunks(
                 f"bulk build: level {level} needs {n_chunks} chunks",
                 capacity=lay.capacity_chunks, allocated=next_free,
-                live_keys=len(items),
-                suggested_capacity=suggest_capacity(max(len(items), 1),
+                live_keys=n_items,
+                suggested_capacity=suggest_capacity(max(n_items, 1),
                                                     team_size=geo.n))
         base = next_free
         ptrs = np.arange(base, base + n_chunks, dtype=np.uint64)
@@ -159,11 +174,12 @@ def plan_chunks(geo: ChunkGeometry, max_level: int, n_keys: int,
     return total
 
 
-def rebuild_into(sl, items, rng: np.random.Generator | None = None,
+def rebuild_into(sl, keys, values=None,
+                 rng: np.random.Generator | None = None,
                  fill: float = DEFAULT_FILL) -> dict:
     """Non-destructive-on-failure wrapper around
-    :func:`bulk_build_into` — the migration executor's rebuild
-    primitive (DESIGN.md §16).
+    :func:`bulk_build_into` (same ``keys``/``values`` arrays) — the
+    migration executor's rebuild primitive (DESIGN.md §16).
 
     Two prechecks run *before* the pool is formatted, so a refused
     rebuild leaves the structure exactly as it was:
@@ -175,7 +191,7 @@ def rebuild_into(sl, items, rng: np.random.Generator | None = None,
       ``bulk_build_into`` itself only notices exhaustion after
       formatting (destroying the old contents).
     """
-    items = list(items)
+    keys = np.asarray(keys, dtype=np.int64)
     mgr = getattr(sl.ctx, "_epochs", None)
     if mgr is not None and mgr.active_pins:
         raise RuntimeError(
@@ -183,17 +199,17 @@ def rebuild_into(sl, items, rng: np.random.Generator | None = None,
             "the builder's raw writes bypass the epoch barrier and "
             "would tear pinned views")
     lay = sl.layout
-    need = plan_chunks(sl.geo, lay.max_level, len(items), fill)
+    need = plan_chunks(sl.geo, lay.max_level, keys.size, fill)
     if need > lay.capacity_chunks:
         from .gfsl import suggest_capacity
         from .pool import OutOfChunks
         raise OutOfChunks(
             f"rebuild needs {need} chunks (worst case)",
             capacity=lay.capacity_chunks, allocated=lay.max_level,
-            live_keys=len(items),
-            suggested_capacity=suggest_capacity(max(len(items), 1),
+            live_keys=keys.size,
+            suggested_capacity=suggest_capacity(max(keys.size, 1),
                                                 team_size=sl.geo.n))
-    return bulk_build_into(sl, items, rng=rng, fill=fill)
+    return bulk_build_into(sl, keys, values, rng=rng, fill=fill)
 
 
 def warm_structure(sl) -> None:

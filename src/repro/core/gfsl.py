@@ -577,10 +577,11 @@ class GFSL:
                 "through raw() and would tear the pinned frozen images — "
                 "release every snapshot first")
         from .bulk import bulk_build_into
-        items = self.items()
+        from .validate import level_kv
+        keys, vals = level_kv(self, 0)
         before = self.pool.allocated(self.ctx.mem)
         self._format()
-        bulk_build_into(self, items, rng=self.rng)
+        bulk_build_into(self, keys, vals, rng=self.rng)
         after = self.pool.allocated(self.ctx.mem)
         return max(0, before - after)
 

@@ -139,15 +139,21 @@ def level_chain(sl, level: int, include_zombies: bool = True):
         lv.stop()
 
 
-def level_items(sl, level: int) -> list[tuple[int, int]]:
-    """Live (key, value) pairs at a level, in chain order, −∞ excluded."""
+def level_kv(sl, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Live keys and values at a level as two arrays, in chain order,
+    −∞ excluded."""
     lv = _gather(sl, level)
     if lv.stop is not None:
         lv.stop()
     keys = lv.keys[~lv.zombie]
     user = (keys != C.EMPTY_KEY) & (keys != C.NEG_INF_KEY)
-    vals = vals_vec(lv.rows[~lv.zombie, : sl.geo.dsize][user])
-    return list(zip(keys[user].tolist(), vals.tolist()))
+    return keys[user], vals_vec(lv.rows[~lv.zombie, : sl.geo.dsize][user])
+
+
+def level_items(sl, level: int) -> list[tuple[int, int]]:
+    """Live (key, value) pairs at a level, in chain order, −∞ excluded."""
+    keys, vals = level_kv(sl, level)
+    return list(zip(keys.tolist(), vals.tolist()))
 
 
 def bottom_items(sl) -> list[tuple[int, int]]:

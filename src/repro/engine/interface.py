@@ -142,7 +142,7 @@ def _build_gfsl(workload, *, team_size: int = 32, p_chunk: float = 1.0,
              base=base, seed=seed)
     prefill = workload.prefill if prefill is None else prefill
     if len(prefill):
-        bulk_build_into(sl, [(int(k), 0) for k in prefill], rng=sl.rng)
+        bulk_build_into(sl, prefill, rng=sl.rng)
     warm_structure(sl)
     return sl
 
@@ -167,7 +167,7 @@ def _build_mc(workload, *, team_size: int = 32, p_chunk: float = 1.0,
                     ctx=ctx, device=device, base=base, seed=seed)
     prefill = workload.prefill if prefill is None else prefill
     if len(prefill):
-        mc_bulk(mc, [(int(k), 0) for k in prefill], rng=mc.rng)
+        mc_bulk(mc, prefill, rng=mc.rng)
     mc_warm(mc)
     return mc
 

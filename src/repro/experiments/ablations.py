@@ -176,7 +176,7 @@ def restart_rate(key_range: int = 100_000, n_ops: int = 4000,
     prefill = rng.choice(np.arange(1, key_range + 1), size=key_range // 2,
                          replace=False)
     sl = GFSL(capacity_chunks=suggest_capacity(key_range), seed=seed)
-    bulk_build_into(sl, [(int(k), 0) for k in prefill], rng=sl.rng)
+    bulk_build_into(sl, prefill, rng=sl.rng)
     gens = []
     keys = rng.integers(1, key_range + 1, size=n_ops)
     kinds = rng.random(n_ops)

@@ -108,7 +108,11 @@ class L2Cache:
     def warm(self, line_addrs) -> None:
         """Pre-load lines without counting stats (used after bulk builds
         so a small structure starts resident, as it would after the real
-        prefill kernel)."""
+        prefill kernel).  The final state is that of touching each line
+        in order; a contiguous ``range`` gets it in closed form."""
+        if isinstance(line_addrs, range) and line_addrs.step == 1:
+            self._warm_range(line_addrs.start, line_addrs.stop)
+            return
         for la in line_addrs:
             s = self._set_for(la)
             if la in s:
@@ -116,6 +120,22 @@ class L2Cache:
             elif len(s) >= self.assoc:
                 s.pop(next(iter(s)))
             s[la] = None
+
+    def _warm_range(self, first: int, stop: int) -> None:
+        """Warm lines ``first..stop-1`` set by set: a set ends up holding
+        its old lines outside the range (old order), then the range's
+        lines that map to it (ascending), keeping the last ``assoc``.
+        Only the ``min(num_sets, stop - first)`` sets the range maps to
+        are visited."""
+        num_sets, assoc = self.num_sets, self.assoc
+        for la in range(first, min(stop, first + num_sets)):
+            s = self._sets[la % num_sets]
+            lines = list(range(la, stop, num_sets)[-assoc:])
+            if len(lines) < assoc:
+                kept = [x for x in s if not first <= x < stop]
+                lines = (kept + lines)[-assoc:]
+            s.clear()
+            s.update(dict.fromkeys(lines))
 
     def flush(self) -> None:
         for s in self._sets:

@@ -176,23 +176,22 @@ class MigrationExecutor:
                              if image.get(k) != v)
             reconciled += sum(1 for k in image if k not in truth)
 
-            dst_items = sorted({**dict(dst.items()), **truth}.items())
-            src_items = sorted((k, v) for k, v in src.items()
-                               if not lo <= k <= hi)
+            dst_image = {**dict(dst.items()), **truth}
+            src_image = {k: v for k, v in src.items() if not lo <= k <= hi}
             try:
                 # Pre-check both rebuilds before touching either shard,
                 # so a capacity failure leaves everything as it was.
-                for sl, items in ((dst, dst_items), (src, src_items)):
-                    need = plan_chunks(sl.geo, sl.layout.max_level,
-                                       len(items))
+                for sl, kv in ((dst, dst_image), (src, src_image)):
+                    need = plan_chunks(sl.geo, sl.layout.max_level, len(kv))
                     if need > sl.layout.capacity_chunks:
                         raise OutOfChunks(
                             f"migration needs {need} chunks on shard",
                             capacity=sl.layout.capacity_chunks,
-                            allocated=0, live_keys=len(items))
+                            allocated=0, live_keys=len(kv))
                 with sharded.ctx.epochs.commit():
-                    rebuild_into(dst, dst_items, rng=dst.rng)
-                    rebuild_into(src, src_items, rng=src.rng)
+                    for sl, kv in ((dst, dst_image), (src, src_image)):
+                        rebuild_into(sl, list(kv), list(kv.values()),
+                                     rng=sl.rng)
             except OutOfChunks:
                 self._count("migration_aborts")
                 self._event(status="aborted-capacity", attempt=attempt,

@@ -79,7 +79,7 @@ class RoutingTable:
         (e.g.) front-loaded zipf and the hot mass all lands in shard 0.
 
         Interior boundaries are the sample's ``i/n_shards`` quantiles
-        (floored to int, forced non-decreasing; duplicate quantiles
+        (floored to int; they are non-decreasing, and duplicate quantiles
         under extreme skew leave some shards with an empty slice, which
         routing handles fine).  The outer boundaries stay ``1`` and
         ``key_range + 1``.  An empty sample gives the :meth:`range`
@@ -93,8 +93,7 @@ class RoutingTable:
         bounds = np.empty(n_shards + 1, dtype=np.int64)
         bounds[0] = 1
         bounds[-1] = key_range + 1
-        bounds[1:-1] = np.maximum.accumulate(
-            np.clip(interior, 1, key_range + 1))
+        bounds[1:-1] = np.clip(interior, 1, key_range + 1)
         return cls(n_shards, bounds)
 
     @classmethod

@@ -36,7 +36,7 @@ def test_matches_model_set(ops, p_key):
                      unique=True))
 def test_bulk_build_equals_set(keys):
     mc = MCSkiplist(capacity_words=400_000, seed=5)
-    bulk_build_into(mc, [(k, k % 9) for k in keys])
+    bulk_build_into(mc, keys, [k % 9 for k in keys])
     assert mc.keys() == sorted(keys)
     for k in keys[:15]:
         assert mc.contains(k)
@@ -52,7 +52,7 @@ def test_bulk_build_equals_set(keys):
        seed=st.integers(0, 2**16))
 def test_concurrent_batches_consistent(prefill, batch, seed):
     mc = MCSkiplist(capacity_words=500_000, seed=7)
-    bulk_build_into(mc, [(k, 0) for k in prefill])
+    bulk_build_into(mc, prefill)
     gens = [getattr(mc, f"{op}_gen")(k) for op, k in batch]
     results = mc.ctx.run_concurrent(gens, seed=seed)
     final = set(mc.keys())

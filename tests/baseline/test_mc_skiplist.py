@@ -114,7 +114,7 @@ class TestBulk:
     def test_bulk_roundtrip(self):
         mc = MCSkiplist(capacity_words=200_000, seed=4)
         keys = random.Random(5).sample(range(1, 10**6), 800)
-        counts = bulk_build_into(mc, [(k, k % 7) for k in keys])
+        counts = bulk_build_into(mc, keys, [k % 7 for k in keys])
         assert mc.keys() == sorted(keys)
         assert counts[0] == len(keys)
         assert counts.get(1, 0) < len(keys)  # geometric decay
@@ -130,11 +130,11 @@ class TestBulk:
     def test_bulk_rejects_duplicates(self):
         mc = MCSkiplist(capacity_words=10_000)
         with pytest.raises(ValueError):
-            bulk_build_into(mc, [(5, 0), (5, 1)])
+            bulk_build_into(mc, [5, 5], [0, 1])
 
     def test_bulk_unshuffled_layout(self):
         mc = MCSkiplist(capacity_words=50_000, seed=6)
-        bulk_build_into(mc, [(k, 0) for k in range(1, 200)],
+        bulk_build_into(mc, range(1, 200),
                         shuffle_layout=False)
         assert mc.keys() == list(range(1, 200))
 
@@ -143,7 +143,7 @@ class TestConcurrent:
     def test_disjoint_concurrent_ops(self):
         mc = MCSkiplist(capacity_words=400_000, seed=7)
         keys = list(range(10, 2010, 10))
-        bulk_build_into(mc, [(k, 0) for k in keys[::2]])
+        bulk_build_into(mc, keys[::2])
         gens = ([mc.insert_gen(k) for k in keys[1::2]]
                 + [mc.delete_gen(k) for k in keys[::4]])
         results = mc.ctx.run_concurrent(gens, seed=9)
@@ -194,7 +194,7 @@ class TestConcurrent:
         random.seed(13)
         mc = MCSkiplist(capacity_words=800_000, seed=10)
         prefill = random.sample(range(1, 30000), 900)
-        bulk_build_into(mc, [(k, 0) for k in prefill])
+        bulk_build_into(mc, prefill)
         ops = [(random.choice(["insert", "delete"]),
                 random.randint(1, 30000)) for _ in range(400)]
         gens = [getattr(mc, f"{op}_gen")(k) for op, k in ops]

@@ -23,9 +23,8 @@ def test_empty_build():
 
 def test_small_build_roundtrip():
     sl = GFSL(capacity_chunks=64, team_size=16, seed=1)
-    items = [(5, 50), (2, 20), (9, 90)]
-    bulk_build_into(sl, items)
-    assert sl.items() == sorted(items)
+    bulk_build_into(sl, [5, 2, 9], [50, 20, 90])
+    assert sl.items() == [(2, 20), (5, 50), (9, 90)]
     assert sl.get(5) == 50
 
 
@@ -33,7 +32,7 @@ def test_build_validates_and_searches():
     sl = GFSL(capacity_chunks=2048, team_size=16, seed=2)
     rng = np.random.default_rng(0)
     keys = rng.choice(np.arange(1, 10**6), size=3000, replace=False)
-    bulk_build_into(sl, [(int(k), int(k) % 1000) for k in keys])
+    bulk_build_into(sl, keys, keys % 1000)
     stats = validate_structure(sl)
     assert stats["height"] >= 2
     assert sl.keys() == sorted(int(k) for k in keys)
@@ -45,25 +44,25 @@ def test_build_validates_and_searches():
 def test_build_rejects_duplicates():
     sl = GFSL(capacity_chunks=64, team_size=16, seed=1)
     with pytest.raises(ValueError):
-        bulk_build_into(sl, [(5, 0), (5, 1)])
+        bulk_build_into(sl, [5, 5], [0, 1])
 
 
 def test_build_rejects_sentinel_keys():
     sl = GFSL(capacity_chunks=64, team_size=16, seed=1)
     with pytest.raises(ValueError):
-        bulk_build_into(sl, [(0, 0)])
+        bulk_build_into(sl, [0])
 
 
 def test_build_capacity_exhaustion():
     sl = GFSL(capacity_chunks=20, team_size=16, seed=1)
     from repro.core.pool import OutOfChunks
     with pytest.raises(OutOfChunks):
-        bulk_build_into(sl, [(k, 0) for k in range(1, 2000)])
+        bulk_build_into(sl, range(1, 2000))
 
 
 def test_updates_after_build():
     sl = GFSL(capacity_chunks=512, team_size=16, seed=3)
-    bulk_build_into(sl, [(k, 0) for k in range(10, 1000, 10)])
+    bulk_build_into(sl, range(10, 1000, 10))
     assert sl.insert(15)
     assert sl.delete(20)
     assert not sl.insert(30)
@@ -102,7 +101,7 @@ def test_level_geometry_matches_incremental():
     for k in keys:
         sl_inc.insert(int(k))
     sl_blk = GFSL(capacity_chunks=2048, team_size=team, seed=5)
-    bulk_build_into(sl_blk, [(int(k), 0) for k in keys])
+    bulk_build_into(sl_blk, keys)
     assert abs(structure_height(sl_inc) - structure_height(sl_blk)) <= 1
     assert sl_inc.keys() == sl_blk.keys()
     # Level-1 key count within 2x of each other (same promotion rate).
@@ -113,8 +112,7 @@ def test_level_geometry_matches_incremental():
 
 def test_p_chunk_controls_promotion():
     rng = np.random.default_rng(3)
-    keys = [(int(k), 0) for k in
-            rng.choice(np.arange(1, 10**6), size=2000, replace=False)]
+    keys = rng.choice(np.arange(1, 10**6), size=2000, replace=False)
     sl_hi = GFSL(capacity_chunks=2048, team_size=16, p_chunk=1.0, seed=6)
     bulk_build_into(sl_hi, keys, rng=np.random.default_rng(7))
     sl_lo = GFSL(capacity_chunks=2048, team_size=16, p_chunk=0.3, seed=6)
@@ -124,7 +122,7 @@ def test_p_chunk_controls_promotion():
 
 def test_warm_structure_loads_l2():
     sl = GFSL(capacity_chunks=128, team_size=16, seed=8)
-    bulk_build_into(sl, [(k, 0) for k in range(10, 500, 10)])
+    bulk_build_into(sl, range(10, 500, 10))
     warm_structure(sl)
     sl.ctx.tracer.reset_stats = lambda: None  # keep warm state (noop)
     before = sl.ctx.tracer.stats.dram_transactions

@@ -16,7 +16,7 @@ from repro.core import GFSL, bulk_build_into, validate_structure
 def build(prefill, team_size=16, seed=1, cap=2048):
     sl = GFSL(capacity_chunks=cap, team_size=team_size, seed=seed)
     if prefill:
-        bulk_build_into(sl, [(k, 0) for k in prefill], rng=sl.rng)
+        bulk_build_into(sl, prefill, rng=sl.rng)
     return sl
 
 

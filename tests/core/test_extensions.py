@@ -10,7 +10,7 @@ from repro.core import constants as C
 
 def build(keys, **kw):
     sl = GFSL(capacity_chunks=1024, team_size=16, seed=2, **kw)
-    bulk_build_into(sl, [(k, k % 101) for k in keys])
+    bulk_build_into(sl, keys, [k % 101 for k in keys])
     return sl
 
 

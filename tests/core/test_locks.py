@@ -12,7 +12,7 @@ from repro.core.validate import head_ptr_host, level_chain, read_chunk_host
 
 def built(keys=range(10, 500, 10), fill=0.3):
     sl = GFSL(capacity_chunks=1024, team_size=16, p_chunk=0.0, seed=1)
-    bulk_build_into(sl, [(k, 0) for k in keys], fill=fill)
+    bulk_build_into(sl, keys, fill=fill)
     return sl
 
 

@@ -32,13 +32,13 @@ def test_message_and_fields_on_device_exhaustion():
 def test_bulk_build_failure_reports_sizing():
     from repro.core.bulk import bulk_build_into
     sl = GFSL(capacity_chunks=20, team_size=16, seed=1)
-    items = [(k, 0) for k in range(1, 2000)]
+    keys = range(1, 2000)
     with pytest.raises(OutOfChunks) as exc:
-        bulk_build_into(sl, items)
+        bulk_build_into(sl, keys)
     err = exc.value
     assert err.capacity == 20
-    assert err.live_keys == len(items)
-    assert err.suggested_capacity == suggest_capacity(len(items),
+    assert err.live_keys == len(keys)
+    assert err.suggested_capacity == suggest_capacity(len(keys),
                                                       team_size=16)
     assert "suggested_capacity=" in str(err)
 

@@ -39,7 +39,7 @@ def test_matches_model_set(ops, team_size):
                      unique=True))
 def test_bulk_build_equals_set(keys):
     sl = GFSL(capacity_chunks=512, team_size=16, seed=3)
-    bulk_build_into(sl, [(k, k % 13) for k in keys])
+    bulk_build_into(sl, keys, [k % 13 for k in keys])
     assert sl.keys() == sorted(keys)
     validate_structure(sl)
     for k in keys[:20]:
@@ -59,7 +59,7 @@ def test_concurrent_batches_preserve_semantics(prefill, batch, seed):
     sequential composition; racing same-key ops resolve consistently
     (one winner, final state matches the returned outcomes)."""
     sl = GFSL(capacity_chunks=512, team_size=16, seed=9)
-    bulk_build_into(sl, [(k, 0) for k in prefill])
+    bulk_build_into(sl, prefill)
     gens = []
     meta = []
     for op, k in batch:
@@ -95,7 +95,7 @@ def test_concurrent_batches_preserve_semantics(prefill, batch, seed):
        lo=st.integers(1, 10**5), hi=st.integers(1, 10**5))
 def test_range_query_matches_model(keys, lo, hi):
     sl = GFSL(capacity_chunks=512, team_size=16, seed=11)
-    bulk_build_into(sl, [(k, k % 11) for k in keys])
+    bulk_build_into(sl, keys, [k % 11 for k in keys])
     lo, hi = min(lo, hi), max(lo, hi)
     expected = sorted((k, k % 11) for k in keys if lo <= k <= hi)
     assert sl.range_query(lo, hi) == expected
@@ -107,7 +107,7 @@ def test_range_query_matches_model(keys, lo, hi):
                      unique=True))
 def test_pop_min_drains_in_order(keys):
     sl = GFSL(capacity_chunks=512, team_size=16, seed=13)
-    bulk_build_into(sl, [(k, 0) for k in keys])
+    bulk_build_into(sl, keys)
     popped = []
     while True:
         k = sl.pop_min()

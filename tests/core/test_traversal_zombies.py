@@ -15,7 +15,7 @@ def built(keys, team_size=16, seed=1, p_chunk=1.0, fill=None):
     sl = GFSL(capacity_chunks=1024, team_size=team_size, p_chunk=p_chunk,
               seed=seed)
     kwargs = {} if fill is None else {"fill": fill}
-    bulk_build_into(sl, [(k, k % 97) for k in keys], rng=sl.rng, **kwargs)
+    bulk_build_into(sl, keys, [k % 97 for k in keys], rng=sl.rng, **kwargs)
     return sl
 
 

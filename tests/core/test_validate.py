@@ -1,6 +1,7 @@
 """The validators must actually catch corruption — seed defects into a
 healthy structure and check each invariant fires."""
 
+import numpy as np
 import pytest
 
 from repro.core import (GFSL, InvariantViolation, bulk_build_into,
@@ -16,7 +17,8 @@ from tests.core.test_traversal_zombies import built, zombify_chunk
 
 def healthy():
     sl = GFSL(capacity_chunks=512, team_size=16, seed=1)
-    bulk_build_into(sl, [(k, k % 7) for k in range(10, 2000, 10)])
+    keys = np.arange(10, 2000, 10)
+    bulk_build_into(sl, keys, keys % 7)
     return sl
 
 
@@ -216,7 +218,8 @@ def with_zombies():
     """Team size 8 keeps the merge band wide: deleting every other key
     merges chunks and leaves zombies behind."""
     sl = GFSL(capacity_chunks=512, team_size=8, seed=3)
-    bulk_build_into(sl, [(k, k % 7) for k in range(10, 2000, 10)])
+    keys = np.arange(10, 2000, 10)
+    bulk_build_into(sl, keys, keys % 7)
     for k in range(10, 2000, 20):
         sl.delete(k)
     return sl

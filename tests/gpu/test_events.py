@@ -60,7 +60,7 @@ class TestLivenessHazard:
         from repro.gpu.scheduler import execute_event
 
         sl = GFSL(capacity_chunks=256, team_size=16, seed=3)
-        bulk_build_into(sl, [(k, 0) for k in range(10, 100, 10)])
+        bulk_build_into(sl, range(10, 100, 10))
 
         # Drive an insert until it holds the bottom lock, then abandon it.
         gen = sl.insert_gen(15)

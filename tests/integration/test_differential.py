@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baseline import MCSkiplist
-from repro.baseline.pugh import PughSkiplist
 from repro.core import GFSL, validate_structure
+from tests.integration.pugh import PughSkiplist
 
 KEY = st.integers(min_value=1, max_value=250)
 PROGRAM = st.lists(

@@ -21,8 +21,8 @@ class TestCrossStructure:
         w = generate(MIX_10_10_80, key_range=3_000, n_ops=400, seed=9)
         sl = GFSL(capacity_chunks=suggest_capacity(3_000), seed=1)
         mc = MCSkiplist(capacity_words=200_000, seed=1)
-        bulk_build_into(sl, [(int(k), 0) for k in w.prefill])
-        mc_bulk(mc, [(int(k), 0) for k in w.prefill])
+        bulk_build_into(sl, w.prefill)
+        mc_bulk(mc, w.prefill)
 
         for op, key in zip(w.ops, w.keys):
             k = int(key)

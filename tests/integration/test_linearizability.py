@@ -42,7 +42,7 @@ def test_gfsl_concurrent_histories_linearizable(sched_seed):
     rng = random.Random(sched_seed)
     prefill = sorted(rng.sample(range(1, 300), 60))
     sl = GFSL(capacity_chunks=1024, team_size=16, seed=sched_seed)
-    bulk_build_into(sl, [(k, 0) for k in prefill])
+    bulk_build_into(sl, prefill)
 
     ops = _random_ops(rng, 250, 300)
     gens = [getattr(sl, f"{op}_gen")(k) for op, k in ops]
@@ -57,7 +57,7 @@ def test_mc_concurrent_histories_linearizable():
     rng = random.Random(9)
     prefill = sorted(rng.sample(range(1, 300), 60))
     mc = MCSkiplist(capacity_words=400_000, seed=9)
-    mc_bulk(mc, [(k, 0) for k in prefill])
+    mc_bulk(mc, prefill)
 
     ops = _random_ops(rng, 200, 300)
     gens = [getattr(mc, f"{op}_gen")(k) for op, k in ops]
