@@ -307,6 +307,38 @@ def cmd_bench(args) -> int:
     return 0
 
 
+#: The load a bare ``serve-bench`` offers, as ``LoadConfig`` fields:
+#: gfsl@4 at ~2.4x its sustainable rate on zipf keys.
+SERVE_LOAD = dict(n_requests=4000, n_clients=32, key_range=2048,
+                  mix=(25, 10, 60, 5), rate=2400.0, deadline_steps=3000,
+                  distribution="zipf", zipf_s=1.0, seed=0)
+
+
+def serve_campaign_config(args):
+    """The :class:`~repro.serve.ServeCampaignConfig` a parsed
+    ``serve-bench`` command line describes.
+
+    Every ``serve-bench`` flag that describes the run stores into the
+    config, load or chaos field of the same name (``--seed`` seeds both
+    the load and the chaos; ``--admit-rate 0`` turns admission control
+    off).  Raises ``ValueError`` naming the flag of a bad setting."""
+    from dataclasses import fields
+
+    from .chaos import ServeChaosConfig
+    from .serve import LoadConfig, ServeCampaignConfig
+
+    given = dict(vars(args), mix=tuple(args.mix),
+                 admit_rate=args.admit_rate or None)
+
+    def build(cls, **kw):
+        return cls(**{f.name: given[f.name] for f in fields(cls)
+                      if f.name in given}, **kw)
+
+    chaos = build(ServeChaosConfig)
+    return build(ServeCampaignConfig, load=build(LoadConfig),
+                 chaos=chaos if chaos.any_faults else None)
+
+
 def cmd_serve_bench(args) -> int:
     """Seeded serve campaign: overload + chaos through the frontend.
 
@@ -316,60 +348,25 @@ def cmd_serve_bench(args) -> int:
     import json
     from pathlib import Path
 
-    from .chaos import ServeChaosConfig
     from .metrics.bench import merge_rows
-    from .serve import (LoadConfig, ServeCampaignConfig, latency_histogram,
-                        run_serve_campaign, serve_bench_row)
+    from .serve import latency_histogram, run_serve_campaign, serve_bench_row
 
-    if len(args.mix) != 4 or sum(args.mix) != 100:
-        print("serve-bench: --mix needs 4 percentages (put delete get "
-              "range) summing to 100", file=sys.stderr)
-        return 2
-    load = LoadConfig(
-        n_requests=args.requests, n_clients=args.clients,
-        key_range=args.range, mix=tuple(args.mix), rate=args.rate,
-        deadline_steps=args.deadline_steps,
-        distribution=args.distribution, zipf_s=args.zipf_s,
-        seed=args.seed)
-    chaos = ServeChaosConfig(
-        bursts=args.bursts, burst_size=args.burst_size,
-        stalled_clients=args.stalled_clients,
-        freeze_shard=args.freeze_shard, freeze_at=args.freeze_at,
-        freeze_steps=args.freeze_steps,
-        abort_migrations=args.abort_migrations, seed=args.seed)
-    cfg = ServeCampaignConfig(
-        structure=args.structure, team_size=args.team_size,
-        backend=args.backend, load=load,
-        chaos=chaos if chaos.any_faults else None,
-        coalesce_size=args.coalesce_size,
-        coalesce_steps=args.coalesce_steps,
-        queue_depth=args.queue_depth,
-        admit_rate=args.admit_rate if args.admit_rate > 0 else None,
-        admit_burst=args.admit_burst,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_steps=args.breaker_reset_steps,
-        adaptive=args.adaptive, target_p99=args.target_p99,
-        control_interval=args.control_interval,
-        min_window=args.min_window, max_window=args.max_window,
-        elastic=args.elastic, partitioner=args.partitioner,
-        headroom=args.headroom,
-        reshard_max_migrations=args.max_migrations,
-        snapshot_audit=args.snapshot_audit,
-        retry_attempts=args.retries, check=not args.no_check)
     try:
+        cfg = serve_campaign_config(args)
         report = run_serve_campaign(cfg)
     except ValueError as e:          # misconfiguration, named by the cause
         print(f"serve-bench: {e}", file=sys.stderr)
         return 2
     print(report.summary())
 
+    def write_json(path, doc):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+        print(f"wrote {path}")
+
+    st = report.stats
     if args.hist_out is not None:
-        hist = latency_histogram(report.stats)
-        Path(args.hist_out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.hist_out, "w") as fh:
-            json.dump(hist, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {args.hist_out}")
+        write_json(args.hist_out, latency_histogram(st))
     if args.bench_out is not None:
         try:
             merge_rows(args.bench_out, [serve_bench_row(cfg, report)])
@@ -378,52 +375,38 @@ def cmd_serve_bench(args) -> int:
             return 2
         print(f"wrote serve row into {args.bench_out}")
     if args.ctrl_out is not None:
-        Path(args.ctrl_out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.ctrl_out, "w") as fh:
-            json.dump({"seed": load.seed, "adaptive": cfg.adaptive,
-                       "target_p99_us": cfg.target_p99,
-                       "shard_rates": report.shard_rates,
-                       "shard_windows": report.shard_windows,
-                       "timeline": report.ctrl_timeline}, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {args.ctrl_out}")
+        write_json(args.ctrl_out, {
+            "seed": cfg.load.seed, "adaptive": cfg.adaptive,
+            "target_p99_us": cfg.target_p99,
+            "shard_rates": report.shard_rates,
+            "shard_windows": report.shard_windows,
+            "timeline": report.ctrl_timeline})
     if args.migration_out is not None:
-        st = report.stats
-        Path(args.migration_out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.migration_out, "w") as fh:
-            json.dump({"seed": load.seed, "elastic": cfg.elastic,
-                       "migrations": st.migrations,
-                       "migration_aborts": st.migration_aborts,
-                       "migration_retries": st.migration_retries,
-                       "migrated_keys": st.migrated_keys,
-                       "migration_reconciled": st.migration_reconciled,
-                       "events": report.migration_events,
-                       "routing_history": report.routing_history},
-                      fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {args.migration_out}")
+        write_json(args.migration_out, {
+            "seed": cfg.load.seed, "elastic": cfg.elastic,
+            "migrations": st.migrations,
+            "migration_aborts": st.migration_aborts,
+            "migration_retries": st.migration_retries,
+            "migrated_keys": st.migrated_keys,
+            "migration_reconciled": st.migration_reconciled,
+            "events": report.migration_events,
+            "routing_history": report.routing_history})
 
     if not report.ok:
         return 1
-    st = report.stats
     if st.terminated != st.submitted:
         print(f"serve-bench: {st.submitted - st.terminated} of "
               f"{st.submitted} submitted requests never terminated",
               file=sys.stderr)
         return 1
-    if args.max_p99 is not None and report.p99_us is not None \
-            and report.p99_us > args.max_p99:
-        print(f"serve-bench: p99 {report.p99_us:.0f}us exceeds the "
-              f"--max-p99 bound of {args.max_p99:.0f}us", file=sys.stderr)
-        return 1
-    if args.max_healthy_p99 is not None \
-            and report.healthy_p99_us is not None \
-            and report.healthy_p99_us > args.max_healthy_p99:
-        print(f"serve-bench: healthy-shard p99 "
-              f"{report.healthy_p99_us:.0f}us exceeds the "
-              f"--max-healthy-p99 bound of {args.max_healthy_p99:.0f}us",
-              file=sys.stderr)
-        return 1
+    for label, p99, bound, flag in (
+            ("p99", report.p99_us, args.max_p99, "--max-p99"),
+            ("healthy-shard p99", report.healthy_p99_us,
+             args.max_healthy_p99, "--max-healthy-p99")):
+        if bound is not None and p99 is not None and p99 > bound:
+            print(f"serve-bench: {label} {p99:.0f}us exceeds the {flag} "
+                  f"bound of {bound:.0f}us", file=sys.stderr)
+            return 1
     return 0
 
 
@@ -578,75 +561,77 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-bench", help="seeded overload campaign through the async "
         "serving frontend (exits 1 on a hung request, non-linearizable "
         "history, or busted p99 bound)")
-    pv.add_argument("--structure", default="gfsl@4",
-                    help="structure registry name (default: gfsl@4)")
-    pv.add_argument("--backend", choices=available_backends(),
-                    default="vectorized")
-    pv.add_argument("--requests", type=int, default=4000,
-                    help="base Poisson request count")
-    pv.add_argument("--clients", type=int, default=32)
-    pv.add_argument("--range", type=int, default=2048)
-    pv.add_argument("--mix", type=int, nargs=4, default=[25, 10, 60, 5],
-                    metavar=("PUT", "DEL", "GET", "RANGE"),
-                    help="request-kind percentages (default 25 10 60 5)")
-    pv.add_argument("--rate", type=float, default=2400.0,
-                    help="offered arrival rate, requests per 1000 steps "
-                    "(default 2400 — ~2.4x the sustainable gfsl@4 rate)")
-    pv.add_argument("--deadline-steps", type=int, default=3000,
-                    help="per-request deadline horizon in steps")
-    pv.add_argument("--distribution", choices=DISTRIBUTIONS,
-                    default="zipf",
-                    help="key distribution (default: zipf — skewed, "
-                    "the overload-relevant case)")
-    pv.add_argument("--zipf-s", type=float, default=1.0)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--team-size", type=int, default=32)
-    pv.add_argument("--coalesce-size", type=int, default=32,
-                    help="flush a shard batch at this many requests")
-    pv.add_argument("--coalesce-steps", type=int, default=150,
-                    help="...or after this many steps, whichever first")
-    pv.add_argument("--queue-depth", type=int, default=128)
-    pv.add_argument("--admit-rate", type=float, default=600.0,
-                    help="token-bucket admission rate per 1000 steps "
-                    "(0 disables admission control)")
-    pv.add_argument("--admit-burst", type=float, default=64.0)
-    pv.add_argument("--breaker-threshold", type=int, default=3)
-    pv.add_argument("--breaker-reset-steps", type=int, default=400)
-    pv.add_argument("--adaptive", action="store_true",
-                    help="enable the elasticity controller: per-shard "
-                    "AIMD admission against --target-p99, load-adaptive "
-                    "coalesce windows, idle-token rebalancing")
-    pv.add_argument("--target-p99", type=float, default=150.0,
-                    help="adaptive: per-shard p99 latency setpoint in "
-                    "µs (default 150)")
-    pv.add_argument("--control-interval", type=int, default=200,
-                    help="adaptive: control period in steps")
-    pv.add_argument("--min-window", type=int, default=None,
-                    help="adaptive: idle coalesce window floor (steps; "
-                    "default coalesce-steps/6)")
-    pv.add_argument("--max-window", type=int, default=None,
-                    help="adaptive: saturated coalesce window cap "
-                    "(steps; default 4x coalesce-steps)")
-    pv.add_argument("--elastic", action="store_true",
-                    help="enable telemetry-driven resharding: the "
-                    "reshard policy watches per-shard telemetry and "
-                    "migrates hot key ranges online (needs --adaptive)")
-    pv.add_argument("--partitioner",
-                    choices=("auto", "range", "hash", "sampled"),
-                    default="auto",
-                    help="shard key partitioner (auto: sampled "
-                    "quantile boundaries for skewed distributions, "
-                    "range otherwise)")
-    pv.add_argument("--headroom", type=float, default=1.0,
-                    help="per-shard chunk-pool over-provisioning "
-                    "factor (>1 leaves room for migrated-in ranges)")
-    pv.add_argument("--max-migrations", type=int, default=4,
-                    help="elastic: migration budget per campaign")
-    pv.add_argument("--snapshot-audit", action="store_true",
-                    help="feed every range read's snapshot into the "
-                    "consistency checker (migration-window audit)")
-    pv.add_argument("--retries", type=int, default=4,
-                    help="max flush attempts per batch")
+    from .serve import ServeCampaignConfig
+    defaults = {**vars(ServeCampaignConfig()), **SERVE_LOAD}
+
+    def serve_flag(flag, dest=None, **kw):
+        """A flag storing into the config (or load) field ``dest``, by
+        default the flag's own name, and defaulting to that field's
+        default."""
+        dest = dest or flag[2:].replace("-", "_")
+        pv.add_argument(flag, dest=dest, default=defaults[dest], **kw)
+
+    serve_flag("--structure", help="structure registry name (default: "
+               "%(default)s)")
+    serve_flag("--backend", choices=available_backends())
+    serve_flag("--requests", "n_requests", type=int,
+               help="base Poisson request count")
+    serve_flag("--clients", "n_clients", type=int)
+    serve_flag("--range", "key_range", type=int)
+    serve_flag("--mix", type=int, nargs=4,
+               metavar=("PUT", "DEL", "GET", "RANGE"),
+               help="request-kind percentages (default %(default)s)")
+    serve_flag("--rate", type=float,
+               help="offered arrival rate, requests per 1000 steps "
+               "(default %(default)s — ~2.4x the sustainable gfsl@4 rate)")
+    serve_flag("--deadline-steps", type=int,
+               help="per-request deadline horizon in steps")
+    serve_flag("--distribution", choices=DISTRIBUTIONS,
+               help="key distribution (default: %(default)s — skewed, "
+               "the overload-relevant case)")
+    serve_flag("--zipf-s", type=float)
+    serve_flag("--seed", type=int)
+    serve_flag("--team-size", type=int)
+    serve_flag("--coalesce-size", type=int,
+               help="flush a shard batch at this many requests")
+    serve_flag("--coalesce-steps", type=int,
+               help="...or after this many steps, whichever first")
+    serve_flag("--queue-depth", type=int)
+    serve_flag("--admit-rate", type=float,
+               help="token-bucket admission rate per 1000 steps "
+               "(default %(default)s; 0 disables admission control)")
+    serve_flag("--admit-burst", type=float)
+    serve_flag("--breaker-threshold", type=int)
+    serve_flag("--breaker-reset-steps", type=int)
+    serve_flag("--adaptive", action="store_true",
+               help="enable the elasticity controller: per-shard AIMD "
+               "admission against --target-p99, load-adaptive coalesce "
+               "windows, idle-token rebalancing")
+    serve_flag("--target-p99", type=float, help="adaptive: per-shard p99 "
+               "latency setpoint in µs (default %(default)s)")
+    serve_flag("--control-interval", type=int,
+               help="adaptive: control period in steps")
+    serve_flag("--min-window", type=int, help="adaptive: idle coalesce "
+               "window floor (steps; default coalesce-steps/6)")
+    serve_flag("--max-window", type=int, help="adaptive: saturated "
+               "coalesce window cap (steps; default 4x coalesce-steps)")
+    serve_flag("--elastic", action="store_true",
+               help="enable telemetry-driven resharding: the reshard "
+               "policy watches per-shard telemetry and migrates hot key "
+               "ranges online (needs --adaptive)")
+    serve_flag("--partitioner", choices=("auto", "range", "hash", "sampled"),
+               help="shard key partitioner (auto: sampled quantile "
+               "boundaries for skewed distributions, range otherwise)")
+    serve_flag("--headroom", type=float,
+               help="per-shard chunk-pool over-provisioning factor (>1 "
+               "leaves room for migrated-in ranges)")
+    serve_flag("--max-migrations", "reshard_max_migrations", type=int,
+               help="elastic: migration budget per campaign")
+    serve_flag("--snapshot-audit", action="store_true",
+               help="feed every range read's snapshot into the "
+               "consistency checker (migration-window audit)")
+    serve_flag("--retries", "retry_attempts", type=int,
+               help="max flush attempts per batch")
     pv.add_argument("--bursts", type=int, default=0,
                     help="chaos: request-burst waves")
     pv.add_argument("--burst-size", type=int, default=64)
@@ -665,8 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--max-healthy-p99", type=float, default=None,
                     help="gate: fail if the non-frozen-shard p99 (µs) "
                     "exceeds this")
-    pv.add_argument("--no-check", action="store_true",
-                    help="skip the linearizability/invariant audit")
+    serve_flag("--no-check", "check", action="store_false",
+               help="skip the linearizability/invariant audit")
     pv.add_argument("--hist-out", default=None,
                     help="write the latency histogram JSON here")
     pv.add_argument("--bench-out", default=None,

@@ -16,9 +16,10 @@ virtual-time async kernel: same seeds, same campaign, bit for bit.
 from .admission import TokenBucket
 from .aio import (TIMED_OUT, Future, HangError, Queue, QueueEmpty,
                   QueueFull, Task, VirtualLoop)
-from .bench import (ServeCampaignConfig, ServeReport, latency_histogram,
-                    run_serve_campaign, serve_bench_row)
+from .bench import (ServeReport, latency_histogram, run_serve_campaign,
+                    serve_bench_row)
 from .breaker import CircuitBreaker
+from .config import ServeCampaignConfig
 from .controller import (ControllerConfig, ElasticityController,
                          derive_controller)
 from .errors import CircuitOpen, DeadlineExceeded, Overloaded, ServeError
@@ -27,7 +28,7 @@ from .loadgen import (LoadConfig, LoadPlan, PlannedRequest, build_plan,
                       make_clients, run_client, sizing_workload)
 from .request import (DELETE, GET, KINDS, PUT, RANGE, ClientState,
                       Request, ServeStats, percentile)
-from .reshard import ReshardConfig, ReshardPlan, ReshardPolicy
+from .reshard import ReshardPlan, ReshardPolicy
 
 __all__ = [
     "VirtualLoop", "Future", "Task", "Queue", "QueueEmpty", "QueueFull",
@@ -42,5 +43,5 @@ __all__ = [
     "sizing_workload", "make_clients", "run_client",
     "ServeCampaignConfig", "ServeReport", "run_serve_campaign",
     "latency_histogram", "serve_bench_row",
-    "ReshardConfig", "ReshardPlan", "ReshardPolicy",
+    "ReshardPlan", "ReshardPolicy",
 ]

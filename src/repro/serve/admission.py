@@ -8,7 +8,8 @@ deterministic.  The ladder orders what gives way first as load rises:
    (snapshot pin + full window walk) and the least latency-critical, so
    they are rejected (`Overloaded("shed-range")`) while point ops still
    flow, as soon as any point queue crosses ``shed_occupancy`` or the
-   bucket drains below ``range_reserve`` of its burst.
+   bucket drains below a quarter of its burst
+   (``frontend.RANGE_RESERVE``).
 2. **Reject at admission** — the bucket empties: point ops get a typed
    `Overloaded("admission")` instead of unbounded queueing.
 3. **Backpressure** — admitted requests briefly wait for queue room
@@ -35,17 +36,11 @@ class TokenBucket:
     time); ``burst`` is the bucket capacity.  ``rate=None`` disables
     admission control (always admits)."""
 
-    def __init__(self, rate: float | None, burst: float = 64.0,
-                 now: int = 0):
+    def __init__(self, rate: float | None, burst: float, now: int = 0):
         self.rate = None if rate is None else float(rate) / 1000.0
         self.burst = float(burst)
         self.tokens = float(burst)
         self._last = int(now)
-
-    @property
-    def rate_per_kstep(self) -> float | None:
-        """The configured rate back in tokens-per-1000-steps units."""
-        return None if self.rate is None else self.rate * 1000.0
 
     def _refill(self, now: int) -> None:
         # ``now <= _last`` (equal-step wakeups, or callers racing at one

@@ -23,53 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..chaos.linearize import HistoryRecorder, check_history
-from ..chaos.retry import RetryPolicy
-from ..chaos.serve_faults import ServeChaosConfig, ServeFaultInjector
+from ..chaos.serve_faults import ServeFaultInjector
 from ..core import InvariantViolation, validate_structure
 from ..engine import make_structure
 from ..metrics import MetricsCollector
 from ..metrics.spans import SpanTracer
 from .aio import HangError, VirtualLoop
+from .config import ServeCampaignConfig
 from .frontend import ServeFrontend
-from .loadgen import (LoadConfig, build_plan, make_clients, run_client,
-                      sizing_workload)
+from .loadgen import build_plan, make_clients, run_client, sizing_workload
 from .request import ServeStats, percentile
-
-
-@dataclass(frozen=True)
-class ServeCampaignConfig:
-    structure: str = "gfsl@4"
-    team_size: int = 32
-    backend: str = "vectorized"
-    load: LoadConfig = field(default_factory=LoadConfig)
-    chaos: ServeChaosConfig | None = None
-    coalesce_size: int = 32
-    coalesce_steps: int = 200
-    queue_depth: int = 128
-    range_depth: int = 16
-    admit_rate: float | None = None      # tokens per 1000 steps
-    admit_burst: float = 64.0
-    shed_occupancy: float = 0.5
-    backpressure_steps: int = 400
-    breaker_threshold: int = 3
-    breaker_reset_steps: int = 1500
-    adaptive: bool = False               # elasticity controller on/off
-    target_p99: float = 150.0            # AIMD latency setpoint (µs)
-    control_interval: int = 200          # controller period (steps)
-    min_window: int | None = None        # idle coalesce window floor
-    max_window: int | None = None        # saturated window ceiling
-    elastic: bool = False                # telemetry-driven resharding
-    partitioner: str = "range"           # range / hash / sampled / auto
-    headroom: float = 1.0                # per-shard pool over-provision
-    reshard_hot_ticks: int = 2           # hot streak before migrating
-    reshard_cooldown: int = 4            # ticks between migrations
-    reshard_max_migrations: int = 4      # per campaign
-    reshard_min_keys: int = 32           # sample floor for a split
-    snapshot_audit: bool = False         # range reads feed the checker
-    retry_attempts: int = 4
-    retry_base_steps: int = 32
-    check: bool = True
-    max_steps: int = 20_000_000
 
 
 @dataclass
@@ -88,7 +51,6 @@ class ServeReport:
     range_p99_us: float | None = None
     #: p99 over shards never chaos-frozen (equals p99_us faultless).
     healthy_p99_us: float | None = None
-    shard_p99_us: dict = field(default_factory=dict)
     shard_rates: list = field(default_factory=list)
     shard_windows: list = field(default_factory=list)
     ctrl_timeline: list = field(default_factory=list)
@@ -172,9 +134,7 @@ def _structure_kwargs(cfg: ServeCampaignConfig, plan) -> dict:
     distributions and plain linspace ranges otherwise; the sample is
     the plan's point-request key stream, so the boundaries are a pure
     function of the campaign seed."""
-    from ..engine.interface import parse_structure_kind
-    _base, n_shards = parse_structure_kind(cfg.structure)
-    if n_shards <= 1:
+    if cfg.n_shards <= 1:
         return {}
     spec = cfg.partitioner
     if spec == "auto":
@@ -183,19 +143,9 @@ def _structure_kwargs(cfg: ServeCampaignConfig, plan) -> dict:
     if spec == "sampled":
         from ..shard import RoutingTable
         sample = [pr.key for pr in plan.requests if pr.kind != "range"]
-        spec = RoutingTable.from_sample(n_shards, cfg.load.key_range,
+        spec = RoutingTable.from_sample(cfg.n_shards, cfg.load.key_range,
                                         sample)
     return {"partitioner": spec, "headroom": cfg.headroom}
-
-
-def _reshard_config(cfg: ServeCampaignConfig):
-    if not cfg.elastic:
-        return None
-    from .reshard import ReshardConfig
-    return ReshardConfig(hot_ticks=cfg.reshard_hot_ticks,
-                         cooldown_ticks=cfg.reshard_cooldown,
-                         max_migrations=cfg.reshard_max_migrations,
-                         min_keys=cfg.reshard_min_keys)
 
 
 def run_serve_campaign(cfg: ServeCampaignConfig) -> ServeReport:
@@ -216,24 +166,8 @@ def run_serve_campaign(cfg: ServeCampaignConfig) -> ServeReport:
     recorder = HistoryRecorder()
     injector = (ServeFaultInjector(cfg.chaos)
                 if cfg.chaos is not None and cfg.chaos.any_faults else None)
-    retry = RetryPolicy(max_attempts=cfg.retry_attempts,
-                        base_steps=cfg.retry_base_steps,
-                        seed=cfg.load.seed + 7)
-    frontend = ServeFrontend(
-        structure, loop, backend=cfg.backend,
-        coalesce_size=cfg.coalesce_size, coalesce_steps=cfg.coalesce_steps,
-        queue_depth=cfg.queue_depth, range_depth=cfg.range_depth,
-        admit_rate=cfg.admit_rate, admit_burst=cfg.admit_burst,
-        shed_occupancy=cfg.shed_occupancy,
-        backpressure_steps=cfg.backpressure_steps,
-        breaker_threshold=cfg.breaker_threshold,
-        breaker_reset_steps=cfg.breaker_reset_steps,
-        adaptive=cfg.adaptive, target_p99=cfg.target_p99,
-        control_interval=cfg.control_interval,
-        min_window=cfg.min_window, max_window=cfg.max_window,
-        retry=retry, recorder=recorder, faults=injector, metrics=metrics,
-        elastic=cfg.elastic, reshard=_reshard_config(cfg),
-        snapshot_audit=cfg.snapshot_audit)
+    frontend = ServeFrontend(structure, loop, cfg, recorder=recorder,
+                             faults=injector, metrics=metrics)
 
     clients = make_clients(loop, cfg.load)
     per_client = plan.by_client()
@@ -289,8 +223,6 @@ def run_serve_campaign(cfg: ServeCampaignConfig) -> ServeReport:
     healthy = [lat for sid, lats in sorted(st.shard_latencies.items())
                if sid not in frozen for lat in lats]
     report.healthy_p99_us = percentile(healthy, 0.99)
-    report.shard_p99_us = {sid: percentile(lats, 0.99)
-                           for sid, lats in sorted(st.shard_latencies.items())}
 
     if cfg.check and hung is None:
         snapshots = (frontend.snapshot_observations
@@ -349,7 +281,7 @@ def serve_bench_row(cfg: ServeCampaignConfig, report: ServeReport) -> dict:
         "mixture": "[" + ",".join(str(m) for m in load.mix) + "]",
         "key_range": load.key_range,
         "n_ops": load.n_requests,
-        "shards": int(cfg.structure.partition("@")[2] or 1),
+        "shards": cfg.n_shards,
         "distribution": load.distribution,
         "adaptive": bool(cfg.adaptive),
         "elastic": bool(cfg.elastic),

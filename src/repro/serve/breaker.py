@@ -26,7 +26,7 @@ HALF_OPEN = "half-open"
 
 
 class CircuitBreaker:
-    def __init__(self, threshold: int = 4, reset_steps: int = 2000):
+    def __init__(self, threshold: int, reset_steps: int):
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         self.threshold = int(threshold)

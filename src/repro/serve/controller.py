@@ -55,12 +55,12 @@ from .request import percentile
 class ControllerConfig:
     """AIMD constants and window bounds (per shard unless noted).
 
-    Defaults are derived from the frontend's static knobs via
+    The frontend derives them from its static knobs via
     :func:`derive_controller`, so ``--adaptive`` needs no extra tuning
     to be useful; every constant remains overridable."""
 
-    target_p99: float = 150.0      # flush-latency setpoint, steps (µs)
-    interval: int = 200            # control period, steps
+    target_p99: float              # flush-latency setpoint, steps (µs)
+    interval: int                  # control period, steps
     increase: float = 1.0          # additive step, tokens/kstep/tick
     decrease: float = 0.7          # multiplicative back-off factor
     min_rate: float = 1.0          # per-shard rate floor, tokens/kstep
@@ -79,27 +79,26 @@ class ControllerConfig:
             raise ValueError("need 1 <= min_window <= max_window")
 
 
-def derive_controller(total_rate: float, n_shards: int,
-                      coalesce_steps: int, target_p99: float = 150.0,
-                      interval: int = 200,
-                      min_window: int | None = None,
-                      max_window: int | None = None) -> ControllerConfig:
-    """Controller constants scaled from the static frontend knobs:
-    additive step = 1/8 of the even per-shard split per tick, floor =
-    1/16 of it, ceiling = the whole configured budget (one shard may
-    absorb everything the others leave), windows bracketing the static
-    coalesce window at [1/6, 4x]."""
-    share = total_rate / max(1, n_shards)
+def derive_controller(cfg, n_shards: int) -> ControllerConfig:
+    """Controller constants scaled from a
+    :class:`~repro.serve.config.ServeCampaignConfig`'s static knobs:
+    additive step = 1/8 of the even per-shard split of ``admit_rate``
+    per tick, floor = 1/16 of it, ceiling = the whole configured budget
+    (one shard may absorb everything the others leave), windows
+    bracketing the static coalesce window at [1/6, 4x] unless
+    ``min_window``/``max_window`` are set."""
+    share = cfg.admit_rate / max(1, n_shards)
+    steps = cfg.coalesce_steps
     return ControllerConfig(
-        target_p99=float(target_p99),
-        interval=int(interval),
+        target_p99=float(cfg.target_p99),
+        interval=int(cfg.control_interval),
         increase=max(0.5, share / 8.0),
         min_rate=max(1.0, share / 16.0),
-        max_rate=float(total_rate),
-        min_window=(max(10, int(coalesce_steps) // 6)
-                    if min_window is None else int(min_window)),
-        max_window=(max(int(coalesce_steps) * 4, int(coalesce_steps))
-                    if max_window is None else int(max_window)),
+        max_rate=float(cfg.admit_rate),
+        min_window=(max(10, steps // 6) if cfg.min_window is None
+                    else int(cfg.min_window)),
+        max_window=(steps * 4 if cfg.max_window is None
+                    else int(cfg.max_window)),
     )
 
 

@@ -23,7 +23,7 @@ step clock: before a flush the tracer clock is advanced to virtual
 device time back — so queueing delay and device time land on one
 timeline (1 step = 1 µs).
 
-With ``adaptive=True`` the static knobs become setpoints for an
+With ``cfg.adaptive`` the static knobs become setpoints for an
 :class:`~repro.serve.controller.ElasticityController`: per-shard token
 buckets steered by AIMD against ``target_p99``, coalesce windows (and
 the matching batch-size cap) tracking queue backlog, and rebalancing
@@ -32,7 +32,7 @@ The controller is ticked from the submit/flush paths on the virtual
 clock (never from wall time), and each tick lands a ``ctrl-s<sid>``
 span plus a timeline entry in the metrics layer.
 
-With ``elastic=True`` (on top of ``adaptive``) the controller's
+With ``cfg.elastic`` (on top of ``adaptive``) the controller's
 telemetry additionally feeds a
 :class:`~repro.serve.reshard.ReshardPolicy`: each tick the policy
 checks for a sustainably hot shard and, at most one at a time, a
@@ -59,6 +59,7 @@ from ..metrics.spans import SpanTracer
 from .admission import TokenBucket
 from .aio import TIMED_OUT, Future, Queue, QueueFull, VirtualLoop
 from .breaker import OPEN, CircuitBreaker
+from .config import ServeCampaignConfig
 from .controller import ElasticityController, derive_controller
 from .errors import CircuitOpen, DeadlineExceeded, Overloaded
 from .request import HISTORY_OP, OP_CODE, RANGE, Request, ServeStats
@@ -66,41 +67,28 @@ from .request import HISTORY_OP, OP_CODE, RANGE, Request, ServeStats
 #: Typed faults a flush may surface that the retry policy can judge.
 _FLUSH_FAULTS = (LockTimeout, RestartStorm)
 
+#: Share of a token bucket's burst below which range requests are shed
+#: (rung 4 of the admission ladder, DESIGN.md §14).
+RANGE_RESERVE = 0.25
+
 _STOP = object()
 
 
 class ServeFrontend:
     """One serving frontend over a structure (GFSL or ShardedMap)."""
 
-    def __init__(self, structure, loop: VirtualLoop, *,
-                 backend: str = "vectorized",
-                 coalesce_size: int = 32, coalesce_steps: int = 200,
-                 queue_depth: int = 128, range_depth: int = 16,
-                 admit_rate: float | None = None, admit_burst: float = 64.0,
-                 shed_occupancy: float = 0.5, range_reserve: float = 0.25,
-                 backpressure_steps: int = 400,
-                 breaker_threshold: int = 4, breaker_reset_steps: int = 2000,
-                 adaptive: bool = False, target_p99: float = 150.0,
-                 control_interval: int = 200,
-                 min_window: int | None = None,
-                 max_window: int | None = None,
+    def __init__(self, structure, loop: VirtualLoop,
+                 cfg: ServeCampaignConfig, *,
                  retry: RetryPolicy | None = None,
                  recorder: HistoryRecorder | None = None,
-                 faults=None, metrics: MetricsCollector | None = None,
-                 elastic: bool = False, reshard=None,
-                 snapshot_audit: bool = False):
+                 faults=None, metrics: MetricsCollector | None = None):
         self.structure = structure
         self.loop = loop
-        self.backend = make_backend(backend) \
-            if not hasattr(backend, "execute") else backend
-        self.coalesce_size = max(1, int(coalesce_size))
-        self.coalesce_steps = max(1, int(coalesce_steps))
-        self.queue_depth = int(queue_depth)
-        self.shed_occupancy = float(shed_occupancy)
-        self.range_reserve = float(range_reserve)
-        self.backpressure_steps = int(backpressure_steps)
-        self.retry = retry if retry is not None else \
-            RetryPolicy(max_attempts=4, base_steps=32, seed=0)
+        self.cfg = cfg
+        self.backend = make_backend(cfg.backend)
+        self.retry = retry if retry is not None else RetryPolicy(
+            max_attempts=cfg.retry_attempts, base_steps=cfg.retry_base_steps,
+            seed=cfg.load.seed + 7)
         self.recorder = recorder
         self.faults = faults
         self.stats = ServeStats()
@@ -110,65 +98,46 @@ class ServeFrontend:
         self._started = False
 
         self.n_shards = getattr(structure, "n_shards", 1)
-        self._queues = [Queue(loop, queue_depth)
+        self._queues = [Queue(loop, cfg.queue_depth)
                         for _ in range(self.n_shards)]
-        self._rqueue = Queue(loop, range_depth)
-        self.breakers = [CircuitBreaker(breaker_threshold,
-                                        breaker_reset_steps)
+        self._rqueue = Queue(loop, cfg.range_depth)
+        self.breakers = [CircuitBreaker(cfg.breaker_threshold,
+                                        cfg.breaker_reset_steps)
                          for _ in range(self.n_shards)]
 
         # Admission: one shared bucket (static), or one per shard under
-        # the elasticity controller (adaptive; needs a finite rate to
-        # steer).  ``buckets[sid]`` is the submit-path view either way.
-        if adaptive and admit_rate is None:
-            raise ValueError(
-                "--adaptive needs a positive --admit-rate (the controller "
-                "adjusts the admission budget)")
-        self.adaptive = bool(adaptive)
+        # the elasticity controller (adaptive).  ``buckets[sid]`` is the
+        # submit-path view either way.
         self.controller: ElasticityController | None = None
         self._occ_hwm = [0] * self.n_shards
-        if self.adaptive:
-            cfg = derive_controller(admit_rate, self.n_shards,
-                                    self.coalesce_steps,
-                                    target_p99=target_p99,
-                                    interval=control_interval,
-                                    min_window=min_window,
-                                    max_window=max_window)
+        if cfg.adaptive:
             self.controller = ElasticityController(
-                self.n_shards, admit_rate, cfg, now=loop.now)
-            share = admit_rate / self.n_shards
-            burst = max(1.0, admit_burst / self.n_shards)
-            self.bucket = None
+                self.n_shards, cfg.admit_rate,
+                derive_controller(cfg, self.n_shards), now=loop.now)
+            share = cfg.admit_rate / self.n_shards
+            burst = max(1.0, cfg.admit_burst / self.n_shards)
             self.buckets = [TokenBucket(share, burst, now=loop.now)
                             for _ in range(self.n_shards)]
         else:
-            self.bucket = TokenBucket(admit_rate, admit_burst, now=loop.now)
-            self.buckets = [self.bucket] * self.n_shards
+            self.buckets = [TokenBucket(cfg.admit_rate, cfg.admit_burst,
+                                        now=loop.now)] * self.n_shards
 
-        # Elastic resharding (DESIGN.md §16) consumes the controller's
-        # telemetry, so it needs the controller, and it moves key ranges
-        # between shards, so it needs several and a boundary table.
-        if elastic and not adaptive:
-            raise ValueError(
-                "--elastic needs --adaptive (the reshard policy consumes "
-                "the elasticity controller's telemetry)")
-        if elastic and (self.n_shards < 2
-                        or not structure.routing.range_expressible):
+        # The config already refused elastic runs it can judge alone;
+        # the routing table is only known from the structure handed in.
+        if cfg.elastic and (self.n_shards < 2
+                            or not structure.routing.range_expressible):
             raise ValueError(
                 "--elastic needs at least 2 shards and a range-expressible "
                 "routing table (range or sampled, not hash)")
-        self.elastic = bool(elastic)
         self.reshard_policy = None
         self.migrator = None
-        self.snapshot_audit = bool(snapshot_audit)
         #: Snapshot-consistency observations (range reads under audit).
         self.snapshot_observations: list = []
         self._migration_task = None
-        if self.elastic:
+        if cfg.elastic:
             from ..shard.migrate import MigrationExecutor
             from .reshard import ReshardPolicy
-            self.reshard_policy = ReshardPolicy(self.n_shards, target_p99,
-                                                reshard)
+            self.reshard_policy = ReshardPolicy(self.n_shards, cfg)
             self.migrator = MigrationExecutor(structure, loop,
                                               faults=faults,
                                               stats=self.stats)
@@ -233,7 +202,7 @@ class ServeFrontend:
         ctrl, now = self.controller, self.loop.now
         if ctrl is None or not ctrl.due(now):
             return
-        depth = max(1, self.queue_depth)
+        depth = max(1, self.cfg.queue_depth)
         occupancies = [hwm / depth for hwm in self._occ_hwm]
         breaker_open = [b.state == OPEN for b in self.breakers]
         delta = ctrl.tick(now, occupancies, breaker_open)
@@ -281,16 +250,16 @@ class ServeFrontend:
         """Current coalesce window for one shard's dispatcher."""
         if self.controller is not None:
             return self.controller.windows[sid]
-        return self.coalesce_steps
+        return self.cfg.coalesce_steps
 
     def batch_cap(self, sid: int) -> int:
         """Flush size cap, scaled with the adaptive window so widening
         under load really produces bigger (cheap, §13) flushes."""
         if self.controller is not None:
-            scale = self.window_of(sid) / max(1, self.coalesce_steps)
-            return max(1, min(4 * self.coalesce_size,
-                              int(round(self.coalesce_size * scale))))
-        return self.coalesce_size
+            scale = self.window_of(sid) / self.cfg.coalesce_steps
+            return max(1, min(4 * self.cfg.coalesce_size,
+                              int(round(self.cfg.coalesce_size * scale))))
+        return self.cfg.coalesce_size
 
     def controller_snapshot(self) -> dict:
         """Final per-shard rates/windows — bench-row v6 material.  In
@@ -298,19 +267,20 @@ class ServeFrontend:
         the fixed window."""
         if self.controller is not None:
             return self.controller.snapshot()
-        rate = self.bucket.rate_per_kstep
-        return {"rates": [0.0 if rate is None else round(rate, 3)
-                          for _ in range(self.n_shards)],
-                "windows": [self.coalesce_steps] * self.n_shards,
+        rate = self.cfg.admit_rate
+        return {"rates": [0.0 if rate is None else round(rate, 3)]
+                * self.n_shards,
+                "windows": [self.cfg.coalesce_steps] * self.n_shards,
                 "ticks": 0}
 
     # -- admission (the submit path) --------------------------------------
     def _overloaded_for_ranges(self, sid: int) -> bool:
-        if self.queue_depth > 0:
-            occ = max(q.qsize() for q in self._queues) / self.queue_depth
-            if occ >= self.shed_occupancy:
+        if self.cfg.queue_depth > 0:
+            occ = (max(q.qsize() for q in self._queues)
+                   / self.cfg.queue_depth)
+            if occ >= self.cfg.shed_occupancy:
                 return True
-        return self.buckets[sid].level(self.loop.now) < self.range_reserve
+        return self.buckets[sid].level(self.loop.now) < RANGE_RESERVE
 
     def _reject(self, req: Request, exc) -> None:
         st = self.stats
@@ -350,7 +320,7 @@ class ServeFrontend:
             return req.future
 
         sid = self.shard_of(req.key)
-        if self.elastic and req.kind != RANGE:
+        if self.cfg.elastic and req.kind != RANGE:
             self._recent_keys[sid].append(req.key)
         if req.kind == RANGE:
             if self._overloaded_for_ranges(sid):
@@ -368,13 +338,13 @@ class ServeFrontend:
                 req.future.set_exception(CircuitOpen(sid, breaker.retry_at))
                 return req.future
             if not self.buckets[sid].take(loop.now):
-                if self.elastic:
+                if self.cfg.elastic:
                     self._shard_rejects[sid] += 1
                 self._reject(req, Overloaded("admission"))
                 return req.future
             queue = self._queues[sid]
 
-        limit = loop.now + self.backpressure_steps
+        limit = loop.now + self.cfg.backpressure_steps
         if req.deadline is not None:
             limit = min(limit, req.deadline)
         stored = await queue.put(req, deadline=limit)
@@ -569,7 +539,7 @@ class ServeFrontend:
                 # Charge the frozen walk to the virtual clock: ~4
                 # memory transactions per device step, floor 1.
                 loop.now += max(1, (tracer.stats.transactions - before) // 4)
-            if self.snapshot_audit:
+            if self.cfg.snapshot_audit:
                 # Snapshot-consistency material for the chaos checker:
                 # this frozen window must equal some legal state within
                 # the pin interval, migrations included.

@@ -42,9 +42,10 @@ class LoadConfig:
 
     def __post_init__(self):
         if len(self.mix) != 4 or sum(self.mix) != 100:
-            raise ValueError("mix must be 4 percentages summing to 100")
+            raise ValueError("--mix needs 4 percentages (put delete get "
+                             "range) summing to 100")
         if self.rate <= 0:
-            raise ValueError("rate must be positive")
+            raise ValueError("--rate must be positive")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ names: the :class:`~repro.serve.controller.ElasticityController`
 already produces per-shard rate / occupancy / p99 telemetry every
 control tick; this policy reads those rows, decides when one shard is
 *sustainably* hot (p99 excursions over the setpoint for
-``hot_ticks`` consecutive ticks, corroborated by occupancy), and picks
+``reshard_hot_ticks`` consecutive ticks, corroborated by occupancy), and picks
 a concrete key-range move for the
 :class:`~repro.shard.migrate.MigrationExecutor`: split the hot shard's
 busiest owned segment at the median of recently observed keys and hand
@@ -27,17 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class ReshardConfig:
-    """Policy knobs."""
-
-    hot_ticks: int = 2         # consecutive hot ticks to act
-    hot_factor: float = 1.0    # hot when p99 > hot_factor * target_p99
-    reject_floor: int = 8      # or >= this many admission rejects/tick
-    reject_share: float = 0.5  # ... holding this share of all rejects
-    cooldown_ticks: int = 4    # ticks to wait after a migration
-    max_migrations: int = 4    # per campaign
-    min_keys: int = 32         # min observed in-segment keys to split on
+#: A shard is hot on a p99 over the setpoint, or when it bounced at
+#: least ``REJECT_FLOOR`` admission rejects in a tick, holding at least
+#: ``REJECT_SHARE`` of that tick's rejects.
+REJECT_FLOOR = 8
+REJECT_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -53,11 +47,12 @@ class ReshardPlan:
 class ReshardPolicy:
     """Consumes controller telemetry, emits migration plans."""
 
-    def __init__(self, n_shards: int, target_p99: float,
-                 cfg: ReshardConfig | None = None):
+    def __init__(self, n_shards: int, cfg):
+        """``cfg`` is the run's
+        :class:`~repro.serve.config.ServeCampaignConfig`: its
+        ``target_p99`` and ``reshard_*`` fields set the policy."""
         self.n_shards = int(n_shards)
-        self.target_p99 = float(target_p99)
-        self.cfg = cfg or ReshardConfig()
+        self.cfg = cfg
         self._hot_streak = [0] * self.n_shards
         self._last: list[dict] = []
         self._cooldown = 0
@@ -73,26 +68,24 @@ class ReshardPolicy:
 
         A shard is *hot* this tick on either signal: a p99 excursion
         over the setpoint, or a sustained rate-cap — it bounced at
-        least ``reject_floor`` arrivals **and** holds at least
-        ``reject_share`` of the whole tick's rejections.  (Under AIMD
+        least ``REJECT_FLOOR`` arrivals **and** holds at least
+        ``REJECT_SHARE`` of the whole tick's rejections.  (Under AIMD
         the second signal is the common one: an overloaded shard's
         bucket rejects arrivals long before the latency of the admitted
         few moves.)"""
         self._last = list(entries)
         if self._cooldown > 0:
             self._cooldown -= 1
-        threshold = self.cfg.hot_factor * self.target_p99
         total_rejects = sum(rejects) if rejects else 0
         for e in entries:
             sid = int(e["shard"])
             if sid >= self.n_shards:
                 continue
             p99 = e.get("p99")
-            hot = (p99 is not None and p99 > threshold)
+            hot = (p99 is not None and p99 > self.cfg.target_p99)
             if rejects is not None and sid < len(rejects):
-                capped = (rejects[sid] >= self.cfg.reject_floor
-                          and rejects[sid] >= self.cfg.reject_share
-                          * total_rejects)
+                capped = (rejects[sid] >= REJECT_FLOOR
+                          and rejects[sid] >= REJECT_SHARE * total_rejects)
                 hot = hot or capped
             if e.get("breaker_open", False):
                 hot = False
@@ -105,7 +98,7 @@ class ReshardPolicy:
             sid = int(e["shard"])
             if sid >= self.n_shards:
                 continue
-            if self._hot_streak[sid] < self.cfg.hot_ticks:
+            if self._hot_streak[sid] < self.cfg.reshard_hot_ticks:
                 continue
             p99 = e.get("p99")
             if p99 is not None and p99 > best_p99:
@@ -137,7 +130,7 @@ class ReshardPolicy:
         traffic."""
         cfg = self.cfg
         if self._cooldown > 0 or self.migrations_planned >= \
-                cfg.max_migrations or not self._last:
+                cfg.reshard_max_migrations or not self._last:
             return None
         src = self._hot_shard()
         if src is None:
@@ -152,7 +145,7 @@ class ReshardPolicy:
             n = sum(1 for k in samples if lo <= k <= hi)
             if n > best_n:
                 best_seg, best_n = (lo, hi), n
-        if best_seg is None or best_n < cfg.min_keys:
+        if best_seg is None or best_n < cfg.reshard_min_keys:
             return None
         seg_lo, seg_hi = best_seg
         in_seg = [k for k in samples if seg_lo <= k <= seg_hi]
@@ -164,6 +157,6 @@ class ReshardPolicy:
             return None
 
         self.migrations_planned += 1
-        self._cooldown = cfg.cooldown_ticks
+        self._cooldown = cfg.reshard_cooldown
         self._hot_streak[src] = 0
         return ReshardPlan(src=src, dst=dst, lo=int(lo), hi=int(hi))

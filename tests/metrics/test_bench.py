@@ -37,7 +37,7 @@ def serve_row():
     chaos = ServeChaosConfig(freeze_shard=0, freeze_at=100,
                              freeze_steps=200, seed=11)
     cfg = ServeCampaignConfig(structure="gfsl@2", load=load, chaos=chaos,
-                              admit_rate=400.0)
+                              admit_rate=400.0, coalesce_steps=200)
     report = run_serve_campaign(cfg)
     assert report.ok, report.summary()
     return serve_bench_row(cfg, report)

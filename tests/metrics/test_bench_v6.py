@@ -21,7 +21,8 @@ def campaign(adaptive):
     chaos = ServeChaosConfig(freeze_shard=0, freeze_at=100,
                              freeze_steps=200, seed=11)
     return ServeCampaignConfig(structure="gfsl@2", load=load, chaos=chaos,
-                               admit_rate=400.0, adaptive=adaptive)
+                               admit_rate=400.0, adaptive=adaptive,
+                               coalesce_steps=200)
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,7 @@ def overload_config(n_requests=800, seed=CANONICAL_SEED, adaptive=False):
         coalesce_size=32, coalesce_steps=150, queue_depth=128,
         admit_rate=600.0, admit_burst=64.0,
         breaker_threshold=3, breaker_reset_steps=400,
-        adaptive=adaptive,
+        adaptive=adaptive, partitioner="range",
         retry_attempts=4, retry_base_steps=32)
 
 

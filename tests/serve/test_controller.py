@@ -7,24 +7,32 @@ percentile — each a deterministic function of its inputs.
 """
 
 import random
+from dataclasses import replace
 
 from repro.chaos.retry import RetryPolicy
 from repro.chaos.serve_faults import (ServeChaosConfig, ServeFaultInjector,
                                       ShardFrozen)
 from repro.engine import make_structure
 from repro.serve import (GET, CircuitBreaker, ControllerConfig,
-                         ElasticityController, Request, ServeFrontend,
-                         TokenBucket, VirtualLoop, derive_controller,
-                         percentile)
+                         ElasticityController, Request, ServeCampaignConfig,
+                         ServeFrontend, TokenBucket, VirtualLoop,
+                         derive_controller, percentile)
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.serve.errors import CircuitOpen
 
 
-def build(loop, structure="gfsl", **kw):
+#: The serving policy these scenarios were written against.
+OLD_FRONTEND_POLICY = dict(admit_rate=None, coalesce_steps=200,
+                           breaker_threshold=4, breaker_reset_steps=2000)
+
+
+def build(loop, structure="gfsl", retry=None, faults=None, **policy):
     from repro.workloads import MIX_10_10_80, generate
     w = generate(MIX_10_10_80, key_range=512, n_ops=64, seed=5)
     st = make_structure(structure, w, team_size=8, seed=0)
-    return ServeFrontend(st, loop, **kw)
+    cfg = ServeCampaignConfig(structure=structure,
+                              **{**OLD_FRONTEND_POLICY, **policy})
+    return ServeFrontend(st, loop, cfg, retry=retry, faults=faults)
 
 
 def get(key, **kw):
@@ -197,7 +205,7 @@ class TestControlLaw:
             assert cfg.min_rate < lo and hi < cfg.max_rate
 
     def test_trajectory_is_deterministic(self):
-        cfg = ControllerConfig(interval=100, increase=5.0)
+        cfg = ControllerConfig(target_p99=150.0, interval=100, increase=5.0)
         runs = []
         for _ in range(2):
             ctrl = ElasticityController(1, 100.0, cfg)
@@ -205,7 +213,7 @@ class TestControlLaw:
         assert runs[0] == runs[1]
 
     def test_breaker_open_cuts_to_the_floor_and_donates(self):
-        cfg = ControllerConfig(interval=100, min_rate=5.0)
+        cfg = ControllerConfig(target_p99=150.0, interval=100, min_rate=5.0)
         ctrl = ElasticityController(4, 400.0, cfg)
         for sid in (0, 2, 3):
             for _ in range(5):
@@ -223,7 +231,8 @@ class TestControlLaw:
         assert ctrl.effective_rates[0] > share
 
     def test_windows_track_occupancy(self):
-        cfg = ControllerConfig(interval=100, min_window=20, max_window=220)
+        cfg = ControllerConfig(target_p99=150.0, interval=100,
+                               min_window=20, max_window=220)
         ctrl = ElasticityController(2, 100.0, cfg)
         ctrl.observe(0, 10)
         ctrl.observe(1, 10)
@@ -236,12 +245,14 @@ class TestControlLaw:
         assert ctrl.windows[1] == 20          # shrinks back when idle
 
     def test_derive_scales_from_static_knobs(self):
-        cfg = derive_controller(600.0, 4, 150)
+        serve = ServeCampaignConfig(admit_rate=600.0, coalesce_steps=150,
+                                    adaptive=True)
+        cfg = derive_controller(serve, 4)
         assert cfg.increase == 600.0 / 4 / 8
         assert cfg.max_rate == 600.0
         assert cfg.min_window == 25 and cfg.max_window == 600
-        assert derive_controller(600.0, 4, 150, min_window=40,
-                                 max_window=80).max_window == 80
+        assert derive_controller(replace(serve, min_window=40, max_window=80),
+                                 4).max_window == 80
 
 
 class TestHotShardRebalance:

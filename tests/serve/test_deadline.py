@@ -11,17 +11,24 @@ than just on counters:
 """
 
 from repro.engine import make_structure
-from repro.serve import (GET, PUT, RANGE, Request, ServeFrontend,
-                         VirtualLoop)
+from repro.serve import (GET, PUT, RANGE, Request, ServeCampaignConfig,
+                         ServeFrontend, VirtualLoop)
 from repro.serve.aio import Future
 from repro.serve.errors import DeadlineExceeded
 from repro.workloads import MIX_10_10_80, generate
 
 
-def build(loop, structure="gfsl", **kw):
+#: The serving policy these scenarios were written against.
+OLD_FRONTEND_POLICY = dict(admit_rate=None, coalesce_steps=200,
+                           breaker_threshold=4, breaker_reset_steps=2000)
+
+
+def build(loop, structure="gfsl", **policy):
     w = generate(MIX_10_10_80, key_range=512, n_ops=64, seed=5)
     st = make_structure(structure, w, team_size=8, seed=0)
-    return ServeFrontend(st, loop, **kw)
+    cfg = ServeCampaignConfig(structure=structure,
+                              **{**OLD_FRONTEND_POLICY, **policy})
+    return ServeFrontend(st, loop, cfg)
 
 
 class TestExpiredInQueue:

@@ -11,18 +11,26 @@ from repro.chaos.retry import RetryPolicy
 from repro.chaos.serve_faults import (ServeChaosConfig, ServeFaultInjector,
                                       ShardFrozen)
 from repro.engine import make_structure
-from repro.serve import (GET, RANGE, ClientState, Request, ServeFrontend,
-                         VirtualLoop)
+from repro.serve import (GET, RANGE, ClientState, Request,
+                         ServeCampaignConfig, ServeFrontend, VirtualLoop)
 from repro.serve.aio import Queue
 from repro.serve.errors import CircuitOpen, Overloaded
 from repro.workloads import MIX_10_10_80, generate
 
 
-def build(loop, structure="gfsl", partitioner=None, **kw):
+#: The serving policy these scenarios were written against.
+OLD_FRONTEND_POLICY = dict(admit_rate=None, coalesce_steps=200,
+                           breaker_threshold=4, breaker_reset_steps=2000)
+
+
+def build(loop, structure="gfsl", partitioner=None, retry=None, faults=None,
+          **policy):
     w = generate(MIX_10_10_80, key_range=512, n_ops=64, seed=5)
     shard_kw = {} if partitioner is None else {"partitioner": partitioner}
     st = make_structure(structure, w, team_size=8, seed=0, **shard_kw)
-    return ServeFrontend(st, loop, **kw)
+    cfg = ServeCampaignConfig(structure=structure,
+                              **{**OLD_FRONTEND_POLICY, **policy})
+    return ServeFrontend(st, loop, cfg, retry=retry, faults=faults)
 
 
 def frozen_frontend(loop, window, **kw):
@@ -184,8 +192,7 @@ class TestRangeShedding:
 
     def test_shed_when_token_reserve_is_gone(self):
         loop = VirtualLoop()
-        fe = build(loop, admit_rate=1.0, admit_burst=1.0,
-                   range_reserve=0.5)
+        fe = build(loop, admit_rate=1.0, admit_burst=1.0)
 
         async def main():
             await fe.submit(get(10))          # drains the bucket

@@ -10,8 +10,8 @@ observation passing the linearizability + snapshot-consistency audit.
 import pytest
 
 from repro.chaos import ServeChaosConfig
-from repro.serve import (LoadConfig, ReshardConfig, ReshardPolicy,
-                         ServeCampaignConfig, run_serve_campaign)
+from repro.serve import (LoadConfig, ReshardPolicy, ServeCampaignConfig,
+                         run_serve_campaign)
 from repro.shard import RoutingTable
 
 N_SHARDS = 4
@@ -30,6 +30,12 @@ def _routing():
     return RoutingTable.range(N_SHARDS, KEY_RANGE)
 
 
+def elastic_policy(**reshard):
+    cfg = ServeCampaignConfig(structure=f"pq@{N_SHARDS}", adaptive=True,
+                              elastic=True, target_p99=150.0, **reshard)
+    return ReshardPolicy(N_SHARDS, cfg)
+
+
 def _front_samples(hot=0, n=100):
     # Heat at the bottom of the hot shard's segment, like delete-min.
     samples = [[] for _ in range(N_SHARDS)]
@@ -39,8 +45,7 @@ def _front_samples(hot=0, n=100):
 
 class TestPolicy:
     def test_rate_cap_signal_fires_without_a_p99_excursion(self):
-        policy = ReshardPolicy(N_SHARDS, target_p99=150.0,
-                               cfg=ReshardConfig(hot_ticks=2))
+        policy = elastic_policy(reshard_hot_ticks=2)
         low = [40.0] * N_SHARDS          # admitted-request p99 is calm
         rejects = [120, 3, 2, 1]         # ...but shard 0 bounces arrivals
         for _ in range(2):
@@ -49,16 +54,14 @@ class TestPolicy:
         assert plan is not None and plan.src == 0 and plan.dst != 0
 
     def test_scattered_rejections_are_not_a_hot_signal(self):
-        policy = ReshardPolicy(N_SHARDS, target_p99=150.0,
-                               cfg=ReshardConfig(hot_ticks=2))
+        policy = elastic_policy(reshard_hot_ticks=2)
         for _ in range(4):
             policy.note_tick(_entries([40.0] * N_SHARDS),
                              rejects=[10, 9, 10, 9])
         assert policy.plan(_routing(), _front_samples()) is None
 
     def test_p99_excursion_alone_is_hot(self):
-        policy = ReshardPolicy(N_SHARDS, target_p99=150.0,
-                               cfg=ReshardConfig(hot_ticks=2))
+        policy = elastic_policy(reshard_hot_ticks=2)
         hot = [400.0, 40.0, 40.0, 40.0]
         for _ in range(2):
             policy.note_tick(_entries(hot))
@@ -66,8 +69,7 @@ class TestPolicy:
         assert plan is not None and plan.src == 0
 
     def test_one_hot_tick_is_not_sustained(self):
-        policy = ReshardPolicy(N_SHARDS, target_p99=150.0,
-                               cfg=ReshardConfig(hot_ticks=2))
+        policy = elastic_policy(reshard_hot_ticks=2)
         policy.note_tick(_entries([400.0, 40.0, 40.0, 40.0]))
         assert policy.plan(_routing(), _front_samples()) is None
         # A calm tick resets the streak.
@@ -76,8 +78,7 @@ class TestPolicy:
         assert policy.plan(_routing(), _front_samples()) is None
 
     def test_plan_donates_the_lower_half_of_the_hot_segment(self):
-        policy = ReshardPolicy(N_SHARDS, target_p99=150.0,
-                               cfg=ReshardConfig(hot_ticks=1))
+        policy = elastic_policy(reshard_hot_ticks=1)
         policy.note_tick(_entries([400.0, 40.0, 40.0, 40.0]))
         routing = _routing()
         (seg_lo, seg_hi, _own) = routing.segments(sid=0)[0]
@@ -87,9 +88,8 @@ class TestPolicy:
         assert plan.hi <= 40, "split point is far above the traffic median"
 
     def test_cooldown_and_budget_bound_the_churn(self):
-        cfg = ReshardConfig(hot_ticks=1, cooldown_ticks=2,
-                            max_migrations=2)
-        policy = ReshardPolicy(N_SHARDS, target_p99=150.0, cfg=cfg)
+        policy = elastic_policy(reshard_hot_ticks=1, reshard_cooldown=2,
+                                reshard_max_migrations=2)
         hot = _entries([400.0, 40.0, 40.0, 40.0])
         policy.note_tick(hot)
         assert policy.plan(_routing(), _front_samples()) is not None
@@ -103,8 +103,7 @@ class TestPolicy:
         assert policy.plan(_routing(), _front_samples()) is None, "budget"
 
     def test_breaker_open_shards_are_neither_hot_nor_cold(self):
-        policy = ReshardPolicy(N_SHARDS, target_p99=150.0,
-                               cfg=ReshardConfig(hot_ticks=1))
+        policy = elastic_policy(reshard_hot_ticks=1)
         breakers = [False, True, False, False]
         # Shard 1's p99 is wild but its breaker is open: not a donor.
         policy.note_tick(_entries([400.0, 900.0, 40.0, 40.0],
@@ -114,8 +113,7 @@ class TestPolicy:
         assert plan.dst != 1, "picked a breaker-open destination"
 
     def test_too_few_samples_yield_no_plan(self):
-        policy = ReshardPolicy(N_SHARDS, target_p99=150.0,
-                               cfg=ReshardConfig(hot_ticks=1, min_keys=32))
+        policy = elastic_policy(reshard_hot_ticks=1, reshard_min_keys=32)
         policy.note_tick(_entries([400.0, 40.0, 40.0, 40.0]))
         assert policy.plan(_routing(), _front_samples(n=5)) is None
 
