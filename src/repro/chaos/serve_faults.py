@@ -67,9 +67,21 @@ class ServeChaosConfig:
     abort_migrations: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        # A window of no steps freezes nothing; refused rather than
+        # dropped, so a requested freeze always happens.
+        if self.freeze_shard is not None and self.freeze_steps < 1:
+            raise ValueError("--freeze-shard needs --freeze-steps of at "
+                             f"least 1 (got {self.freeze_steps})")
+        for shard, start, steps in self.frozen_windows:
+            if steps < 1:
+                raise ValueError(
+                    f"frozen window ({shard}, {start}, {steps}) freezes no "
+                    "step: --freeze-steps must be at least 1")
+
     def windows(self) -> list[tuple[int, int, int]]:
         out = [(int(s), int(a), int(n)) for s, a, n in self.frozen_windows]
-        if self.freeze_shard is not None and self.freeze_steps > 0:
+        if self.freeze_shard is not None:
             out.append((int(self.freeze_shard), int(self.freeze_at),
                         int(self.freeze_steps)))
         return out

@@ -83,11 +83,11 @@ def data_keys(kvs: np.ndarray, geo: ChunkGeometry) -> np.ndarray:
 
 
 def max_field(kvs: np.ndarray, geo: ChunkGeometry) -> int:
-    return int(keys_vec(kvs)[geo.next_idx])
+    return int(kvs[geo.next_idx]) & C.MASK32
 
 
 def next_ptr(kvs: np.ndarray, geo: ChunkGeometry) -> int:
-    return int(vals_vec(kvs)[geo.next_idx])
+    return int(kvs[geo.next_idx]) >> 32
 
 
 def lock_state(kvs: np.ndarray, geo: ChunkGeometry) -> int:

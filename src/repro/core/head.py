@@ -38,9 +38,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu import events as ev
-from ..gpu import intrinsics as intr
 from . import constants as C
 from .pool import StructureLayout
+
+_COUNT_MASK = np.uint64(C.MASK32)
 
 
 class HeadArray:
@@ -67,20 +68,21 @@ class HeadArray:
         return words
 
     def height_of(self, words: np.ndarray) -> int:
-        """Highest level whose chunk counter is non-zero (ballot + clz).
+        """Highest level whose chunk counter is non-zero (ballot + clz),
+        found with one ``nonzero`` over the counters.
 
         Returns 0 when every counter is zero — traversal then starts at
         the bottom level.
         """
-        counts = (words & np.uint64(C.MASK32)).astype(np.int64)
-        bal = intr.ballot(counts > 0)
-        lane = intr.highest_set_lane(bal)
-        return max(lane, 0)
+        levels = (words & _COUNT_MASK).nonzero()[0]
+        return int(levels[-1]) if len(levels) else 0
 
     def ptr_of(self, words: np.ndarray, level: int) -> int:
-        """shfl the head pointer of ``level`` out of the snapshot."""
-        ptrs = (words >> np.uint64(32)).astype(np.int64)
-        return intr.shfl(ptrs, level)
+        """shfl the head pointer of ``level`` out of the snapshot (0 for
+        a level outside it, the shfl default value)."""
+        if 0 <= level < words.shape[0]:
+            return int(words[level]) >> 32
+        return 0
 
     def get_height(self):
         words = yield from self.read_all()

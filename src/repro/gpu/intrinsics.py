@@ -34,10 +34,8 @@ def ballot(flags: np.ndarray, active_mask: int | None = None) -> int:
     n = flags.shape[0]
     if n > BALLOT_BITS:
         raise ValueError("team larger than a warp")
-    word = 0
-    for i in range(n):
-        if flags[i]:
-            word |= 1 << i
+    word = int.from_bytes(np.packbits(flags, bitorder="little").tobytes(),
+                          "little")
     if active_mask is not None:
         word &= active_mask
     return word

@@ -32,6 +32,9 @@ class GlobalMemory:
         if num_words <= 0:
             raise ValueError("memory size must be positive")
         self._words = np.zeros(num_words, dtype=np.uint64)
+        # A plain attribute: every access's bounds check reads it, and
+        # the array is never resized.
+        self.num_words = int(self._words.shape[0])
         # Pre-mutation hook ``(addr, n) -> None`` installed by the epoch
         # manager only while a snapshot pin is live; None (the default and
         # the steady state) keeps every mutator on the exact pre-epoch
@@ -39,10 +42,6 @@ class GlobalMemory:
         self.write_barrier = None
 
     # -- introspection -------------------------------------------------
-    @property
-    def num_words(self) -> int:
-        return int(self._words.shape[0])
-
     @property
     def num_bytes(self) -> int:
         return self.num_words * WORD_BYTES

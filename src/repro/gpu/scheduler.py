@@ -35,74 +35,65 @@ class DeviceFault(RuntimeError):
 def execute_event(event: ev.Event, mem: GlobalMemory,
                   tracer: TransactionTracer | None) -> Any:
     """Perform one event against memory, feeding the tracer; returns the
-    value to ``send`` back into the generator."""
+    value to ``send`` back into the generator.
+
+    Events are dispatched on their exact type (the vocabulary has no
+    subclasses), most frequent first: chunk reads, word reads and
+    compute slots, then the writes and atomics."""
     t = tracer
-    if isinstance(event, ev.ChunkRead):
-        if t:
+    kind = type(event)
+    if kind is ev.ChunkRead:
+        if t is not None:
             t.access_words(event.addr, event.n, coalesced=True)
             t.record_compute(1)
         return mem.read_range(event.addr, event.n)
-    if isinstance(event, ev.ChunkWrite):
-        vals = np.asarray(event.values, dtype=np.uint64)
-        if t:
-            t.access_words(event.addr, len(vals), coalesced=True)
-            t.record_compute(1)
-        mem.write_range(event.addr, vals)
-        return None
-    if isinstance(event, ev.WordRead):
-        if t:
+    if kind is ev.WordRead:
+        if t is not None:
             t.access_words(event.addr, 1, coalesced=False)
             t.record_compute(1)
         return mem.read_word(event.addr)
-    if isinstance(event, ev.WordWrite):
-        if t:
+    if kind is ev.Compute:
+        if t is not None:
+            t.record_compute(event.amount, divergent=event.divergent)
+        return None
+    if kind is ev.WordCAS:
+        if t is not None:
+            t.access_words(event.addr, 1, coalesced=False, atomic=True)
+            t.record_compute(1)
+        return mem.cas_word(event.addr, event.expected, event.new)
+    if kind is ev.WordWrite:
+        if t is not None:
             t.access_words(event.addr, 1, coalesced=False)
             t.record_compute(1)
         mem.write_word(event.addr, event.value)
         return None
-    if isinstance(event, ev.WordCAS):
-        if t:
-            t.access_words(event.addr, 1, coalesced=False, atomic=True)
+    if kind is ev.ChunkWrite:
+        vals = np.asarray(event.values, dtype=np.uint64)
+        if t is not None:
+            t.access_words(event.addr, len(vals), coalesced=True)
             t.record_compute(1)
-        return mem.cas_word(event.addr, event.expected, event.new)
-    if isinstance(event, ev.AtomicAdd):
-        if t:
+        mem.write_range(event.addr, vals)
+        return None
+    if kind is ev.AtomicAdd:
+        if t is not None:
             t.access_words(event.addr, 1, coalesced=False, atomic=True)
             t.record_compute(1)
         return mem.atomic_add(event.addr, event.delta)
-    if isinstance(event, ev.AtomicExch):
-        if t:
+    if kind is ev.AtomicExch:
+        if t is not None:
             t.access_words(event.addr, 1, coalesced=False, atomic=True)
             t.record_compute(1)
         return mem.atomic_exch(event.addr, event.value)
-    if isinstance(event, ev.Compute):
-        if t:
-            t.record_compute(event.amount, divergent=event.divergent)
-        return None
-    if isinstance(event, ev.SpillAccess):
-        if t:
-            t.record_spill(event.count)
-        return None
-    if isinstance(event, ev.GatherRead):
+    if kind is ev.GatherRead:
         addrs = event.addrs
-        if t:
-            # Hardware coalescing rule: one transaction per distinct line.
-            lines = {a // t.words_per_line for a in addrs}
-            for a in addrs:
-                t._tlb_access(a)
-            for line in sorted(lines):
-                hit = t.l2.access(line)
-                t.stats.transactions += 1
-                if hit:
-                    t.stats.l2_hit_transactions += 1
-                    t.stats.l2_scattered += 1
-                else:
-                    t.stats.dram_transactions += 1
-                    t.stats.dram_scattered += 1
-            t.stats.bytes_requested += len(addrs) * 8
-            t.stats.scalar_accesses += 1
+        if t is not None:
+            t.access_gather(addrs, sorted_lines=True)
             t.record_compute(1)
         return [mem.read_word(a) for a in addrs]
+    if kind is ev.SpillAccess:
+        if t is not None:
+            t.record_spill(event.count)
+        return None
     raise DeviceFault(f"unknown event {event!r}")
 
 
@@ -191,37 +182,68 @@ class InterleavingScheduler:
 
     def run(self) -> list[TaskResult]:
         """Run all spawned tasks to completion; returns results ordered
-        by task id."""
+        by task id.
+
+        Chunk reads, word reads and compute slots (nearly every event of
+        a traversal) are performed here; the rest go to
+        :func:`execute_event`.  Both paths make the same accesses in the
+        same order."""
         results: dict[int, TaskResult] = {}
         live = list(self._tasks)
         self._tasks = []
         total_steps = 0
-        span_base = self.spans.clock if self.spans is not None else 0
+        injector, watchdog, spans = self.injector, self.watchdog, self.spans
+        mem, tracer, rng = self.mem, self.tracer, self.rng
+        max_steps = self.max_steps
+        read_range, read_word = mem.read_range, mem.read_word
+        # Looked up on the class at run time, so a wrapper installed on
+        # the class (a timing probe) sees every access.
+        access = type(tracer).access_words if tracer is not None else None
+        ChunkRead, WordRead, Compute = ev.ChunkRead, ev.WordRead, ev.Compute
+        span_base = spans.clock if spans is not None else 0
         while live:
             order = list(range(len(live)))
-            if self.rng is not None:
-                self.rng.shuffle(order)
+            if rng is not None:
+                rng.shuffle(order)
             finished: list[int] = []
             for idx in order:
                 task = live[idx]
-                if self.injector is not None:
-                    if self.injector.skip_turn():
+                if injector is not None:
+                    if injector.skip_turn():
                         continue  # chaos point preempt_scheduler
-                    self.injector.current_task = task.task_id
+                    injector.current_task = task.task_id
                 try:
-                    if not task.started:
+                    if task.started:
+                        event = task.gen.send(task.pending)
+                    else:
                         task.started = True
                         task.start_step = total_steps
                         event = next(task.gen)
+                    kind = type(event)
+                    if kind is ChunkRead:
+                        if tracer is not None:
+                            access(tracer, event.addr, event.n,
+                                   coalesced=True)
+                            tracer.stats.instructions += 1
+                        task.pending = read_range(event.addr, event.n)
+                    elif kind is WordRead:
+                        if tracer is not None:
+                            access(tracer, event.addr, 1, coalesced=False)
+                            tracer.stats.instructions += 1
+                        task.pending = read_word(event.addr)
+                    elif kind is Compute:
+                        if tracer is not None:
+                            tracer.record_compute(event.amount,
+                                                  event.divergent)
+                        task.pending = None
                     else:
-                        event = task.gen.send(task.pending)
-                    task.pending = execute_event(event, self.mem, self.tracer)
+                        task.pending = execute_event(event, mem, tracer)
                     task.steps += 1
                     total_steps += 1
-                    if self.watchdog is not None:
-                        self.watchdog.observe(task.task_id, task.steps,
-                                              total_steps)
-                    if total_steps > self.max_steps:
+                    if watchdog is not None:
+                        watchdog.observe(task.task_id, task.steps,
+                                         total_steps)
+                    if total_steps > max_steps:
                         raise DeviceFault(
                             "scheduler exceeded max_steps — possible livelock"
                         )
@@ -230,10 +252,10 @@ class InterleavingScheduler:
                         task.task_id, stop.value, task.steps,
                         start_step=task.start_step, end_step=total_steps)
                     finished.append(idx)
-                    if self.watchdog is not None:
-                        self.watchdog.finished(task.task_id)
-                    if self.spans is not None:
-                        self.spans.add(
+                    if watchdog is not None:
+                        watchdog.finished(task.task_id)
+                    if spans is not None:
+                        spans.add(
                             self.span_labels.get(task.task_id,
                                                  f"task {task.task_id}"),
                             span_base + max(task.start_step, 0),
@@ -241,6 +263,6 @@ class InterleavingScheduler:
                             track=task.task_id, steps=task.steps)
             for idx in sorted(finished, reverse=True):
                 live.pop(idx)
-        if self.spans is not None:
-            self.spans.advance(total_steps)
+        if spans is not None:
+            spans.advance(total_steps)
         return [results[k] for k in sorted(results)]

@@ -90,52 +90,67 @@ class TransactionTracer:
         last = (addr + n_words - 1) // self.words_per_line
         return range(first, last + 1)
 
-    def _tlb_access(self, addr: int) -> None:
-        page = addr // self.tlb_page_words
-        tlb = self._tlb
-        if page in tlb:
-            del tlb[page]
-            tlb[page] = None
-            return
-        self.stats.tlb_misses += 1
-        if len(tlb) >= self.tlb_entries:
-            tlb.pop(next(iter(tlb)))
-        tlb[page] = None
-
     def access_words(self, addr: int, n_words: int, *, coalesced: bool,
                      atomic: bool = False) -> int:
         """Record an access covering ``n_words`` words; returns the number
         of transactions issued."""
-        self._tlb_access(addr)
-        ntrans = 0
-        for line in self.lines_of(addr, n_words):
-            hit = self.l2.access(line)
-            ntrans += 1
-            if hit:
-                self.stats.l2_hit_transactions += 1
-                if coalesced:
-                    self.stats.l2_coalesced += 1
-                else:
-                    self.stats.l2_scattered += 1
-            else:
-                self.stats.dram_transactions += 1
-                if coalesced:
-                    self.stats.dram_coalesced += 1
-                else:
-                    self.stats.dram_scattered += 1
-        self.stats.transactions += ntrans
-        self.stats.bytes_requested += n_words * WORD_BYTES
-        if coalesced:
-            self.stats.coalesced_accesses += 1
+        stats = self.stats
+        # TLB: one LRU step for the access's first page.
+        page = addr // self.tlb_page_words
+        tlb = self._tlb
+        if page in tlb:
+            del tlb[page]
         else:
-            self.stats.scalar_accesses += 1
+            stats.tlb_misses += 1
+            if len(tlb) >= self.tlb_entries:
+                tlb.pop(next(iter(tlb)))
+        tlb[page] = None
+        wpl = self.words_per_line
+        lines = range(addr // wpl, (addr + n_words - 1) // wpl + 1)
+        hits, misses = self.l2.access_many(lines)
+        stats.transactions += hits + misses
+        stats.l2_hit_transactions += hits
+        stats.dram_transactions += misses
+        stats.bytes_requested += n_words * WORD_BYTES
+        if coalesced:
+            stats.l2_coalesced += hits
+            stats.dram_coalesced += misses
+            stats.coalesced_accesses += 1
+        else:
+            stats.l2_scattered += hits
+            stats.dram_scattered += misses
+            stats.scalar_accesses += 1
         if atomic:
-            self.stats.atomic_ops += 1
-        return ntrans
+            stats.atomic_ops += 1
+        return hits + misses
+
+    def access_gather(self, addrs, *, sorted_lines: bool) -> int:
+        """Record one warp-wide scattered read of one word per address:
+        every address takes a TLB step in order, then each distinct line
+        the addresses cover issues one scattered transaction (the
+        Section 2.2 coalescing rule).  The lines go through the L2 in
+        ascending order with ``sorted_lines``, else in order of first
+        occurrence.  Counts one scalar access; returns the number of
+        transactions."""
+        wpl = self.words_per_line
+        page_words = self.tlb_page_words
+        self._tlb_access_many([a // page_words for a in addrs])
+        lines = dict.fromkeys(a // wpl for a in addrs)
+        hits, misses = self.l2.access_many(
+            sorted(lines) if sorted_lines else list(lines))
+        stats = self.stats
+        stats.transactions += hits + misses
+        stats.l2_hit_transactions += hits
+        stats.l2_scattered += hits
+        stats.dram_transactions += misses
+        stats.dram_scattered += misses
+        stats.bytes_requested += len(addrs) * WORD_BYTES
+        stats.scalar_accesses += 1
+        return hits + misses
 
     def _tlb_access_many(self, ordered_pages) -> None:
-        """Run page addresses through the TLB LRU in order — the batched
-        equivalent of looping :meth:`_tlb_access`."""
+        """Run page addresses through the TLB LRU in order, one LRU step
+        each (the step :meth:`access_words` takes for its first page)."""
         tlb = self._tlb
         entries = self.tlb_entries
         misses = 0

@@ -148,24 +148,11 @@ class WarpExecutor:
             for lane, event in scalar:
                 lane.pending = self.mem.read_word(event.addr)
             return
-        lines: dict[int, None] = {}
-        for _lane, event in scalar:
-            lines[event.addr // t.words_per_line] = None
-            t._tlb_access(event.addr)
-        for line in lines:
-            hit = t.l2.access(line)
-            t.stats.transactions += 1
-            if hit:
-                t.stats.l2_hit_transactions += 1
-                t.stats.l2_scattered += 1
-            else:
-                t.stats.dram_transactions += 1
-                t.stats.dram_scattered += 1
-        t.stats.bytes_requested += len(scalar) * 8
-        t.stats.scalar_accesses += 1
+        ntrans = t.access_gather([event.addr for _lane, event in scalar],
+                                 sorted_lines=False)
         t.record_compute(1)
-        self.stats.warp_transactions += len(lines)
-        self.stats.coalesced_lane_requests += len(scalar) - len(lines)
+        self.stats.warp_transactions += ntrans
+        self.stats.coalesced_lane_requests += len(scalar) - ntrans
         for lane, event in scalar:
             lane.pending = self.mem.read_word(event.addr)
 

@@ -80,6 +80,16 @@ class ServeCampaignConfig:
     def n_shards(self) -> int:
         return parse_structure_kind(self.structure)[1]
 
+    def window_bounds(self) -> tuple[int, int]:
+        """The adaptive coalesce window's ``(floor, ceiling)``:
+        ``min_window``/``max_window`` if set, else 1/6 (at least 10) and
+        4x the static ``coalesce_steps``."""
+        steps = self.coalesce_steps
+        return (max(10, steps // 6) if self.min_window is None
+                else int(self.min_window),
+                steps * 4 if self.max_window is None
+                else int(self.max_window))
+
     def __post_init__(self):
         for name in ("coalesce_size", "coalesce_steps"):
             if getattr(self, name) < 1:
@@ -87,10 +97,8 @@ class ServeCampaignConfig:
         if self.admit_rate is not None and self.admit_rate <= 0:
             raise ValueError("--admit-rate must be positive, or 0 (None "
                              "in a config) for no admission control")
-        if self.adaptive and self.admit_rate is None:
-            raise ValueError(
-                "--adaptive needs a positive --admit-rate (the controller "
-                "adjusts the admission budget)")
+        if self.adaptive:
+            self._check_controller()
         # Elastic resharding (DESIGN.md §16) consumes the controller's
         # telemetry, so it needs the controller, and it moves key ranges
         # between shards, so it needs several and a boundary table.
@@ -120,3 +128,27 @@ class ServeCampaignConfig:
                 raise ValueError(
                     f"--freeze-shard {sid} is not a shard of "
                     f"{self.structure} (shards 0-{n_shards - 1})")
+
+    def _check_controller(self) -> None:
+        """Refuse, by flag, the settings that ``derive_controller``
+        would turn into an invalid ``ControllerConfig``."""
+        if self.admit_rate is None:
+            raise ValueError(
+                "--adaptive needs a positive --admit-rate (the controller "
+                "adjusts the admission budget)")
+        if self.admit_rate < 1.0:
+            raise ValueError(
+                f"--adaptive needs --admit-rate of at least 1 (got "
+                f"{self.admit_rate}): the controller's per-shard rate "
+                "floor of 1 would exceed its ceiling, the whole budget")
+        if self.target_p99 <= 0:
+            raise ValueError("--target-p99 must be positive")
+        floor, ceiling = self.window_bounds()
+        if floor < 1:
+            raise ValueError("--min-window must be at least 1")
+        if ceiling < floor:
+            raise ValueError(
+                f"--min-window floor {floor} is above the --max-window "
+                f"ceiling {ceiling} (unset, the floor is "
+                "max(10, --coalesce-steps // 6) and the ceiling 4x "
+                "--coalesce-steps)")

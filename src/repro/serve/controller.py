@@ -85,20 +85,17 @@ def derive_controller(cfg, n_shards: int) -> ControllerConfig:
     additive step = 1/8 of the even per-shard split of ``admit_rate``
     per tick, floor = 1/16 of it, ceiling = the whole configured budget
     (one shard may absorb everything the others leave), windows
-    bracketing the static coalesce window at [1/6, 4x] unless
-    ``min_window``/``max_window`` are set."""
+    bracketing the static coalesce window (``cfg.window_bounds()``)."""
     share = cfg.admit_rate / max(1, n_shards)
-    steps = cfg.coalesce_steps
+    min_window, max_window = cfg.window_bounds()
     return ControllerConfig(
         target_p99=float(cfg.target_p99),
         interval=int(cfg.control_interval),
         increase=max(0.5, share / 8.0),
         min_rate=max(1.0, share / 16.0),
         max_rate=float(cfg.admit_rate),
-        min_window=(max(10, steps // 6) if cfg.min_window is None
-                    else int(cfg.min_window)),
-        max_window=(steps * 4 if cfg.max_window is None
-                    else int(cfg.max_window)),
+        min_window=min_window,
+        max_window=max_window,
     )
 
 

@@ -9,6 +9,7 @@ naming the flag -- never dropped or clamped on the way to the frontend.
 import pytest
 
 import repro.cli as cli
+from repro import serve
 from repro.chaos import ServeChaosConfig
 from repro.serve import LoadConfig, ServeCampaignConfig
 from repro.serve.config import NEEDS
@@ -45,10 +46,20 @@ def test_every_policy_flag_defaults_to_its_field():
     (["--structure", "gfsl", "--headroom", "2"], "--headroom"),
     (["--structure", "gfsl", "--partitioner", "hash"], "--partitioner"),
     (["--admit-rate", "-5"], "--admit-rate"),
+    (["--freeze-shard", "1", "--freeze-steps", "0"], "--freeze-steps"),
+    (["--adaptive", "--admit-rate", "0.5"], "--admit-rate"),
+    (["--adaptive", "--min-window", "700"], "--min-window"),
+    (["--adaptive", "--max-window", "5"], "--max-window"),
+    (["--adaptive", "--target-p99", "0"], "--target-p99"),
 ])
-def test_silent_downgrades_are_usage_errors(capsys, argv, flag):
+def test_silent_downgrades_are_usage_errors(capsys, monkeypatch, argv, flag):
     """Each of these used to run to completion with the setting
-    dropped, clamped or never hit."""
+    dropped, clamped or never hit, or failed only once the campaign had
+    built its plan and structure.  Now the config refuses it first."""
+    def build_nothing(*args, **kwargs):
+        raise AssertionError("a bad setting reached the campaign")
+
+    monkeypatch.setattr(serve, "run_serve_campaign", build_nothing)
     with pytest.raises(ValueError, match=flag):
         cli.serve_campaign_config(parse("--requests", "200", *argv))
     assert cli.main(["serve-bench", "--requests", "200", *argv]) == 2
@@ -74,3 +85,18 @@ def test_frozen_windows_must_name_a_shard():
     with pytest.raises(ValueError, match="not a shard of gfsl@4"):
         ServeCampaignConfig(chaos=chaos)
     ServeCampaignConfig(structure="gfsl@8", chaos=chaos)
+
+
+@pytest.mark.parametrize("kw", [
+    {"freeze_shard": 1},
+    {"freeze_shard": 1, "freeze_steps": -3},
+    {"frozen_windows": ((0, 100, 50), (1, 100, 0))},
+])
+def test_zero_step_freeze_is_refused(kw):
+    """A freeze of no steps used to vanish from ``windows()``, leaving
+    ``any_faults`` false."""
+    with pytest.raises(ValueError, match="--freeze-steps"):
+        ServeChaosConfig(**kw)
+    assert ServeChaosConfig(freeze_shard=1, freeze_steps=1).windows() \
+        == [(1, 0, 1)]
+
