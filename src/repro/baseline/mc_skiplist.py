@@ -260,12 +260,10 @@ class MCSkiplist:
         """Synchronous wrapper around :meth:`delete_gen`."""
         return self.ctx.run(self.delete_gen(key))
 
-    def execute_batch(self, batch, backend="vectorized"):
-        """Replay an :class:`~repro.engine.OpBatch` through a pluggable
-        engine backend; returns its :class:`~repro.engine.BatchResult`."""
-        from ..engine import make_backend
-        be = backend if hasattr(backend, "execute") else make_backend(backend)
-        return be.execute(self, batch)
+    def execute_batch(self, batch, backend="vectorized", commit="per-op"):
+        """:func:`repro.engine.execute_batch` on this structure."""
+        from ..engine import execute_batch
+        return execute_batch(self, batch, backend, commit)
 
     # -- host-side utilities ------------------------------------------------
     def items(self) -> list[tuple[int, int]]:

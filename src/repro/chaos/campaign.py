@@ -34,7 +34,7 @@ from ..core import GFSL, InvariantViolation, validate_structure
 from ..core.locks import LockTimeout
 from ..core.traversal import RestartStorm
 from ..engine import (InterleavedBackend, OpBatch, make_structure,
-                      parse_structure_kind)
+                      require_chunked)
 from ..gpu.scheduler import DeviceFault
 from ..workloads import Mixture, generate
 from .faults import ChaosConfig
@@ -123,23 +123,13 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-#: Structure kinds a campaign can audit: ``validate_structure`` checks
-#: GFSL chunk invariants (``pq`` is a GFSL subclass; M&C has no chunks).
-AUDITABLE_KINDS = ("gfsl", "pq")
-
-
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Execute one campaign end to end; never raises for the failure
     modes it audits — they land in the report.  A structure the audit
     cannot judge is rejected with ``ValueError`` before anything runs."""
-    base_kind, _ = parse_structure_kind(cfg.structure)
-    if base_kind not in AUDITABLE_KINDS:
-        raise ValueError(
-            f"chaos campaigns need a GFSL structure, not "
-            f"{cfg.structure!r}: the quiesced audit (validate_structure) "
-            f"checks GFSL chunk invariants only "
-            f"(auditable: {', '.join(AUDITABLE_KINDS)}, with an optional "
-            f"@<shards> suffix)")
+    require_chunked(cfg.structure, "a chaos campaign",
+                    "the quiesced audit (validate_structure) checks GFSL "
+                    "chunk invariants only")
     report = CampaignReport(config=cfg, n_ops=cfg.n_ops)
     workload = generate(cfg.mixture(), key_range=cfg.key_range,
                         n_ops=cfg.n_ops, seed=cfg.seed)

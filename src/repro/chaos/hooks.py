@@ -74,7 +74,8 @@ class ChaosHooks:
 
     ``snapshot_readers`` requires ``commit="per-op"``: under a batch
     commit a mid-batch pin deliberately reads the pre-batch cut, which
-    the per-op history checker would (correctly, for its model) flag.
+    the per-op history checker would (correctly, for its model) flag,
+    so :meth:`begin` refuses readers while an epoch commit is open.
     Batch-commit atomicity is proven by the engine-level tests instead.
 
     After a batch, ``self.recorder`` holds the recorded history,
@@ -99,25 +100,23 @@ class ChaosHooks:
         self.snapshots: list[SnapshotObservation] | None = None
         self.watchdog: Watchdog | None = None
 
-    def check_commit(self, commit: str) -> None:
-        """Reject a commit mode the hooks cannot judge (at backend
-        construction, before anything runs)."""
-        if self.snapshot_readers and commit != "per-op":
-            raise ValueError(
-                "snapshot_readers requires commit='per-op' — a mid-batch "
-                "pin reads the pre-batch cut by design, which the per-op "
-                "checker would flag")
-
     # -- called by InterleavedBackend ----------------------------------
     def begin(self, structure: ConcurrentMap) -> None:
         """Fresh injector/recorder/watchdog for one batch; installs the
-        injector as ``structure.chaos`` until :meth:`end`."""
+        injector as ``structure.chaos`` until :meth:`end`.  Refuses
+        readers it cannot judge (never creating an epoch manager)."""
         if self.snapshot_readers and not hasattr(structure,
                                                  "begin_snapshot"):
             raise ValueError(
                 f"snapshot_readers={self.snapshot_readers} but the "
                 f"structure has no begin_snapshot capability (mc has no "
                 f"snapshots)")
+        mgr = structure.ctx._epochs
+        if self.snapshot_readers and mgr is not None and mgr.committing:
+            raise ValueError(
+                "snapshot_readers requires commit='per-op': a pin inside "
+                "an open batch commit reads the pre-batch cut by design, "
+                "which the per-op checker would flag")
         self.injector = FaultInjector(self.config, seed=self.chaos_seed)
         self.recorder = HistoryRecorder()
         self.snapshots = []
@@ -166,9 +165,8 @@ class ChaosHooks:
 
 
 def chaos_backend(concurrency: int | None = None, seed: int | None = None,
-                  commit: str = "per-op", **hooks) -> InterleavedBackend:
+                  **hooks) -> InterleavedBackend:
     """The ``interleaved-chaos`` registry entry: an
     :class:`InterleavedBackend` with :class:`ChaosHooks` built from the
     remaining keywords."""
-    return InterleavedBackend(concurrency, seed, commit,
-                              chaos=ChaosHooks(**hooks))
+    return InterleavedBackend(concurrency, seed, chaos=ChaosHooks(**hooks))

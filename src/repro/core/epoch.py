@@ -247,6 +247,11 @@ class EpochManager:
             else:
                 self._prune()
 
+    @property
+    def committing(self) -> bool:
+        """Whether a batch commit scope is open."""
+        return self._commit_depth > 0
+
     def commit(self):
         """``with mgr.commit():`` — the batch-publish context manager."""
         return _CommitScope(self)

@@ -373,17 +373,9 @@ class GFSL:
         return update_wave([self], None, ops, keys, values, tracer=tracer)
 
     def execute_batch(self, batch, backend="vectorized", commit="per-op"):
-        """Replay an :class:`~repro.engine.OpBatch` through a pluggable
-        engine backend; returns its :class:`~repro.engine.BatchResult`.
-
-        ``commit="batch"`` publishes the whole batch atomically at a
-        single epoch bump: a snapshot pinned while the batch runs sees
-        none of it (all-or-nothing, DESIGN.md §13)."""
-        from ..engine import make_backend
-        from ..engine.backends import commit_scope
-        be = backend if hasattr(backend, "execute") else make_backend(backend)
-        with commit_scope(self, commit):
-            return be.execute(self, batch)
+        """:func:`repro.engine.execute_batch` on this structure."""
+        from ..engine import execute_batch
+        return execute_batch(self, batch, backend, commit)
 
     def insert_many(self, pairs, seed: int | None = None) -> list[bool]:
         """Run a batch of inserts as one interleaved kernel (extension:

@@ -8,11 +8,11 @@ operating on :class:`OpBatch` structure-of-arrays batches against any
 
 Typical use::
 
-    from repro.engine import OpBatch, make_backend, make_structure
+    from repro.engine import OpBatch, execute_batch, make_structure
 
     batch = OpBatch.from_workload(workload)
     sl = make_structure("gfsl", workload, team_size=32)
-    out = make_backend("vectorized").execute(sl, batch)
+    out = execute_batch(sl, batch, backend="vectorized")
 
 This package never imports :mod:`repro.workloads` (which imports it).
 """
@@ -26,6 +26,7 @@ from .backends import (
     SequentialBackend,
     available_backends,
     commit_scope,
+    execute_batch,
     make_backend,
 )
 from .batch import OP_CONTAINS, OP_DELETE, OP_INSERT, OP_NAMES, OpBatch
@@ -38,6 +39,7 @@ from .interface import (
     op_generator,
     parse_structure_kind,
     region_words,
+    require_chunked,
     structure_spec,
 )
 from .vectorized import VectorizedBackend, plan_waves, run_wave_generators
@@ -53,6 +55,7 @@ __all__ = [
     "BACKEND_NAMES",
     "COMMIT_MODES",
     "commit_scope",
+    "execute_batch",
     "SequentialBackend",
     "InterleavedBackend",
     "VectorizedBackend",
@@ -69,4 +72,5 @@ __all__ = [
     "op_generator",
     "parse_structure_kind",
     "region_words",
+    "require_chunked",
 ]

@@ -45,8 +45,8 @@ def commit_scope(structure, commit: str):
 
     Returns a context manager: a no-op for ``"per-op"``, one atomic
     commit on the structure's device epoch manager for ``"batch"``.
-    Nestable — ``execute_batch(commit="batch")`` through a backend
-    constructed with ``commit="batch"`` still bumps exactly once.
+    Nestable — a batch run inside an open ``ctx.epochs.commit()`` still
+    publishes at that outer scope's one bump.
     """
     if commit == "per-op":
         return nullcontext()
@@ -54,6 +54,18 @@ def commit_scope(structure, commit: str):
         return structure.ctx.epochs.commit()
     raise ValueError(f"unknown commit mode {commit!r} "
                      f"(available: {', '.join(COMMIT_MODES)})")
+
+
+def execute_batch(structure: ConcurrentMap, batch: OpBatch,
+                  backend="vectorized", commit: str = "per-op"):
+    """Replay an :class:`OpBatch` through a backend (a registry name or
+    a ready :class:`Backend`) — the one body behind every structure's
+    ``execute_batch``.  The commit mode belongs to the call:
+    ``"batch"`` publishes the whole batch at one epoch bump
+    (all-or-nothing for snapshots, DESIGN.md §13)."""
+    be = backend if hasattr(backend, "execute") else make_backend(backend)
+    with commit_scope(structure, commit):
+        return be.execute(structure, batch)
 
 
 @dataclass
@@ -95,16 +107,8 @@ class SequentialBackend:
 
     name = "sequential"
 
-    def __init__(self, commit: str = "per-op"):
-        self.commit = commit
-
     def execute(self, structure: ConcurrentMap,
                 batch: OpBatch) -> BatchResult:
-        with commit_scope(structure, self.commit):
-            return self._execute(structure, batch)
-
-    def _execute(self, structure: ConcurrentMap,
-                 batch: OpBatch) -> BatchResult:
         ctx = structure.ctx
         results = [
             run_to_completion(op_generator(structure, op, key, value),
@@ -169,23 +173,15 @@ class InterleavedBackend:
     name = "interleaved"
 
     def __init__(self, concurrency: int | None = None,
-                 seed: int | None = None, commit: str = "per-op",
-                 chaos=None):
+                 seed: int | None = None, chaos=None):
         self.concurrency = concurrency
         self.seed = seed
-        self.commit = commit
         self.chaos = chaos
         if chaos is not None:
-            chaos.check_commit(commit)
             self.name = chaos.name
 
     def execute(self, structure: ConcurrentMap,
                 batch: OpBatch) -> BatchResult:
-        with commit_scope(structure, self.commit):
-            return self._execute(structure, batch)
-
-    def _execute(self, structure: ConcurrentMap,
-                 batch: OpBatch) -> BatchResult:
         ctx = structure.ctx
         conc = self.concurrency
         if conc is None:
@@ -259,8 +255,7 @@ def make_backend(name: str, **kwargs) -> Backend:
     """Instantiate a backend by registry name.
 
     Keyword arguments go to the backend constructor (``concurrency`` /
-    ``seed`` for interleaved, ``wave_size`` for vectorized; every
-    backend takes ``commit`` — see :data:`COMMIT_MODES`).
+    ``seed`` for interleaved, ``wave_size`` for vectorized).
     ``interleaved-chaos`` is the interleaved backend with
     :class:`~repro.chaos.hooks.ChaosHooks`; its extra keywords
     (``config``, ``chaos_seed``, ...) build the hooks.

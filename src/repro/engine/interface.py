@@ -42,17 +42,13 @@ from .batch import OP_CONTAINS, OP_DELETE, OP_INSERT
 class ConcurrentMap(Protocol):
     """A concurrent ordered map executable by the batch engine.
 
-    Optional capabilities are discovered with ``hasattr``, never
-    required: the vectorized kernels (``vector_contains`` /
-    ``vector_search`` / ``vector_update_wave``), shard-aware planning
-    (``batch_order`` / ``plan_waves``), and — since the snapshot-epoch
-    layer (DESIGN.md §13) — consistent snapshots: ``begin_snapshot()``
-    returning a frozen view with ``range_query``/``items``/``release``,
-    ``snapshot_view(epoch)`` for an externally pinned epoch, and the
-    ``snapshot_range_query``/``snapshot_items`` conveniences.  GFSL and
-    :class:`~repro.shard.ShardedMap`-over-GFSL implement snapshots; the
-    M&C baseline does not (readers gate on ``hasattr(structure,
-    "begin_snapshot")``).
+    What a kind can do beyond it is one registry flag,
+    :attr:`StructureSpec.chunked`: the GFSL family's chunks give the
+    vectorized kernels (``vector_contains`` / ``vector_search`` /
+    ``vector_update_wave``), ordered walks (``range_query``,
+    ``min_key``/``max_key``) and snapshots (``begin_snapshot()``,
+    ``snapshot_view(epoch)`` — DESIGN.md §13).  M&C has none of these,
+    and :func:`require_chunked` refuses it where a caller needs them.
     """
 
     ctx: GPUContext
@@ -114,11 +110,9 @@ def mc_region_words(expected: int) -> int:
 
 def region_words(kind: str, expected: int, team_size: int = 32) -> int:
     """Region size for one instance of ``kind`` (base registry name)."""
-    if kind in ("gfsl", "pq"):
+    if structure_spec(kind).chunked:
         return gfsl_region_words(expected, team_size)
-    if kind == "mc":
-        return mc_region_words(expected)
-    raise ValueError(f"unknown structure kind {kind!r}")
+    return mc_region_words(expected)
 
 
 def _build_gfsl(workload, *, team_size: int = 32, p_chunk: float = 1.0,
@@ -180,11 +174,12 @@ class StructureSpec:
     label: str                      # display name ("GFSL", "M&C")
     build: Callable[..., Any]       # build(workload, **params) -> structure
     kernel: KernelResources         # calibrated resource profile
+    chunked: bool = True            # GFSL family (see ConcurrentMap)
 
 
 STRUCTURES: dict[str, StructureSpec] = {
     "gfsl": StructureSpec("gfsl", "GFSL", _build_gfsl, GFSL_KERNEL),
-    "mc": StructureSpec("mc", "M&C", _build_mc, MC_KERNEL),
+    "mc": StructureSpec("mc", "M&C", _build_mc, MC_KERNEL, chunked=False),
     "pq": StructureSpec("pq", "PQ", _build_pq, GFSL_KERNEL),
 }
 
@@ -227,7 +222,21 @@ def structure_spec(kind: str) -> StructureSpec:
         return build_sharded(base_kind, shards, workload, **params)
 
     return StructureSpec(name=kind, label=f"{spec.label}x{shards}",
-                         build=build, kernel=spec.kernel)
+                         build=build, kernel=spec.kernel,
+                         chunked=spec.chunked)
+
+
+def require_chunked(kind: str, caller: str, reason: str) -> StructureSpec:
+    """The registry entry of ``kind``, refusing a kind without chunks
+    with a one-line ``ValueError`` that names the kind, the ``caller``
+    and the ``reason`` it needs chunks."""
+    spec = structure_spec(kind)
+    if not spec.chunked:
+        chunked = ", ".join(k for k, s in STRUCTURES.items() if s.chunked)
+        raise ValueError(
+            f"{caller} needs a chunked GFSL-family structure ({chunked}, "
+            f"with an optional @<shards> suffix), not {kind!r}: {reason}")
+    return spec
 
 
 def make_structure(kind: str, workload, *, shards: int | None = None,

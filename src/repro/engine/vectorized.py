@@ -9,12 +9,12 @@ engine two batching opportunities per wave:
   they see quiescent memory and can be answered by the structure's
   vectorized multi-key kernel (:func:`repro.core.vector.vector_contains`
   for GFSL) — one numpy gather per traversal step for the whole group
-  instead of one Python event per pointer hop.  Structures without a
-  ``vector_contains`` capability (the M&C baseline) simply run their
+  instead of one Python event per pointer hop.  Structures without
+  the kernels (the M&C baseline, which has no chunks) simply run their
   contains generators with the updates.
 
-* **Vectorized critical sections.** When the structure also exposes
-  ``vector_update_wave``, the wave's inserts/deletes are handed to
+* **Vectorized critical sections.** With ``vector_update_wave``
+  (chunked kinds have both kernels), the wave's inserts/deletes go to
   :func:`repro.core.vector.update_wave`, which executes every
   provably conflict-free group's lock–modify–publish sequence as three
   batched accesses and returns the rest with precomputed traversal
@@ -51,7 +51,7 @@ from ..gpu import events as ev
 from ..gpu.memory import GlobalMemory
 from ..gpu.scheduler import execute_event
 from ..gpu.tracer import TransactionTracer
-from .backends import BatchResult, account_wave, commit_scope
+from .backends import BatchResult, account_wave
 from .batch import OP_CONTAINS, OP_INSERT, OP_NAMES, OpBatch
 from .interface import ConcurrentMap, op_generator
 
@@ -130,6 +130,15 @@ class _Task:
         self.started = False
 
 
+def _check_bounds(mem: GlobalMemory, addrs: np.ndarray, n: int) -> None:
+    """The memory's own ``IndexError`` for a read group reaching out of
+    bounds (a fancy index would wrap -1), before anything is touched."""
+    lo, hi = int(addrs.min()), int(addrs.max())
+    if lo < 0 or hi + n > mem.num_words:
+        mem._check(lo, n)
+        mem._check(hi, n)
+
+
 def run_wave_generators(tasks, mem: GlobalMemory,
                         tracer: TransactionTracer | None,
                         spans=None, span_labels=None) -> dict[int, Any]:
@@ -186,6 +195,7 @@ def run_wave_generators(tasks, mem: GlobalMemory,
         for n, group in chunk_groups.items():
             addrs = np.fromiter((t.event.addr for t in group),
                                 dtype=np.int64, count=len(group))
+            _check_bounds(mem, addrs, n)
             if tracer is not None:
                 tracer.access_words_batch(addrs, n, coalesced=True)
                 tracer.record_compute(len(group))
@@ -195,6 +205,7 @@ def run_wave_generators(tasks, mem: GlobalMemory,
         if word_tasks:
             addrs = np.fromiter((t.event.addr for t in word_tasks),
                                 dtype=np.int64, count=len(word_tasks))
+            _check_bounds(mem, addrs, 1)
             if tracer is not None:
                 tracer.access_words_batch(addrs, 1, coalesced=False)
                 tracer.record_compute(len(word_tasks))
@@ -212,20 +223,13 @@ class VectorizedBackend:
 
     name = "vectorized"
 
-    def __init__(self, wave_size: int = DEFAULT_WAVE_SIZE,
-                 commit: str = "per-op"):
+    def __init__(self, wave_size: int = DEFAULT_WAVE_SIZE):
         if wave_size < 1:
             raise ValueError("wave_size must be >= 1")
         self.wave_size = wave_size
-        self.commit = commit
 
     def execute(self, structure: ConcurrentMap,
                 batch: OpBatch) -> BatchResult:
-        with commit_scope(structure, self.commit):
-            return self._execute(structure, batch)
-
-    def _execute(self, structure: ConcurrentMap,
-                 batch: OpBatch) -> BatchResult:
         ctx = structure.ctx
         results: list[Any] = [None] * len(batch)
         # A structure may bring its own wave planner (ShardedMap plans
@@ -236,13 +240,11 @@ class VectorizedBackend:
             waves = planner(batch.keys, self.wave_size)
         else:
             waves = plan_waves(batch.keys, self.wave_size)
-        can_vector = hasattr(structure, "vector_contains")
+        # The chunked kinds bring both multi-key kernels (M&C neither).
+        can_vector = hasattr(structure, "vector_update_wave")
         m = getattr(structure, "metrics", None)
         spans = m.spans if m is not None else None
         n_waves = 0
-
-        can_search = can_vector and hasattr(structure, "vector_search")
-        can_update = can_vector and hasattr(structure, "vector_update_wave")
         gen_ops = 0
         for wave in waves:
             idx = np.asarray(wave, dtype=np.int64)
@@ -264,7 +266,7 @@ class VectorizedBackend:
                     for i, hit in zip(cidx.tolist(), found.tolist()):
                         results[i] = bool(hit)
                     rest = idx[~contains_mask]
-                if can_update and rest.size:
+                if rest.size:
                     # The vectorized critical sections: conflict-free
                     # update groups execute batched; the rest get their
                     # precomputed traversal as a generator hint.
@@ -279,11 +281,6 @@ class VectorizedBackend:
                             hints[i] = (bool(ufound[row]),
                                         upaths[row].tolist())
                     rest = rest[~handled]
-                elif can_search and rest.size:
-                    ufound, upaths = structure.vector_search(
-                        batch.keys[rest], tracer=ctx.tracer)
-                    for row, i in enumerate(rest.tolist()):
-                        hints[i] = (bool(ufound[row]), upaths[row].tolist())
             if rest.size:
                 gen_ops += int(rest.size)
                 tasks = [(i, self._op_gen(structure, batch, i, hints))
@@ -309,7 +306,7 @@ class VectorizedBackend:
     def _op_gen(structure: ConcurrentMap, batch: OpBatch, i: int,
                 hints: dict) -> Generator:
         """One update op's generator, with its precomputed search hint
-        when the structure supports vectorized search."""
+        when the vectorized update wave left one."""
         op = int(batch.ops[i])
         key = int(batch.keys[i])
         hint = hints.get(i)

@@ -97,18 +97,17 @@ def sequential_vs_interleaved(key_range: int = 1_000_000,
     """Replay the same M&C workload with one op in flight vs. the full
     interleave, isolating the thrashing contribution to the trace."""
     from ..baseline import MC_KERNEL
-    from ..engine import OpBatch, make_backend
+    from ..engine import OpBatch, make_backend, make_structure
     from ..gpu import LaunchConfig
     from ..gpu.kernel import default_concurrency
     from ..gpu.occupancy import compute_occupancy
-    from ..workloads.runner import build_mc
     scale = scale or current_scale()
     key_range = min(key_range, max(scale.ranges))
     w = generate(MIX_10_10_80, key_range=key_range, n_ops=scale.n_ops,
                  seed=9)
     out = {}
     for label in ("sequential", "interleaved"):
-        mc = build_mc(w)
+        mc = make_structure("mc", w)
         occ = compute_occupancy(mc.ctx.device, LaunchConfig(), MC_KERNEL)
         kwargs = ({"concurrency": default_concurrency(
             mc.ctx.device, occ, MC_KERNEL)} if label == "interleaved" else {})
@@ -134,16 +133,15 @@ def warp_lockstep_mc(key_range: int = 300_000,
     The residual gap to GFSL is the paper's point: per-lane pointer
     chasing stays scattered below the shared tower top.
     """
+    from ..engine import OpBatch, make_backend, make_structure, op_generator
     from ..gpu.warp import run_in_warps
-    from ..workloads.runner import build_mc
     scale = scale or current_scale()
     key_range = min(key_range, max(scale.ranges))
     w = generate(MIX_10_10_80, key_range=key_range, n_ops=scale.n_ops,
                  seed=17)
     out = {}
 
-    from ..engine import op_generator
-    mc = build_mc(w)
+    mc = make_structure("mc", w)
     mc.ctx.tracer.reset_stats()
     gens = [op_generator(mc, int(op), int(key))
             for op, key in zip(w.ops, w.keys)]
@@ -155,8 +153,7 @@ def warp_lockstep_mc(key_range: int = 300_000,
         / w.n_ops,
         divergence_ratio=wstats.divergence_ratio)
 
-    from ..engine import OpBatch, make_backend
-    mc2 = build_mc(w)
+    mc2 = make_structure("mc", w)
     mc2.ctx.tracer.reset_stats()
     make_backend("sequential").execute(mc2, OpBatch.from_workload(w))
     t2 = mc2.ctx.tracer.stats

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from ..chaos.serve_faults import ServeChaosConfig
-from ..engine.interface import parse_structure_kind
+from ..engine.interface import parse_structure_kind, require_chunked
 from .loadgen import LoadConfig
 
 #: Fields that only act under a condition: a non-default value while
@@ -91,6 +91,9 @@ class ServeCampaignConfig:
                 else int(self.max_window))
 
     def __post_init__(self):
+        require_chunked(self.structure, "--structure",
+                        "range requests read a snapshot cut and the audit "
+                        "validates chunk invariants")
         for name in ("coalesce_size", "coalesce_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{_flag(name)} must be at least 1")

@@ -518,12 +518,6 @@ class ServeFrontend:
         taken first and released unconditionally — an expired request
         frees it without ever walking the structure."""
         loop, st = self.loop, self.stats
-        if not hasattr(self.structure, "begin_snapshot"):
-            rows = self.structure.range_query(req.key, req.hi)
-            st.range_latencies.append(loop.now - req.submit_step)
-            st.completed += 1
-            self._resolve(req, result=rows)
-            return
         snap = self.structure.begin_snapshot()
         pin_step = loop.now
         try:

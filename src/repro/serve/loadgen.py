@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..chaos.serve_faults import ServeChaosConfig
-from ..workloads.generator import (Mixture, Workload, front_keys,
-                                   hotspot_keys, zipf_keys)
+from ..workloads.generator import Mixture, Workload, draw_keys
 from .aio import Queue, QueueEmpty, VirtualLoop
 from .request import DELETE, GET, PUT, RANGE, ClientState, Request
 
@@ -79,19 +78,6 @@ class LoadPlan:
         return out
 
 
-def _draw_keys(rng, cfg: LoadConfig, n: int) -> np.ndarray:
-    if cfg.distribution == "zipf":
-        return zipf_keys(rng, cfg.key_range, n, s=cfg.zipf_s)
-    if cfg.distribution == "hotspot":
-        return hotspot_keys(rng, cfg.key_range, n)
-    if cfg.distribution == "front":
-        # Front-loaded zipf: the delete-min adversary — the hot mass
-        # sits on the smallest keys, i.e. on shard 0 under range
-        # partitioning (the canonical elastic-resharding campaign).
-        return front_keys(rng, cfg.key_range, n, s=cfg.zipf_s)
-    return rng.integers(1, cfg.key_range + 1, size=n)
-
-
 def build_plan(cfg: LoadConfig,
                chaos: ServeChaosConfig | None = None) -> LoadPlan:
     """Materialise the request stream (base Poisson arrivals + chaos
@@ -114,7 +100,8 @@ def build_plan(cfg: LoadConfig,
             [arrivals, np.array(extra, dtype=np.int64)])
 
     total = len(arrivals)
-    keys = _draw_keys(rng, cfg, total).astype(np.int64)
+    keys = draw_keys(rng, cfg.distribution, cfg.key_range, total,
+                     cfg.zipf_s)
     p_put, p_del, p_get, p_rng = (m / 100.0 for m in cfg.mix)
     kinds = rng.choice(np.array([0, 1, 2, 3]), size=total,
                        p=[p_put, p_del, p_get, p_rng])

@@ -19,8 +19,8 @@ engine's shard-aware hooks:
   per-shard (preserving per-key FIFO) and zipped by wave index,
 * :meth:`vector_contains` / :meth:`vector_search` /
   :meth:`vector_update_wave` — multi-key kernels fused across shards
-  into one lock-step dispatch over the merged index space (only
-  exposed when every shard supports them).
+  into one lock-step dispatch over the merged index space (bound
+  only for a kind the registry marks ``chunked``).
 
 Observability: attaching a :class:`~repro.metrics.counters
 .MetricsCollector` fans out one child collector per shard (core
@@ -102,18 +102,14 @@ class ShardedMap:
         self.shard_metrics: list[MetricsCollector] | None = None
         #: Per-shard op counts of the most recently routed batch.
         self.last_shard_ops: list[int] | None = None
-        # Multi-key kernels are exposed only when every shard has them
-        # (hasattr is the vectorized backend's capability probe).
-        if all(hasattr(s, "vector_contains") for s in self.shards):
+        #: The registry's flag: GFSL-family shards (see ConcurrentMap).
+        self.chunked = structure_spec(kind).chunked
+        if self.chunked:
+            # Fused kernels, and cross-shard snapshots: one shared
+            # context, hence one pin is a cut over all (DESIGN.md §13).
             self.vector_contains = self._vector_contains
-        if all(hasattr(s, "vector_search") for s in self.shards):
             self.vector_search = self._vector_search
-        if all(hasattr(s, "vector_update_wave") for s in self.shards):
             self.vector_update_wave = self._vector_update_wave
-        # Cross-shard snapshots: the shards share one GPUContext, hence
-        # one epoch manager — a single pin is a consistent cut over all
-        # of them (DESIGN.md §13).  Gated like the vector kernels.
-        if all(hasattr(s, "snapshot_view") for s in self.shards):
             self.begin_snapshot = self._begin_snapshot
             self.snapshot_range_query = self._snapshot_range_query
             self.snapshot_items = self._snapshot_items
@@ -125,8 +121,13 @@ class ShardedMap:
 
     @property
     def geo(self):
-        """Chunk geometry of the underlying instances (GFSL shards)."""
-        return getattr(self.shards[0], "geo", None)
+        """Chunk geometry of the underlying instances (None for M&C)."""
+        return self.shards[0].geo if self.chunked else None
+
+    def _need_chunks(self, what: str) -> None:
+        if not self.chunked:
+            raise TypeError(f"{self.kind}@{self.n_shards} has no {what}: "
+                            f"{self.kind!r} shards have no chunks")
 
     def shard_of(self, key: int) -> int:
         return self.routing.shard_of(key)
@@ -200,37 +201,27 @@ class ShardedMap:
         return self.ctx.run(self.delete_gen(key))
 
     def get(self, key: int):
-        shard = self.shard_for(key)
-        if not hasattr(shard, "get_gen"):
-            raise AttributeError(f"{self.kind} shards have no get_gen")
-        return self.ctx.run(shard.get_gen(key))
+        self._need_chunks("get")
+        return self.ctx.run(self.shard_for(key).get_gen(key))
 
-    # -- cross-shard queries (host-side merges) --------------------------
+    # -- cross-shard queries (host-side merges; TypeError on M&C) --------
     def min_key(self):
-        lows = [m for m in (s.min_key() for s in self.shards
-                            if hasattr(s, "min_key")) if m is not None]
+        self._need_chunks("min_key")
+        lows = [m for m in (s.min_key() for s in self.shards)
+                if m is not None]
         return min(lows) if lows else None
 
     def max_key(self):
-        highs = [m for m in (s.max_key() for s in self.shards
-                             if hasattr(s, "max_key")) if m is not None]
+        self._need_chunks("max_key")
+        highs = [m for m in (s.max_key() for s in self.shards)
+                 if m is not None]
         return max(highs) if highs else None
 
     def range_query(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Inclusive ordered window, merged from every shard's walk
-        (under range routing the shards outside the window contribute
-        nothing, but each is still walked).
-
-        When every shard supports snapshots the merge is rebased onto
-        **one** cross-shard epoch pin, so the window is a single
-        consistent cut rather than S independent per-shard reads."""
-        if hasattr(self, "begin_snapshot"):
-            return self.snapshot_range_query(lo, hi)
-        out: list[tuple[int, int]] = []
-        for s in self.shards:
-            if hasattr(s, "range_query"):
-                out.extend(s.range_query(lo, hi))
-        return sorted(out)
+        """Inclusive ordered window read on **one** cross-shard epoch
+        pin: a single consistent cut (every shard is still walked)."""
+        self._need_chunks("range_query")
+        return self._snapshot_range_query(lo, hi)
 
     # -- cross-shard snapshots (DESIGN.md §13) ---------------------------
     def _begin_snapshot(self) -> "ShardedSnapshot":
@@ -244,13 +235,16 @@ class ShardedMap:
         with self._begin_snapshot() as snap:
             return snap.items(tracer=self.ctx.tracer)
 
+    # M&C has no zombies and nothing to compact: 0 is the answer.
     def zombie_count(self) -> int:
-        return sum(s.zombie_count() for s in self.shards
-                   if hasattr(s, "zombie_count"))
+        if not self.chunked:
+            return 0
+        return sum(s.zombie_count() for s in self.shards)
 
     def compact(self) -> int:
-        return sum(s.compact() for s in self.shards
-                   if hasattr(s, "compact"))
+        if not self.chunked:
+            return 0
+        return sum(s.compact() for s in self.shards)
 
     # -- engine shard-aware hooks -----------------------------------------
     def _split_keys(self, keys) -> list[np.ndarray]:
@@ -340,17 +334,9 @@ class ShardedMap:
         return out
 
     def execute_batch(self, batch, backend="vectorized", commit="per-op"):
-        """Replay an :class:`~repro.engine.OpBatch` through a backend
-        (mirrors :meth:`repro.core.GFSL.execute_batch`).
-
-        ``commit="batch"`` publishes the whole cross-shard batch at one
-        epoch bump on the shared manager — all-or-nothing over every
-        shard at once."""
-        from ..engine import make_backend
-        from ..engine.backends import commit_scope
-        be = backend if hasattr(backend, "execute") else make_backend(backend)
-        with commit_scope(self, commit):
-            return be.execute(self, batch)
+        """:func:`repro.engine.execute_batch` on this structure."""
+        from ..engine import execute_batch
+        return execute_batch(self, batch, backend, commit)
 
     # -- observability fan-out -------------------------------------------
     @property

@@ -180,6 +180,23 @@ def hotspot_keys(rng: np.random.Generator, key_range: int, n: int,
     return np.where(rng.random(n) < hot_weight, hot_draw, cold_draw)
 
 
+def draw_keys(rng: np.random.Generator, distribution: str, key_range: int,
+              n: int, zipf_s: float = 1.0) -> np.ndarray:
+    """``n`` int64 keys over ``[1, key_range]`` from one of
+    :data:`DISTRIBUTIONS` — the one key sampler behind :func:`generate`
+    and the serve load plans."""
+    if distribution == "uniform":
+        return rng.integers(1, key_range + 1, size=n, dtype=np.int64)
+    if distribution == "zipf":
+        return zipf_keys(rng, key_range, n, s=zipf_s)
+    if distribution == "hotspot":
+        return hotspot_keys(rng, key_range, n)
+    if distribution == "front":
+        return front_keys(rng, key_range, n, s=zipf_s)
+    raise ValueError(f"unknown distribution {distribution!r} "
+                     f"(choose from {', '.join(DISTRIBUTIONS)})")
+
+
 def generate(mixture: Mixture, key_range: int, n_ops: int,
              seed: int = 0, distribution: str = "uniform",
              zipf_s: float = 1.0) -> Workload:
@@ -201,9 +218,6 @@ def generate(mixture: Mixture, key_range: int, n_ops: int,
     """
     if key_range < 4:
         raise ValueError("key range too small")
-    if distribution not in DISTRIBUTIONS:
-        raise ValueError(f"unknown distribution {distribution!r} "
-                         f"(choose from {', '.join(DISTRIBUTIONS)})")
     rng = np.random.default_rng(seed)
     prefill = prefill_for(mixture, key_range, rng)
 
@@ -211,17 +225,12 @@ def generate(mixture: Mixture, key_range: int, n_ops: int,
                  dtype=np.float64) / 100.0
     ops = rng.choice(np.array([Op.CONTAINS, Op.INSERT, Op.DELETE],
                               dtype=np.int64), size=n_ops, p=p)
-    if distribution == "zipf":
-        keys = zipf_keys(rng, key_range, n_ops, s=zipf_s)
-    elif distribution == "hotspot":
-        keys = hotspot_keys(rng, key_range, n_ops)
-    elif distribution == "front":
-        keys = front_keys(rng, key_range, n_ops, s=zipf_s)
-    elif mixture.kind == "delete-only" and n_ops <= key_range:
+    if (distribution == "uniform" and mixture.kind == "delete-only"
+            and n_ops <= key_range):
         keys = rng.permutation(np.arange(1, key_range + 1,
                                          dtype=np.int64))[:n_ops]
     else:
-        keys = rng.integers(1, key_range + 1, size=n_ops, dtype=np.int64)
+        keys = draw_keys(rng, distribution, key_range, n_ops, zipf_s)
     # Insert payloads (32-bit user values); drawn last so pre-existing
     # seeds keep producing the same prefill/ops/keys arrays.
     values = rng.integers(1, 2**31, size=n_ops, dtype=np.int64)

@@ -20,14 +20,12 @@ device memory beyond the 10M (mixed) / 3M (single-op) ranges
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..baseline import MC_KERNEL, MCSkiplist
 from ..baseline.node import HEADER_WORDS
-from ..core import GFSL, GFSL_KERNEL
 from ..core.bulk import DEFAULT_FILL, _per_chunk
 from ..engine import (Backend, OpBatch, make_backend, make_structure,
-                      parse_structure_kind)
+                      parse_structure_kind, structure_spec)
 from ..gpu import DeviceConfig, LaunchConfig, TraceStats
 from ..gpu.kernel import default_concurrency
 from ..gpu.occupancy import compute_occupancy
@@ -109,26 +107,6 @@ def mc_paper_scale_feasible(key_range: int, mixture: Mixture,
     return need <= MC_USABLE_BYTES
 
 
-def build_gfsl(workload: Workload, team_size: int = 32,
-               p_chunk: float = 1.0, device: DeviceConfig | None = None,
-               seed: int = 0) -> GFSL:
-    """Bulk-build the prefilled GFSL for a workload and warm the L2.
-
-    Thin wrapper over the engine's structure registry
-    (:func:`repro.engine.make_structure`), kept for callers that want the
-    structure-specific signature."""
-    return make_structure("gfsl", workload, team_size=team_size,
-                          p_chunk=p_chunk, device=device, seed=seed)
-
-
-def build_mc(workload: Workload, p_key: float = 0.5,
-             device: DeviceConfig | None = None, seed: int = 0) -> MCSkiplist:
-    """Bulk-build the prefilled M&C skiplist and warm the L2 (thin
-    wrapper over :func:`repro.engine.make_structure`)."""
-    return make_structure("mc", workload, p_key=p_key, device=device,
-                          seed=seed)
-
-
 def contention_serial_cycles(device: DeviceConfig, occ, kernel,
                              workload: Workload, slots: int,
                              coeff: tuple[float, float]) -> float:
@@ -191,59 +169,42 @@ def run_workload(structure_kind: str, workload: Workload,
     """
     device = device or DeviceConfig.gtx970()
     base_kind, kind_shards = parse_structure_kind(structure_kind)
+    spec = structure_spec(base_kind)
     is_sharded = "@" in structure_kind or shards is not None
     n_shards = kind_shards if shards is None else int(shards)
-    if base_kind in ("gfsl", "pq"):
+    if not spec.chunked and enforce_paper_oom and not mc_paper_scale_feasible(
+            workload.key_range, workload.mixture):
+        return RunResult.oom_point(spec.label, 32, workload.key_range,
+                                   workload.mixture.name)
+    kernel = spec.kernel
+    if spec.chunked and team_size < 32:
+        # Sub-warp teams pay mask-management overhead on every
+        # cooperative op ("care must be taken to only evaluate values
+        # read by the current team when using teams smaller than warp
+        # size", Section 4.2.1) — part of why GFSL-32 beats GFSL-16
+        # despite the latter's single-transaction chunks (Section 5.2).
+        factor = (32 / team_size) ** 0.5
+        kernel = replace(kernel, op_overhead_instructions=kernel
+                         .op_overhead_instructions * factor)
+    # An M&C op is one thread: its launch and label have no team size.
+    lanes = team_size if spec.chunked else 32
+    launch = launch or LaunchConfig(warps_per_block=16, team_size=lanes)
+    placement = (dict(shards=n_shards, partitioner=partitioner)
+                 if is_sharded else {})
+    st = make_structure(base_kind, workload, team_size=team_size,
+                        p_chunk=p_chunk, p_key=p_key, device=device,
+                        seed=seed, **placement)
+    if spec.chunked:
         # ``pq`` is a GFSL build behind a priority-queue wrapper: same
         # layout, kernel profile, and contention charge.
-        kernel = GFSL_KERNEL
-        if team_size < 32:
-            # Sub-warp teams pay mask-management overhead on every
-            # cooperative op ("care must be taken to only evaluate values
-            # read by the current team when using teams smaller than warp
-            # size", Section 4.2.1) — part of why GFSL-32 beats GFSL-16
-            # despite the latter's single-transaction chunks (Section 5.2).
-            from dataclasses import replace as _replace
-            factor = (32 / team_size) ** 0.5
-            kernel = _replace(
-                GFSL_KERNEL,
-                op_overhead_instructions=GFSL_KERNEL.op_overhead_instructions
-                * factor)
-        launch = launch or LaunchConfig(warps_per_block=16, team_size=team_size)
-        if is_sharded:
-            st = make_structure(base_kind, workload, shards=n_shards,
-                                partitioner=partitioner,
-                                team_size=team_size, p_chunk=p_chunk,
-                                device=device, seed=seed)
-        elif base_kind == "pq":
-            st = make_structure(base_kind, workload, team_size=team_size,
-                                p_chunk=p_chunk, device=device, seed=seed)
-        else:
-            st = build_gfsl(workload, team_size=team_size, p_chunk=p_chunk,
-                            device=device, seed=seed)
         slots = max(1, len(workload.prefill)
                     // _per_chunk(st.geo, DEFAULT_FILL))
         conflict = GFSL_CONTENTION
-        base_label = "PQ" if base_kind == "pq" else "GFSL"
-        label = f"{base_label}-{team_size}"
-    elif base_kind == "mc":
-        if enforce_paper_oom and not mc_paper_scale_feasible(
-                workload.key_range, workload.mixture):
-            return RunResult.oom_point("M&C", 32, workload.key_range,
-                                       workload.mixture.name)
-        kernel = MC_KERNEL
-        launch = launch or LaunchConfig(warps_per_block=16, team_size=32)
-        if is_sharded:
-            st = make_structure(base_kind, workload, shards=n_shards,
-                                partitioner=partitioner, p_key=p_key,
-                                device=device, seed=seed)
-        else:
-            st = build_mc(workload, p_key=p_key, device=device, seed=seed)
+        label = f"{spec.label}-{team_size}"
+    else:
         slots = max(1, len(workload.prefill))
         conflict = MC_CONTENTION
-        label = "M&C"
-    else:
-        raise ValueError(f"unknown structure kind {structure_kind!r}")
+        label = spec.label
     if is_sharded:
         label = f"{label}x{n_shards}"
 
@@ -279,7 +240,7 @@ def run_workload(structure_kind: str, workload: Workload,
         extra_serial_cycles=extra)
     return RunResult(
         structure=label,
-        team_size=team_size if base_kind == "gfsl" else 32,
+        team_size=lanes,
         key_range=workload.key_range,
         mixture_name=workload.mixture.name,
         n_ops=workload.n_ops,

@@ -14,7 +14,9 @@ from repro.chaos import SnapshotObservation, check_history
 from repro.chaos import ChaosHooks
 from repro.chaos.campaign import CampaignConfig, run_campaign
 from repro.chaos.linearize import HistoryEvent
-from repro.engine import InterleavedBackend, make_backend
+import repro.engine.backends
+from repro.engine import InterleavedBackend, make_backend, make_structure
+from repro.workloads import MIX_10_10_80, generate
 
 
 def judge(events, initial, final, obs):
@@ -86,13 +88,32 @@ class TestSnapshotChecker:
 
 
 class TestChaosBackendReaders:
-    def test_snapshot_readers_require_per_op_commit(self):
-        with pytest.raises(ValueError, match="per-op"):
-            InterleavedBackend(seed=1, commit="batch",
-                               chaos=ChaosHooks(snapshot_readers=2))
-        with pytest.raises(ValueError, match="per-op"):
-            make_backend("interleaved-chaos", seed=1, snapshot_readers=2,
-                         commit="batch")
+    def test_snapshot_readers_require_per_op_commit(self, monkeypatch):
+        """Readers under ``execute_batch(commit="batch")`` would read the
+        pre-batch cut by design, which the per-op checker flags: the
+        run is refused before any op runs."""
+        wl = generate(MIX_10_10_80, key_range=60, n_ops=40, seed=1)
+        sl = make_structure("gfsl", wl)
+
+        def no_op_may_run(*args, **kwargs):
+            raise AssertionError("an op ran under a refused commit")
+
+        monkeypatch.setattr(repro.engine.backends, "op_generator",
+                            no_op_may_run)
+        for be in (InterleavedBackend(seed=1,
+                                      chaos=ChaosHooks(snapshot_readers=2)),
+                   make_backend("interleaved-chaos", seed=1,
+                                snapshot_readers=2)):
+            with pytest.raises(ValueError, match="per-op"):
+                sl.execute_batch(wl.to_batch(), backend=be, commit="batch")
+        assert not sl.ctx.epochs.committing
+        assert sl.ctx.epochs.active_pins == 0
+
+    def test_commit_guard_creates_no_epoch_manager(self):
+        wl = generate(MIX_10_10_80, key_range=60, n_ops=40, seed=1)
+        sl = make_structure("gfsl", wl)
+        make_backend("interleaved-chaos", seed=1).execute(sl, wl.to_batch())
+        assert sl.ctx._epochs is None
 
     def test_small_campaign_records_observations(self):
         rep = run_campaign(CampaignConfig(n_ops=400, key_range=60,

@@ -76,3 +76,36 @@ def test_parse_structure_kind():
     for bad in ("gfsl@", "gfsl@0", "gfsl@-2", "gfsl@x"):
         with pytest.raises(ValueError):
             parse_structure_kind(bad)
+
+
+class TestChunkedCapability:
+    """Which kinds are GFSL-family is one registry flag."""
+
+    @pytest.mark.parametrize("kind,chunked", [
+        ("gfsl", True), ("pq", True), ("mc", False),
+        ("gfsl@4", True), ("pq@2", True), ("mc@2", False)])
+    def test_flag_and_sharded_specs_inherit_it(self, kind, chunked):
+        from repro.engine import structure_spec
+        assert structure_spec(kind).chunked is chunked
+
+    @pytest.mark.parametrize("kind", ["mc", "mc@3"])
+    def test_require_chunked_names_kind_caller_and_reason(self, kind):
+        from repro.engine import require_chunked
+        with pytest.raises(ValueError) as err:
+            require_chunked(kind, "the widget", "it walks chunks")
+        msg = str(err.value)
+        assert "\n" not in msg and repr(kind) in msg
+        assert msg.startswith("the widget needs a chunked")
+        assert msg.endswith(": it walks chunks")
+        assert require_chunked("pq@2", "x", "y").chunked
+
+
+def test_run_workload_labels_and_team_size_from_the_registry():
+    from repro.workloads import run_workload
+    w = _workload()
+    cases = {("gfsl", 32): ("GFSL-32", 32), ("gfsl", 16): ("GFSL-16", 16),
+             ("pq", 16): ("PQ-16", 16), ("mc", 16): ("M&C", 32),
+             ("gfsl@2", 32): ("GFSL-32x2", 32), ("mc@2", 32): ("M&Cx2", 32)}
+    for (kind, team), (label, lanes) in cases.items():
+        r = run_workload(kind, w, team_size=team, backend="sequential")
+        assert (r.structure, r.team_size) == (label, lanes), kind

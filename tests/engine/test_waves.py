@@ -1,8 +1,14 @@
 """Property tests for the vectorized backend's wave planner."""
 
 import numpy as np
+import pytest
 
-from repro.engine import plan_waves
+from repro.engine import plan_waves, run_wave_generators
+from repro.gpu import DeviceConfig
+from repro.gpu import events as ev
+from repro.gpu.memory import GlobalMemory
+from repro.gpu.scheduler import run_to_completion
+from repro.gpu.tracer import TransactionTracer
 
 
 def _flatten(waves):
@@ -66,3 +72,38 @@ class TestPlanWaves:
         for wave_size in (1, 2, 7):
             keys = rng.integers(0, 5, size=60)
             assert all(plan_waves(keys, wave_size=wave_size))
+
+
+class TestWaveReadBounds:
+    """Batched reads refuse an out-of-range address exactly as the
+    scalar trampoline does, before the tracer or memory is touched."""
+
+    @staticmethod
+    def _reader(event):
+        return (yield event)
+
+    @pytest.mark.parametrize("event", [ev.WordRead(-1), ev.WordRead(16),
+                                       ev.ChunkRead(14, 4),
+                                       ev.ChunkRead(-2, 4)])
+    def test_out_of_bounds_read_matches_run_to_completion(self, event):
+        mem = GlobalMemory(16)
+        mem.write_word(15, 99)
+        with pytest.raises(IndexError) as scalar:
+            run_to_completion(self._reader(event), mem, None)
+        tracer = TransactionTracer(DeviceConfig.gtx970())
+        in_bounds = ev.ChunkRead(0, 4) if type(event) is ev.ChunkRead \
+            else ev.WordRead(0)
+        tasks = [(0, self._reader(in_bounds)), (1, self._reader(event))]
+        with pytest.raises(IndexError) as batched:
+            run_wave_generators(tasks, mem, tracer)
+        assert str(batched.value) == str(scalar.value)
+        assert "device memory access out of bounds" in str(batched.value)
+        assert tracer.stats.transactions == 0
+
+    def test_in_bounds_edges_still_read(self):
+        mem = GlobalMemory(16)
+        mem.write_word(15, 99)
+        out = run_wave_generators(
+            [(0, self._reader(ev.WordRead(15))),
+             (1, self._reader(ev.ChunkRead(12, 4)))], mem, None)
+        assert out[0] == 99 and out[1].tolist() == [0, 0, 0, 99]

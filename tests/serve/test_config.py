@@ -51,6 +51,8 @@ def test_every_policy_flag_defaults_to_its_field():
     (["--adaptive", "--min-window", "700"], "--min-window"),
     (["--adaptive", "--max-window", "5"], "--max-window"),
     (["--adaptive", "--target-p99", "0"], "--target-p99"),
+    (["--structure", "mc"], "--structure"),
+    (["--structure", "mc@2"], "--structure"),
 ])
 def test_silent_downgrades_are_usage_errors(capsys, monkeypatch, argv, flag):
     """Each of these used to run to completion with the setting

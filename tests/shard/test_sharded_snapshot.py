@@ -67,15 +67,25 @@ class TestCrossShardCut:
 
 class TestCapabilityGate:
     def test_mc_shards_expose_no_snapshot_api(self):
-        """M&C shards have no snapshot_view → the partitioned map keeps
-        the capability off and range_query degrades (M&C itself has no
-        range_query either — pre-existing shape, asserted so a future
-        change is a conscious one)."""
+        """M&C is not chunked (the registry's flag) → the partitioned map
+        binds no snapshot API, and its ordered queries raise a
+        ``TypeError`` naming the kind instead of answering empty."""
         sm = sharded(kind="mc@2", n_keys=40)
+        assert not sm.chunked
         assert not hasattr(sm, "begin_snapshot")
         assert not hasattr(sm, "snapshot_items")
+        assert not hasattr(sm, "vector_contains")
         assert len(sm.items()) > 0
-        assert sm.range_query(1, 1000) == []
+        for call in (lambda: sm.range_query(1, 1000), sm.min_key,
+                     sm.max_key, lambda: sm.get(sm.keys()[0])):
+            with pytest.raises(TypeError, match="mc@2"):
+                call()
+
+    def test_mc_shards_have_no_zombies_to_count_or_compact(self):
+        sm = sharded(kind="mc@2", n_keys=40)
+        assert sm.zombie_count() == 0
+        assert sm.compact() == 0
+        assert sm.geo is None
 
 
 class TestShardedBatchCommit:

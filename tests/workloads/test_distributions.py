@@ -78,3 +78,45 @@ class TestBackCompat:
             generate(MIX_10_10_80, key_range=100, n_ops=10, seed=0,
                      distribution="pareto")
         assert DISTRIBUTIONS == ("uniform", "zipf", "hotspot", "front")
+
+
+class TestOneKeySampler:
+    """``draw_keys`` is the one distribution dispatch behind workloads
+    and serve load plans; the rng calls are the ones each used to make."""
+
+    @staticmethod
+    def _loadgen_draw(rng, distribution, key_range, n, zipf_s):
+        # The serve load generator's own dispatch before it moved.
+        from repro.workloads.generator import front_keys, zipf_keys
+        if distribution == "zipf":
+            return zipf_keys(rng, key_range, n, s=zipf_s)
+        if distribution == "hotspot":
+            return hotspot_keys(rng, key_range, n)
+        if distribution == "front":
+            return front_keys(rng, key_range, n, s=zipf_s)
+        return rng.integers(1, key_range + 1, size=n).astype(np.int64)
+
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_same_keys_and_rng_state_as_before(self, distribution):
+        from repro.workloads import draw_keys
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        got = draw_keys(a, distribution, 500, 300, 1.3)
+        want = self._loadgen_draw(b, distribution, 500, 300, 1.3)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        assert a.integers(1 << 30) == b.integers(1 << 30)
+
+    def test_unknown_distribution_refused_everywhere(self):
+        from repro.serve.loadgen import LoadConfig, build_plan
+        from repro.workloads import draw_keys
+        with pytest.raises(ValueError, match="unknown distribution"):
+            draw_keys(np.random.default_rng(0), "pareto", 100, 5)
+        with pytest.raises(ValueError, match="unknown distribution"):
+            generate(MIX_10_10_80, 100, 5, distribution="pareto")
+        with pytest.raises(ValueError, match="unknown distribution"):
+            build_plan(LoadConfig(n_requests=5, distribution="pareto"))
+
+    def test_delete_only_permutation_is_uniform_only(self):
+        from repro.workloads import DELETE_ONLY
+        skewed = generate(DELETE_ONLY, key_range=50, n_ops=50, seed=2,
+                          distribution="zipf")
+        assert len(set(skewed.keys.tolist())) < 50

@@ -5,13 +5,13 @@ import math
 import pytest
 
 from repro.core import GFSL_KERNEL
+from repro.engine import make_structure
 from repro.gpu import DeviceConfig, LaunchConfig
 from repro.gpu.occupancy import compute_occupancy
 from repro.workloads import (CONTAINS_ONLY, DELETE_ONLY, INSERT_ONLY,
     MIX_10_10_80, MIX_20_20_60, generate, mc_paper_scale_feasible,
     run_workload)
-from repro.workloads.runner import (build_gfsl, build_mc,
-                                    contention_serial_cycles)
+from repro.workloads.runner import contention_serial_cycles
 
 DEV = DeviceConfig.gtx970()
 
@@ -23,18 +23,18 @@ def small_workload(mix=MIX_10_10_80, key_range=5_000, n_ops=200, seed=1):
 class TestBuilders:
     def test_build_gfsl_prefilled(self):
         w = small_workload()
-        sl = build_gfsl(w)
+        sl = make_structure("gfsl", w)
         assert len(sl) == len(w.prefill)
         assert sl.contains(int(w.prefill[0]))
 
     def test_build_mc_prefilled(self):
         w = small_workload()
-        mc = build_mc(w)
+        mc = make_structure("mc", w)
         assert len(mc) == len(w.prefill)
 
     def test_build_insert_only_midpoint(self):
         w = small_workload(INSERT_ONLY, n_ops=50)
-        sl = build_gfsl(w)
+        sl = make_structure("gfsl", w)
         assert len(sl) == len(w.prefill) > 0
 
 
