@@ -65,7 +65,7 @@ def test_merge_threshold(benchmark, scale):
                 1 for _p, kv in level_chain(sl, 0)
                 if int(kv[sl.geo.lock_idx]) != 2)
             rows.append([divisor, sl.geo.merge_threshold,
-                         sl.op_stats.merges, sl.zombie_count(),
+                         sl.metrics.merges, sl.zombie_count(),
                          live_chunks])
         return rows
 

@@ -50,7 +50,7 @@ def main() -> None:
             f"inconsistent history for key {k}"
 
     stats = validate_structure(sl)
-    s = sl.op_stats
+    s = sl.metrics
     print(f"ran {len(ops)} interleaved ops: "
           f"{s.inserts} inserts, {s.deletes} deletes landed")
     print(f"structural churn: {s.splits} splits, {s.merges} merges, "

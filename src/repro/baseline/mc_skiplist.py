@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.gfsl import OpStats
 from ..gpu import events as ev
 from ..gpu.device import DeviceConfig
 from ..gpu.kernel import GPUContext
 from ..gpu.occupancy import KernelResources
+from ..metrics.counters import MetricsCollector
 from . import node as N
 
 # Resource profile calibrated against Table 5.2: the compiler settles at
@@ -40,6 +40,10 @@ DEFAULT_P_KEY = 0.5
 
 class MCSkiplist:
     """Lock-free skiplist on a simulated GPU device."""
+
+    #: The registry's capability flag: no chunks, hence no vectorized
+    #: kernels, ordered walks or snapshots.
+    chunked = False
 
     def __init__(self, capacity_words: int, max_level: int = 32,
                  p_key: float = DEFAULT_P_KEY,
@@ -60,12 +64,9 @@ class MCSkiplist:
             ctx = GPUContext(base + capacity_words, device=device)
         self.ctx = ctx
         self.rng = np.random.default_rng(seed)
-        # Same operation-level counters as GFSL (restart counts map onto
-        # _find retries) so both structures satisfy the engine's
-        # ConcurrentMap protocol and report comparable op accounting.
-        self.op_stats = OpStats()
-        # Mirrors GFSL: optional MetricsCollector, None = uninstrumented.
-        self.metrics = None
+        # The same counter block as GFSL (restart counts map onto _find
+        # retries), so both structures report comparable op accounting.
+        self.metrics = MetricsCollector()
         self._format()
 
     # ------------------------------------------------------------------
@@ -143,7 +144,7 @@ class MCSkiplist:
                 preds[level] = pred
                 succs[level] = curr
             if retry:
-                self.op_stats.update_restarts += 1
+                self.metrics.update_restarts += 1
                 continue
             found_key = yield from self._key_of(succs[0])
             return found_key == key, preds, succs
@@ -152,7 +153,7 @@ class MCSkiplist:
     def contains_gen(self, key: int):
         """Wait-free membership test (no snipping)."""
         self._check_key(key)
-        self.op_stats.contains_calls += 1
+        self.metrics.contains_calls += 1
         pred = self.head
         curr = N.NULL_PTR
         for level in range(self.max_level - 1, -1, -1):
@@ -194,7 +195,7 @@ class MCSkiplist:
             if old != N.pack_link(succs[0]):
                 continue  # bottom CAS lost: retry whole insert (node leaks,
                 #            matching the GPU port's no-reclamation design)
-            self.op_stats.inserts += 1
+            self.metrics.inserts += 1
             # Link the upper levels.
             for l in range(1, top):
                 while True:
@@ -243,7 +244,7 @@ class MCSkiplist:
             old = yield ev.WordCAS(self._link_addr(node, 0), word,
                                    word | N.MARK_BIT)
             if old == word:
-                self.op_stats.deletes += 1
+                self.metrics.deletes += 1
                 yield from self._find(key)  # physical snip
                 return True
 

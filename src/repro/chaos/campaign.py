@@ -78,7 +78,7 @@ class CampaignReport:
     invariants: dict | None = None             # validate_structure stats
     invariant_error: str | None = None
     fault_counts: dict = field(default_factory=dict)
-    op_stats: dict = field(default_factory=dict)
+    counters: dict = field(default_factory=dict)  # MetricsCollector.as_dict
     n_ops: int = 0
 
     @property
@@ -110,16 +110,15 @@ class CampaignReport:
             lines.append(f"  invariants: ok {self.invariants}")
         injected = {k: v for k, v in self.fault_counts.items() if v}
         lines.append(f"  faults injected: {self.faults_injected} {injected}")
-        if self.op_stats:
-            s = self.op_stats
+        if self.counters:
+            s = self.counters
             lines.append(
-                f"  op stats: splits={s.get('splits', 0)} "
-                f"merges={s.get('merges', 0)} "
-                f"zombies_unlinked={s.get('zombies_unlinked', 0)} "
-                f"lock_retries={s.get('lock_retries', 0)} "
-                f"restarts={s.get('contains_restarts', 0)}"
-                f"+{s.get('update_restarts', 0)} "
-                f"max_zombie_chain={s.get('max_zombie_chain', 0)}")
+                f"  op stats: splits={s['splits']} merges={s['merges']} "
+                f"zombies_unlinked={s['zombies_unlinked']} "
+                f"lock_retries={s['lock_spins']} "
+                f"restarts={s['contains_restarts']}"
+                f"+{s['update_restarts']} "
+                f"max_zombie_chain={s['max_zombie_chain']}")
         return "\n".join(lines)
 
 
@@ -155,8 +154,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     finally:
         if hooks.injector is not None:
             report.fault_counts = dict(hooks.injector.counts)
-        report.op_stats = {f: getattr(sl.op_stats, f)
-                           for f in sl.op_stats.__dataclass_fields__}
+        report.counters = sl.metrics.as_dict()
     if report.error is not None:
         return report
 

@@ -105,12 +105,10 @@ class ChaosHooks:
         """Fresh injector/recorder/watchdog for one batch; installs the
         injector as ``structure.chaos`` until :meth:`end`.  Refuses
         readers it cannot judge (never creating an epoch manager)."""
-        if self.snapshot_readers and not hasattr(structure,
-                                                 "begin_snapshot"):
+        if self.snapshot_readers and not structure.chunked:
             raise ValueError(
                 f"snapshot_readers={self.snapshot_readers} but the "
-                f"structure has no begin_snapshot capability (mc has no "
-                f"snapshots)")
+                f"structure is not chunked (mc has no snapshots)")
         mgr = structure.ctx._epochs
         if self.snapshot_readers and mgr is not None and mgr.committing:
             raise ValueError(
@@ -120,7 +118,7 @@ class ChaosHooks:
         self.injector = FaultInjector(self.config, seed=self.chaos_seed)
         self.recorder = HistoryRecorder()
         self.snapshots = []
-        self.watchdog = Watchdog(stats=structure.op_stats,
+        self.watchdog = Watchdog(stats=structure.metrics,
                                  injector=self.injector,
                                  task_step_budget=self.task_step_budget)
         self._step_base = 0

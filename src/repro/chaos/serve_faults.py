@@ -58,11 +58,11 @@ class ServeChaosConfig:
     the retry must re-copy from a fresh snapshot)."""
 
     bursts: int = 0
-    burst_size: int = 32
+    burst_size: int = 64
     stalled_clients: int = 0
     freeze_shard: int | None = None
-    freeze_at: int = 0
-    freeze_steps: int = 0
+    freeze_at: int = 400
+    freeze_steps: int = 600
     frozen_windows: tuple = ()
     abort_migrations: int = 0
     seed: int = 0

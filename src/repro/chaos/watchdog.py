@@ -5,9 +5,10 @@ The interleaving scheduler's only native guard is a global
 diagnosing *which* operation wedged and *why*.  The watchdog observes
 every task advance and raises :class:`LivelockDetected` carrying a
 :class:`StuckOpDiagnostics` snapshot — the stuck task, its per-op step
-count, the structure's retry/backoff accounting
-(``op_stats.lock_retries``, ``contains_restarts``,
-``max_zombie_chain``), the lock-ownership table, and the fault counts —
+count, the structure's retry/backoff accounting read from its
+collector (``lock_spins``, reported as ``lock_retries``;
+``contains_restarts``, ``update_restarts``, ``max_zombie_chain``), the
+lock-ownership table, and the fault counts —
 when either
 
 * one task exceeds ``task_step_budget`` steps without responding
@@ -78,8 +79,9 @@ class Watchdog:
     """Observes task advances; raises :class:`LivelockDetected` with
     diagnostics once a budget is exceeded.
 
-    ``stats`` is the structure's :class:`~repro.core.gfsl.OpStats`
-    (retry/restart/zombie accounting), ``injector`` the attached
+    ``stats`` is the structure's
+    :class:`~repro.metrics.counters.MetricsCollector` (retry/restart/
+    zombie accounting), ``injector`` the attached
     :class:`~repro.chaos.faults.FaultInjector` (lock owners + fault
     counts); both optional.  ``labels`` maps task ids to human-readable
     op labels for the report.
@@ -102,7 +104,7 @@ class Watchdog:
                                total_steps=total_steps,
                                label=self.labels.get(task_id))
         if self.stats is not None:
-            d.lock_retries = self.stats.lock_retries
+            d.lock_retries = self.stats.lock_spins
             d.contains_restarts = self.stats.contains_restarts
             d.update_restarts = self.stats.update_restarts
             d.max_zombie_chain = self.stats.max_zombie_chain

@@ -170,7 +170,7 @@ def cmd_stress(args) -> int:
             print(f"INCONSISTENT history for key {k}", file=sys.stderr)
             return 1
     stats = validate_structure(sl)
-    s = sl.op_stats
+    s = sl.metrics
     print(f"stress OK: {args.ops} interleaved ops over {args.range:,} keys "
           f"(seed {args.seed})")
     print(f"  splits={s.splits} merges={s.merges} "
@@ -561,13 +561,15 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-bench", help="seeded overload campaign through the async "
         "serving frontend (exits 1 on a hung request, non-linearizable "
         "history, or busted p99 bound)")
+    from .chaos import ServeChaosConfig
     from .serve import ServeCampaignConfig
-    defaults = {**vars(ServeCampaignConfig()), **SERVE_LOAD}
+    defaults = {**vars(ServeChaosConfig()), **vars(ServeCampaignConfig()),
+                **SERVE_LOAD}
 
     def serve_flag(flag, dest=None, **kw):
-        """A flag storing into the config (or load) field ``dest``, by
-        default the flag's own name, and defaulting to that field's
-        default."""
+        """A flag storing into the config (or load, or chaos) field
+        ``dest``, by default the flag's own name, and defaulting to that
+        field's default."""
         dest = dest or flag[2:].replace("-", "_")
         pv.add_argument(flag, dest=dest, default=defaults[dest], **kw)
 
@@ -632,18 +634,17 @@ def build_parser() -> argparse.ArgumentParser:
                "consistency checker (migration-window audit)")
     serve_flag("--retries", "retry_attempts", type=int,
                help="max flush attempts per batch")
-    pv.add_argument("--bursts", type=int, default=0,
-                    help="chaos: request-burst waves")
-    pv.add_argument("--burst-size", type=int, default=64)
-    pv.add_argument("--stalled-clients", type=int, default=0,
-                    help="chaos: clients that stop consuming mid-run")
-    pv.add_argument("--freeze-shard", type=int, default=None,
-                    help="chaos: freeze this shard for a window")
-    pv.add_argument("--freeze-at", type=int, default=400)
-    pv.add_argument("--freeze-steps", type=int, default=600)
-    pv.add_argument("--abort-migrations", type=int, default=0,
-                    help="chaos: inject this many copy-phase migration "
-                    "aborts (each kills one attempt pre-mutation)")
+    serve_flag("--bursts", type=int, help="chaos: request-burst waves")
+    serve_flag("--burst-size", type=int)
+    serve_flag("--stalled-clients", type=int,
+               help="chaos: clients that stop consuming mid-run")
+    serve_flag("--freeze-shard", type=int,
+               help="chaos: freeze this shard for a window")
+    serve_flag("--freeze-at", type=int)
+    serve_flag("--freeze-steps", type=int)
+    serve_flag("--abort-migrations", type=int,
+               help="chaos: inject this many copy-phase migration "
+               "aborts (each kills one attempt pre-mutation)")
     pv.add_argument("--max-p99", type=float, default=None,
                     help="gate: fail if admitted point-op p99 (µs) "
                     "exceeds this")

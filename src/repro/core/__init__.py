@@ -9,7 +9,7 @@ from . import constants
 from .bulk import bulk_build_into, plan_chunks, rebuild_into, warm_structure
 from .chunk import ChunkGeometry, ChunkVersion, select_version
 from .epoch import EpochDomain, EpochManager, GFSLSnapshot
-from .gfsl import GFSL, GFSL_KERNEL, OpStats, suggest_capacity
+from .gfsl import GFSL, GFSL_KERNEL, suggest_capacity
 from .locks import LockTimeout
 from .pq import GPUPriorityQueue
 from .traversal import RestartStorm
@@ -17,7 +17,7 @@ from .validate import (InvariantViolation, bottom_items, count_zombies,
                        level_items, structure_height, validate_structure)
 
 __all__ = [
-    "GFSL", "GFSL_KERNEL", "OpStats", "suggest_capacity", "ChunkGeometry",
+    "GFSL", "GFSL_KERNEL", "suggest_capacity", "ChunkGeometry",
     "ChunkVersion", "select_version",
     "EpochDomain", "EpochManager", "GFSLSnapshot", "GPUPriorityQueue",
     "bulk_build_into", "plan_chunks", "rebuild_into", "warm_structure",

@@ -20,8 +20,8 @@ from .downptrs import update_down_ptrs
 from .insert import pre_split, split_copy
 from .locks import (find_and_lock_enclosing, lock_next_chunk, mark_zombie,
                     unlock_chunk)
-from .traversal import (_injector, _metrics, _note_publish, read_chunk,
-                        search_lateral, search_slow)
+from .traversal import (_injector, _note_publish, read_chunk, search_lateral,
+                        search_slow)
 
 
 def execute_remove_no_merge(sl, ptr: int, kvs, k: int):
@@ -81,10 +81,7 @@ def split_remove(sl, p_next: int, next_kvs, level: int):
     if p_after is not None:
         yield from unlock_chunk(sl, p_after)
     yield from unlock_chunk(sl, p_new)
-    sl.op_stats.splits += 1
-    m = _metrics(sl)
-    if m is not None:
-        m.splits += 1
+    sl.metrics.splits += 1
     yield from update_down_ptrs(sl, level, moved_keys, p_new)
 
 
@@ -148,10 +145,7 @@ def remove_from_chunk(sl, k: int, p_enc: int, level: int):
         sl, p_enc, enc_kvs, p_next, next_kvs, k)
     yield from mark_zombie(sl, p_enc)
     _note_publish(sl, "merge")
-    sl.op_stats.merges += 1
-    m = _metrics(sl)
-    if m is not None:
-        m.merges += 1
+    sl.metrics.merges += 1
     moved_real = any(mk != C.NEG_INF_KEY for mk in moved_keys)
     if target_utilized or not moved_real:
         # One utilized chunk (pEnc) became a zombie.  Exception: when
@@ -203,5 +197,5 @@ def delete(sl, k: int, hint=None):
         yield from remove_from_chunk(sl, k, p_enc, level)
 
     yield from remove_from_chunk(sl, k, p_bottom, 0)
-    sl.op_stats.deletes += 1
+    sl.metrics.deletes += 1
     return True

@@ -49,6 +49,6 @@ def update_down_ptrs(sl, level: int, moved_keys, lower_moved_ch: int):
         if still_there:
             yield from update_down_ptr(sl, k, locked_ptr, locked_kvs,
                                        lower_enc)
-            sl.op_stats.downptr_updates += 1
+            sl.metrics.downptr_updates += 1
         yield from unlock_chunk(sl, locked_ptr)
         upper_ch = locked_ptr

@@ -14,13 +14,12 @@ stop-the-world ``compact`` (the paper's future-work reclamation scheme).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..gpu.device import DeviceConfig
 from ..gpu.kernel import GPUContext
 from ..gpu.occupancy import KernelResources
+from ..metrics.counters import MetricsCollector
 from . import constants as C
 from . import delete as _delete
 from . import insert as _insert
@@ -39,32 +38,6 @@ GFSL_KERNEL = KernelResources(regs_demanded=79, intrinsic_spill=0.0,
                               lanes_per_op=32,
                               op_overhead_instructions=190.0,
                               divergence_replay=1.0)
-
-
-@dataclass
-class OpStats:
-    """Operation-level counters (restarts, splits, merges, ...).
-
-    ``lock_retries`` (failed lock acquisitions across all spin loops)
-    and ``max_zombie_chain`` (longest frozen chain walked through) are
-    the bounded-retry/backoff accounting the chaos watchdog reads."""
-
-    inserts: int = 0
-    deletes: int = 0
-    contains_calls: int = 0
-    contains_restarts: int = 0
-    update_restarts: int = 0
-    range_restarts: int = 0
-    splits: int = 0
-    merges: int = 0
-    zombies_unlinked: int = 0
-    downptr_updates: int = 0
-    lock_retries: int = 0
-    max_zombie_chain: int = 0
-
-    def reset(self) -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, 0)
 
 
 class GFSL:
@@ -88,6 +61,9 @@ class GFSL:
         (``ctx.reserve``) unless an explicit ``base`` pins it — several
         instances co-locate on one device without overlapping.
     """
+
+    #: The registry's capability flag (see ``StructureSpec.chunked``).
+    chunked = True
 
     def __init__(self, capacity_chunks: int, team_size: int = 32,
                  p_chunk: float = C.DEFAULT_P_CHUNK,
@@ -125,15 +101,14 @@ class GFSL:
         self.pool.attach_mem(ctx.mem)
         self.head = HeadArray(self.layout)
         self.rng = np.random.default_rng(seed)
-        self.op_stats = OpStats()
+        #: The one counter block; assign a fresh collector to open an
+        #: observation window.
+        self.metrics = MetricsCollector()
         # Chaos/robustness knobs: `chaos` holds an attached
         # repro.chaos.faults.FaultInjector (None = inert injection
         # points); the limits bound lock spins and traversal restarts
         # (typed LockTimeout / RestartStorm instead of a silent hang).
         self.chaos = None
-        # repro.metrics.counters.MetricsCollector (None = uninstrumented;
-        # the engine attaches one for the observation window).
-        self.metrics = None
         self.lock_retry_limit = _locks.DEFAULT_LOCK_RETRY_LIMIT
         self.restart_limit = _traversal.DEFAULT_RESTART_LIMIT
         self._epoch_domain = None
@@ -172,7 +147,7 @@ class GFSL:
     def contains_gen(self, key: int):
         """Algorithm 4.1: lock-free membership test."""
         self._check_key(key)
-        self.op_stats.contains_calls += 1
+        self.metrics.contains_calls += 1
         p_curr = yield from _traversal.search_down(self, key)
         found, _ = yield from _traversal.search_lateral(self, key, p_curr)
         return found
@@ -426,69 +401,6 @@ class GFSL:
     def pop_min(self):
         """Synchronous delete-min; None when empty."""
         return self.ctx.run(self.pop_min_gen())
-
-    def range_query_gen(self, lo: int, hi: int):
-        """All (key, value) pairs with lo ≤ key ≤ hi, lock-free, in order.
-        Chunked nodes make this a natural extension: one coalesced read
-        yields up to DSIZE consecutive hits.
-
-        This is the *pre-snapshot* path (no isolation across chunks —
-        concurrent updates before/behind the walk front remain visible);
-        the synchronous :meth:`range_query` is rebased onto a snapshot.
-        A concurrent merge zombifying the current chunk restarts the
-        descent from the last returned key (nothing is skipped); a
-        restart that lands on the same frozen chunk again follows its
-        next pointer instead — survivors always migrate right, so the
-        walk still progresses.
-        """
-        self._check_key(lo)
-        self._check_key(hi)
-        out: list[tuple[int, int]] = []
-        if lo > hi:
-            return out
-        p_curr = yield from _traversal.search_down(self, lo)
-        from .chunk import is_zombie, max_field, next_ptr
-        ptr = p_curr
-        restarts = 0
-        last_restart_key = None
-        while True:
-            kvs = yield from _traversal.read_chunk(self, ptr)
-            if is_zombie(kvs, self.geo):
-                start_key = lo if not out else min(out[-1][0] + 1,
-                                                   C.MAX_USER_KEY)
-                if start_key != last_restart_key:
-                    last_restart_key = start_key
-                    restarts = _traversal._count_restart(
-                        self, start_key, restarts, "range_query")
-                    self.op_stats.range_restarts += 1
-                    ptr = yield from _traversal.search_down(self, start_key)
-                    continue
-                nxt = next_ptr(kvs, self.geo)
-                if nxt == C.NULL_PTR:
-                    return out
-                ptr = nxt
-                continue
-            keys = keys_vec(kvs)[: self.geo.dsize]
-            vals = vals_vec(kvs)[: self.geo.dsize]
-            mask = (keys >= lo) & (keys <= hi) & (keys != C.EMPTY_KEY)
-            idx = np.nonzero(mask)[0]
-            if idx.size:
-                # Merge migration appends survivors unsorted at the end
-                # slots and restarts can revisit collected keys: sort the
-                # hits and keep only strictly new ones.
-                order = np.argsort(keys[idx], kind="stable")
-                last = out[-1][0] if out else lo - 1
-                for i in idx[order]:
-                    k = int(keys[i])
-                    if k > last:
-                        out.append((k, int(vals[i])))
-                        last = k
-            if max_field(kvs, self.geo) > hi:
-                return out
-            nxt = next_ptr(kvs, self.geo)
-            if nxt == C.NULL_PTR:
-                return out
-            ptr = nxt
 
     def range_query(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """Synchronous inclusive ordered window query — consistent by

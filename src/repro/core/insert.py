@@ -17,8 +17,7 @@ from .chunk import (has_user_keys, keys_vec, max_field, num_live_entries,
                     pack_next)
 from .downptrs import update_down_ptrs
 from .locks import find_and_lock_enclosing, lock_next_chunk, unlock_chunk
-from .traversal import (_injector, _metrics, _note_publish, read_chunk,
-                        search_slow)
+from .traversal import _injector, _note_publish, read_chunk, search_slow
 
 
 def execute_insert(sl, ptr: int, kvs, k: int, v: int):
@@ -166,10 +165,7 @@ def insert_to_level(sl, level: int, p_enc: int, k: int, v: int):
     p_insert, raised_key, raised_chunk = yield from split_insert(
         sl, p_enc, kvs, k, v, level)
     raise_next = bool(sl.rng.random() < sl.p_chunk)
-    sl.op_stats.splits += 1
-    m = _metrics(sl)
-    if m is not None:
-        m.splits += 1
+    sl.metrics.splits += 1
     return True, p_insert, raised_key, raised_chunk, raise_next
 
 
@@ -209,5 +205,5 @@ def insert(sl, k: int, v: int, hint=None):
         level += 1
 
     yield from unlock_chunk(sl, p_bottom)
-    sl.op_stats.inserts += 1
+    sl.metrics.inserts += 1
     return True

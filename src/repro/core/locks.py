@@ -13,7 +13,7 @@ level-*i*+1 locks (updateDownPtrs, key raising) — all waits point
 rightward or upward, so no cycle can form.
 
 Acquisition loops are *bounded*: every failed attempt (spin on a locked
-chunk, lost or chaos-failed CAS) is counted in ``op_stats.lock_retries``
+chunk, lost or chaos-failed CAS) is counted in ``metrics.lock_spins``
 and, past ``sl.lock_retry_limit``, raises a typed :class:`LockTimeout`
 naming the chunk and (when a chaos injector tracks ownership) the
 holder — so a protocol regression surfaces as a diagnosable exception
@@ -31,7 +31,7 @@ from ..gpu import events as ev
 from . import constants as C
 from . import team
 from .chunk import is_locked, next_ptr
-from .traversal import _injector, _metrics, read_chunk, skip_zombies
+from .traversal import _injector, read_chunk, skip_zombies
 
 #: Failed-acquisition bound before :class:`LockTimeout`; ``GFSL``
 #: instances carry it as ``lock_retry_limit`` so tests and chaos
@@ -75,10 +75,7 @@ def _retry_policy(sl):
 def _count_lock_retry(sl, ptr: int, attempts: int) -> int:
     """Bump the retry/backoff accounting; raise past the bound."""
     attempts += 1
-    sl.op_stats.lock_retries += 1
-    m = _metrics(sl)
-    if m is not None:
-        m.lock_spins += 1
+    sl.metrics.lock_spins += 1
     if not _retry_policy(sl).allows(attempts):
         inj = _injector(sl)
         owner = inj.owner_of(ptr) if inj is not None else None
@@ -91,19 +88,16 @@ def try_lock_chunk(sl, ptr: int):
     locked chunk *and* on a zombie (its lock word is ZOMBIE, never
     UNLOCKED), which is exactly the behaviour the lazy redirect needs."""
     inj = _injector(sl)
-    m = _metrics(sl)
+    m = sl.metrics
     if inj is not None and inj.spurious_cas_fail():
-        if m is not None:
-            m.lock_cas_failed += 1
+        m.lock_cas_failed += 1
         return False
     addr = sl.layout.entry_addr(ptr, sl.geo.lock_idx)
     old = yield ev.WordCAS(addr, C.UNLOCKED, C.LOCKED)
     if old != C.UNLOCKED:
-        if m is not None:
-            m.lock_cas_failed += 1
+        m.lock_cas_failed += 1
         return False
-    if m is not None:
-        m.lock_acquired += 1
+    m.lock_acquired += 1
     if inj is not None:
         inj.note_lock(ptr)
         yield from inj.stall("stall_lock_holder")
@@ -117,9 +111,7 @@ def unlock_chunk(sl, ptr: int):
     inj = _injector(sl)
     if inj is not None:
         inj.note_unlock(ptr)
-    m = _metrics(sl)
-    if m is not None:
-        m.lock_released += 1
+    sl.metrics.lock_released += 1
     yield ev.WordWrite(sl.layout.entry_addr(ptr, sl.geo.lock_idx), C.UNLOCKED)
 
 
@@ -130,11 +122,9 @@ def mark_zombie(sl, ptr: int):
     inj = _injector(sl)
     if inj is not None:
         inj.note_unlock(ptr)
-    m = _metrics(sl)
-    if m is not None:
-        # The held lock is consumed by the terminal mark, so the
-        # acquired/released balance stays zero at quiescence.
-        m.lock_released += 1
+    # The held lock is consumed by the terminal mark, so the
+    # acquired/released balance stays zero at quiescence.
+    sl.metrics.lock_released += 1
     yield ev.WordWrite(sl.layout.entry_addr(ptr, sl.geo.lock_idx), C.ZOMBIE)
 
 
@@ -191,7 +181,7 @@ def lock_next_chunk(sl, ptr: int, kvs):
             yield ev.WordWrite(
                 sl.layout.entry_addr(ptr, geo.next_idx),
                 pack_next(max_field(kvs, geo), live_ptr))
-            sl.op_stats.zombies_unlinked += 1
+            sl.metrics.zombies_unlinked += 1
             kvs = yield from read_chunk(sl, ptr)
             continue
         got = yield from try_lock_chunk(sl, live_ptr)

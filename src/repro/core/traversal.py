@@ -49,12 +49,6 @@ def _injector(sl):
     return getattr(sl, "chaos", None)
 
 
-def _metrics(sl):
-    """The structure's attached metrics collector, or None (the common,
-    zero-overhead case — see :mod:`repro.metrics.counters`)."""
-    return getattr(sl, "metrics", None)
-
-
 def _epochs(sl):
     """The context's epoch manager *if it was ever created* (None is the
     common snapshot-free case).  Publish sites use this to notify the
@@ -74,6 +68,13 @@ def _note_publish(sl, kind: str) -> None:
 
 
 def _count_restart(sl, key: int, restarts: int, where: str) -> int:
+    """Count one restart by flavour — the lock-free read descent is a
+    contains restart, every update-path descent an update restart — and
+    raise :class:`RestartStorm` past the structure's bound."""
+    if where == "search_down":
+        sl.metrics.contains_restarts += 1
+    else:
+        sl.metrics.update_restarts += 1
     restarts += 1
     if restarts >= getattr(sl, "restart_limit", DEFAULT_RESTART_LIMIT):
         raise RestartStorm(key, restarts, where)
@@ -87,9 +88,7 @@ def read_chunk(sl, ptr: int):
     inj = _injector(sl)
     if inj is not None:
         yield from inj.stall("preempt_traversal")
-    m = _metrics(sl)
-    if m is not None:
-        m.chunk_reads += 1
+    sl.metrics.chunk_reads += 1
     kvs = yield ev.ChunkRead(sl.layout.chunk_addr(ptr), sl.geo.n)
     return kvs
 
@@ -106,11 +105,10 @@ def skip_zombies(sl, ptr: int, kvs):
         ptr = next_ptr(kvs, geo)
         kvs = yield from read_chunk(sl, ptr)
     if chain:
-        m = _metrics(sl)
-        if m is not None:
-            m.zombie_encounters += chain
-    if chain > sl.op_stats.max_zombie_chain:
-        sl.op_stats.max_zombie_chain = chain
+        m = sl.metrics
+        m.zombie_encounters += chain
+        if chain > m.max_zombie_chain:
+            m.max_zombie_chain = chain
     return ptr, kvs
 
 
@@ -133,10 +131,7 @@ def redirect_to_remove_zombie(sl, prev_ptr: int, zombie_ptr: int,
         from .chunk import pack_next
         yield ev.WordWrite(sl.layout.entry_addr(prev_ptr, geo.next_idx),
                            pack_next(max_field(kvs, geo), new_next))
-        sl.op_stats.zombies_unlinked += 1
-        m = _metrics(sl)
-        if m is not None:
-            m.zombies_unlinked += 1
+        sl.metrics.zombies_unlinked += 1
         ok = True
     yield from unlock_chunk(sl, prev_ptr)
     return ok
@@ -154,7 +149,7 @@ def search_down(sl, k: int):
     start the lateral search from (Algorithm 4.2).  Restarts are counted
     and bounded (:class:`RestartStorm`)."""
     geo = sl.geo
-    m = _metrics(sl)
+    m = sl.metrics
     restarts = 0
     while True:  # the 'goto search' restart loop
         prev_kvs = None
@@ -165,19 +160,16 @@ def search_down(sl, k: int):
         while height > 0:
             kvs = yield from read_chunk(sl, pcurr)
             if is_zombie(kvs, geo):
-                if m is not None:
-                    m.zombie_encounters += 1
+                m.zombie_encounters += 1
                 pcurr = next_ptr(kvs, geo)
                 continue
             step_tid = team.tid_for_next_step(k, kvs, geo)
             if step_tid == geo.next_idx:          # lateral step
-                if m is not None:
-                    m.lateral_steps += 1
+                m.lateral_steps += 1
                 prev_kvs = kvs
                 pcurr = next_ptr(kvs, geo)
             elif step_tid != C.NONE_TID:          # down step
-                if m is not None:
-                    m.down_steps += 1
+                m.down_steps += 1
                 height -= 1
                 prev_kvs = None
                 pcurr = team.ptr_from_tid(step_tid, kvs)
@@ -186,14 +178,10 @@ def search_down(sl, k: int):
                     # A concurrent delete removed the key our down step
                     # used: not enough data to continue — restart.  This
                     # is the rare case that makes Contains lock-free.
-                    sl.op_stats.contains_restarts += 1
-                    if m is not None:
-                        m.restarts += 1
                     restarts = _count_restart(sl, k, restarts, "search_down")
                     restart = True
                     break
-                if m is not None:
-                    m.backtrack_steps += 1
+                m.backtrack_steps += 1
                 height -= 1
                 pcurr = back_track(sl, prev_kvs, k)
                 prev_kvs = None
@@ -206,7 +194,7 @@ def search_lateral(sl, k: int, ptr: int):
     (Algorithm 4.4); returns ``(found, enclosing_ptr)``."""
     geo = sl.geo
     inj = _injector(sl)
-    m = _metrics(sl)
+    m = sl.metrics
     # Plantable bug for checker validation: treating a frozen zombie as
     # live lets a contains observe merged-away (stale) entries.
     ignore_zombies = inj is not None and inj.bug_active("skip-zombie-recheck")
@@ -215,11 +203,10 @@ def search_lateral(sl, k: int, ptr: int):
         found_tid = team.tid_with_equal_key(k, kvs, geo)
         zombie = (not ignore_zombies) and is_zombie(kvs, geo)
         if found_tid == geo.next_idx or zombie:
-            if m is not None:
-                if zombie:
-                    m.zombie_encounters += 1
-                else:
-                    m.lateral_steps += 1
+            if zombie:
+                m.zombie_encounters += 1
+            else:
+                m.lateral_steps += 1
             ptr = next_ptr(kvs, geo)
             continue
         return found_tid != C.NONE_TID, ptr
@@ -230,15 +217,14 @@ def find_lateral(sl, k: int, ptr: int):
     ``(found, enclosing_ptr, kvs)``.  Used by updateDownPtrs and the
     delete containment pre-checks."""
     geo = sl.geo
-    m = _metrics(sl)
+    m = sl.metrics
     while True:
         kvs = yield from read_chunk(sl, ptr)
         if is_zombie(kvs, geo) or max_field(kvs, geo) < k:
-            if m is not None:
-                if is_zombie(kvs, geo):
-                    m.zombie_encounters += 1
-                else:
-                    m.lateral_steps += 1
+            if is_zombie(kvs, geo):
+                m.zombie_encounters += 1
+            else:
+                m.lateral_steps += 1
             ptr = next_ptr(kvs, geo)
             continue
         return team.chunk_contains(k, kvs, geo), ptr, kvs
@@ -254,7 +240,7 @@ def search_slow(sl, k: int):
     lateral steps and swings head pointers off zombie first chunks.
     """
     geo = sl.geo
-    m = _metrics(sl)
+    m = sl.metrics
     restarts = 0
     while True:  # 'goto search'
         head_words = yield from sl.head.read_all()
@@ -283,27 +269,21 @@ def search_slow(sl, k: int):
             via_head = False
             step_tid = team.tid_for_next_step(k, kvs, geo)
             if step_tid == geo.next_idx:          # lateral step
-                if m is not None:
-                    m.lateral_steps += 1
+                m.lateral_steps += 1
                 prev_kvs, prev_ptr = kvs, pcurr
                 pcurr = next_ptr(kvs, geo)
             elif step_tid != C.NONE_TID:          # down step
-                if m is not None:
-                    m.down_steps += 1
+                m.down_steps += 1
                 path[height] = pcurr
                 height -= 1
                 prev_kvs = prev_ptr = None
                 pcurr = team.ptr_from_tid(step_tid, kvs)
             else:                                  # backtrack
                 if prev_kvs is None:
-                    sl.op_stats.update_restarts += 1
-                    if m is not None:
-                        m.restarts += 1
                     restarts = _count_restart(sl, k, restarts, "search_slow")
                     restart = True
                     break
-                if m is not None:
-                    m.backtrack_steps += 1
+                m.backtrack_steps += 1
                 path[height] = prev_ptr
                 height -= 1
                 pcurr = back_track(sl, prev_kvs, k)
@@ -324,7 +304,7 @@ def search_lateral_with_redirect(sl, k: int, ptr: int,
     height-0 case where no down step precedes the lateral phase), a
     zombie first chunk swings the head pointer instead."""
     geo = sl.geo
-    m = _metrics(sl)
+    m = sl.metrics
     prev_ptr = None
     while True:
         kvs = yield from read_chunk(sl, ptr)
@@ -342,8 +322,7 @@ def search_lateral_with_redirect(sl, k: int, ptr: int,
             ptr = first_nz
         found_tid = team.tid_with_equal_key(k, kvs, geo)
         if found_tid == geo.next_idx:
-            if m is not None:
-                m.lateral_steps += 1
+            m.lateral_steps += 1
             prev_ptr = ptr
             ptr = next_ptr(kvs, geo)
             continue
@@ -355,7 +334,7 @@ def search_down_to_level(sl, target_level: int, k: int):
     (used by updateDownPtrs, Algorithm 4.10).  Returns a chunk at that
     level from which ``k``'s enclosing chunk is laterally reachable."""
     geo = sl.geo
-    m = _metrics(sl)
+    m = sl.metrics
     restarts = 0
     while True:
         prev_kvs = None
@@ -368,32 +347,26 @@ def search_down_to_level(sl, target_level: int, k: int):
         while height > target_level:
             kvs = yield from read_chunk(sl, pcurr)
             if is_zombie(kvs, geo):
-                if m is not None:
-                    m.zombie_encounters += 1
+                m.zombie_encounters += 1
                 pcurr = next_ptr(kvs, geo)
                 continue
             step_tid = team.tid_for_next_step(k, kvs, geo)
             if step_tid == geo.next_idx:
-                if m is not None:
-                    m.lateral_steps += 1
+                m.lateral_steps += 1
                 prev_kvs = kvs
                 pcurr = next_ptr(kvs, geo)
             elif step_tid != C.NONE_TID:
-                if m is not None:
-                    m.down_steps += 1
+                m.down_steps += 1
                 height -= 1
                 prev_kvs = None
                 pcurr = team.ptr_from_tid(step_tid, kvs)
             else:
                 if prev_kvs is None:
-                    if m is not None:
-                        m.restarts += 1
                     restarts = _count_restart(sl, k, restarts,
                                               "search_down_to_level")
                     restart = True
                     break
-                if m is not None:
-                    m.backtrack_steps += 1
+                m.backtrack_steps += 1
                 height -= 1
                 pcurr = back_track(sl, prev_kvs, k)
                 prev_kvs = None

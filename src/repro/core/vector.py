@@ -55,7 +55,11 @@ coalesced chunk access *per in-flight op*, in op order, through
 each batched critical-section phase records one batch (lock CAS /
 re-read under lock / publish store) for the whole group — so the cost
 model sees batched updates as the three memory phases a real
-warp-cooperative update kernel would issue.
+warp-cooperative update kernel would issue.  Counters are kept the
+same way: the kernels count the traversal steps of the rows they read
+and the batched groups' lock/read/op events into the instances'
+collector (a :class:`~repro.shard.ShardedMap`'s shards share one), so
+a vectorized replay reports the counts a sequential one does.
 """
 
 from __future__ import annotations
@@ -133,8 +137,9 @@ def _traverse(sls, owner: np.ndarray, keys: np.ndarray, tracer,
 
     Calls of at most ``_SMALL_BATCH`` keys walk on Python ints
     (:func:`_lockstep_ints`), larger ones on numpy rows
-    (:func:`_lockstep_arrays`); both issue the same tracer batches and
-    return the same values.
+    (:func:`_lockstep_arrays`); both issue the same tracer batches,
+    return the same values and count the same traversal steps into the
+    instances' shared collector.
     """
     m = int(keys.size)
     words = sls[0].ctx.mem.raw()
@@ -165,12 +170,13 @@ def _traverse(sls, owner: np.ndarray, keys: np.ndarray, tracer,
     if m <= _SMALL_BATCH:
         return _lockstep_ints(sls[0].geo, words, own, keys.tolist(),
                               [chunk_bases[o] for o in own], head_ptrs,
-                              height0, tracer, record_path, track_upper)
+                              height0, tracer, sls[0].metrics, record_path,
+                              track_upper)
     return _lockstep_arrays(sls[0].geo, words, owner, keys,
                             np.asarray(chunk_bases, dtype=np.int64)[owner],
                             np.asarray(head_ptrs, dtype=np.int64),
                             np.asarray(height0, dtype=np.int64), tracer,
-                            record_path, track_upper)
+                            sls[0].metrics, record_path, track_upper)
 
 
 def _highest_le(W: list, dsize: int, key: int) -> int:
@@ -186,8 +192,21 @@ def _holds(W: list, dsize: int, key: int) -> bool:
     return any(w & C.MASK32 == key for w in W[:dsize])
 
 
+def _count_steps(metrics, reads: int, lateral: int, down: int, back: int,
+                 zombie: int) -> None:
+    """Add one kernel call's traversal counts to ``metrics``: every row
+    read is a chunk read, and each decision taken on it counts as the
+    sequential traversal counts it (a fallback row's partial walk
+    included — its generator replay then counts its own)."""
+    metrics.chunk_reads += reads
+    metrics.lateral_steps += lateral
+    metrics.down_steps += down
+    metrics.backtrack_steps += back
+    metrics.zombie_encounters += zombie
+
+
 def _lockstep_ints(geo, words, owner: list, keys: list, cbase: list,
-                   head_ptrs, height0, tracer, record_path: bool,
+                   head_ptrs, height0, tracer, metrics, record_path: bool,
                    track_upper: bool):
     """:func:`_traverse` for small calls: the same per-step state
     machine as :func:`_lockstep_arrays`, one op at a time on Python
@@ -208,7 +227,7 @@ def _lockstep_ints(geo, words, owner: list, keys: list, cbase: list,
     fallback: list[int] = []
     diag = _fresh_diag(m)
     act = list(range(m))
-    steps = 0
+    steps = reads = n_lat = n_down = n_back = n_zomb = 0
 
     while act:
         steps += 1
@@ -216,6 +235,7 @@ def _lockstep_ints(geo, words, owner: list, keys: list, cbase: list,
             fallback.extend(act)        # generators raise a precise fault
             diag["fallback_stuck"] += len(act)
             break
+        reads += len(act)
         addrs = [cbase[i] + pcurr[i] * n for i in act]
         if tracer is not None:
             tracer.access_words_batch(addrs, n, coalesced=True)
@@ -231,6 +251,10 @@ def _lockstep_ints(geo, words, owner: list, keys: list, cbase: list,
             beyond = nw & C.MASK32 < k
             if not descending[i]:       # bottom-level lateral row
                 if zomb or beyond:
+                    if zomb:
+                        n_zomb += 1
+                    else:
+                        n_lat += 1
                     pcurr[i] = nw >> 32
                     still.append(i)
                 else:
@@ -239,8 +263,10 @@ def _lockstep_ints(geo, words, owner: list, keys: list, cbase: list,
                     found[i] = _holds(W, dsize, k)
                 continue
             if zomb:                    # skip frozen zombies
+                n_zomb += 1
                 pcurr[i] = nw >> 32
             elif beyond:                # lateral step
+                n_lat += 1
                 prev[i] = W
                 prev_ptr[i] = pcurr[i]
                 pcurr[i] = nw >> 32
@@ -252,7 +278,10 @@ def _lockstep_ints(geo, words, owner: list, keys: list, cbase: list,
                     if src is None:     # the lock-free restart —
                         restarts.append(i)  # unreachable when quiescent
                         continue
+                    n_back += 1
                     tid = _highest_le(src, dsize, k)
+                else:
+                    n_down += 1
                 if track_upper and _holds(src, dsize, k):
                     upper[i] = True
                 if tid == C.NONE_TID:
@@ -271,6 +300,7 @@ def _lockstep_ints(geo, words, owner: list, keys: list, cbase: list,
         diag["fallback_restart"] += len(restarts)
         act = still
 
+    _count_steps(metrics, reads, n_lat, n_down, n_back, n_zomb)
     return (np.array(found, dtype=bool),
             np.array(paths, dtype=np.int64) if record_path else None,
             np.array(upper, dtype=bool), fallback, diag)
@@ -278,8 +308,8 @@ def _lockstep_ints(geo, words, owner: list, keys: list, cbase: list,
 
 def _lockstep_arrays(geo, words, owner: np.ndarray, keys: np.ndarray,
                      cbase: np.ndarray, ptrs: np.ndarray,
-                     height0: np.ndarray, tracer, record_path: bool,
-                     track_upper: bool):
+                     height0: np.ndarray, tracer, metrics,
+                     record_path: bool, track_upper: bool):
     """:func:`_traverse` for large calls: every in-flight op is one row
     of the step's numpy arrays."""
     m = int(keys.size)
@@ -299,7 +329,7 @@ def _lockstep_arrays(geo, words, owner: np.ndarray, keys: np.ndarray,
     paths = ptrs[owner] if record_path else None
     fallback: list[int] = []
     offs = np.arange(n, dtype=np.int64)
-    steps = 0
+    steps = reads = n_lat = n_down = n_back = n_zomb = 0
     diag = _fresh_diag(m)
 
     while True:
@@ -313,6 +343,7 @@ def _lockstep_arrays(geo, words, owner: np.ndarray, keys: np.ndarray,
             diag["fallback_stuck"] += act.size
             break
 
+        reads += act.size
         addrs = cbase[act] + pcurr[act] * n
         if tracer is not None:
             tracer.access_words_batch(addrs, n, coalesced=True)
@@ -330,6 +361,7 @@ def _lockstep_arrays(geo, words, owner: np.ndarray, keys: np.ndarray,
         downs = ph == _DOWN
         zd = downs & zomb                       # skip frozen zombies
         if zd.any():
+            n_zomb += int(np.count_nonzero(zd))
             pcurr[act[zd]] = nxt[zd]
         live_d = downs & ~zomb
         if live_d.any():
@@ -341,6 +373,7 @@ def _lockstep_arrays(geo, words, owner: np.ndarray, keys: np.ndarray,
             lat = live_d & (tid == dsize)       # lateral step
             if lat.any():
                 g = act[lat]
+                n_lat += g.size
                 prev[g] = W[lat]
                 prev_ptr[g] = pcurr[g]
                 have_prev[g] = True
@@ -349,6 +382,7 @@ def _lockstep_arrays(geo, words, owner: np.ndarray, keys: np.ndarray,
             down = live_d & (tid >= 0) & (tid < dsize)   # down step
             if down.any():
                 g = act[down]
+                n_down += g.size
                 rows = np.nonzero(down)[0]
                 if track_upper:
                     # The down-step chunk *is* the key's enclosing chunk
@@ -370,6 +404,7 @@ def _lockstep_arrays(geo, words, owner: np.ndarray, keys: np.ndarray,
                 bt = none & hp              # clears have_prev in place
                 if bt.any():
                     g = act[bt]
+                    n_back += g.size
                     pk = (prev[g] & mask32).astype(np.int64)[:, :dsize]
                     tidb = _highest_true_lane(pk <= kk[bt][:, None])
                     if track_upper:
@@ -405,6 +440,9 @@ def _lockstep_arrays(geo, words, owner: np.ndarray, keys: np.ndarray,
             tid2 = _highest_true_lane(flags2)
             step = lats & ((tid2 == dsize) | zomb)
             if step.any():
+                zl = int(np.count_nonzero(step & zomb))
+                n_zomb += zl
+                n_lat += int(np.count_nonzero(step)) - zl
                 pcurr[act[step]] = nxt[step]
             done = lats & ~step
             if done.any():
@@ -414,6 +452,7 @@ def _lockstep_arrays(geo, words, owner: np.ndarray, keys: np.ndarray,
                 found[g] = tid2[done] != C.NONE_TID
                 active[g] = False
 
+    _count_steps(metrics, reads, n_lat, n_down, n_back, n_zomb)
     return found, paths, upper, fallback, diag
 
 
@@ -421,17 +460,6 @@ def _check_keys(sl, keys: np.ndarray) -> None:
     bad = (keys < C.MIN_USER_KEY) | (keys > C.MAX_USER_KEY)
     if bad.any():
         sl._check_key(int(keys[np.nonzero(bad)[0][0]]))  # raises
-
-
-def _count_per_owner(sls, owner: np.ndarray, idx_all: np.ndarray,
-                     idx_sub) -> np.ndarray:
-    """Ops per instance in ``idx_all`` minus those in ``idx_sub``."""
-    S = len(sls)
-    total = np.bincount(owner[idx_all], minlength=S)
-    if len(idx_sub):
-        total -= np.bincount(owner[np.asarray(idx_sub, dtype=np.int64)],
-                             minlength=S)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +470,7 @@ def contains_multi(sls, owner, keys: np.ndarray, tracer=None) -> np.ndarray:
     """Fused lock-step membership test across co-located instances.
 
     Returns a boolean array aligned with ``keys``.  Op accounting
-    (``contains_calls``) matches running ``contains_gen`` once per key
-    on the owning instance.
+    (``contains_calls``) matches running ``contains_gen`` once per key.
     """
     keys = np.asarray(keys, dtype=np.int64)
     if keys.size == 0:
@@ -453,9 +480,7 @@ def contains_multi(sls, owner, keys: np.ndarray, tracer=None) -> np.ndarray:
     _check_keys(sls[0], keys)
     found, _paths, _upper, fallback, diag = _traverse(
         sls, owner, keys, tracer, record_path=False)
-    for si, cnt in enumerate(
-            _count_per_owner(sls, owner, np.arange(keys.size), fallback)):
-        sls[si].op_stats.contains_calls += int(cnt)
+    sls[0].metrics.contains_calls += int(keys.size) - len(fallback)
     for i in fallback:
         s = sls[int(owner[i])]
         found[i] = s.ctx.run(s.contains_gen(int(keys[i])))
@@ -620,7 +645,6 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
 
     words = sls[0].ctx.mem.raw()
     n = geo.n
-    S = len(sls)
     # One pass groups the candidates by target chunk; groups run in
     # sorted (instance, chunk) order, which fixes the order of
     # batched_addrs and so of the three phase batches and the scatter.
@@ -632,9 +656,7 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
     batched_addrs: list[int] = []
     images: list[list[int]] = []
     batched: list[int] = []
-    per_shard_groups = [0] * S
-    per_shard_ins = [0] * S
-    per_shard_del = [0] * S
+    n_ins = 0
     for si, ptr in sorted(groups):
         sel = groups[si, ptr]
         addr = sls[si].layout.chunks_base + ptr * n
@@ -650,10 +672,7 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
                                    nw & C.MASK32, nw >> 32))
         batched_addrs.append(addr)
         batched.extend(sel)
-        n_ins = op_sel.count(_OP_INSERT)
-        per_shard_groups[si] += 1
-        per_shard_ins[si] += n_ins
-        per_shard_del[si] += len(sel) - n_ins
+        n_ins += op_sel.count(_OP_INSERT)
 
     if batched_addrs:
         handled[batched] = True
@@ -688,15 +707,12 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
             tracer.access_words_batch(addrs, n, coalesced=True)
             tracer.record_compute(g)
             tracer.record_compute(n_batched)   # the modify work itself
-        for si, s in enumerate(sls):
-            if per_shard_groups[si]:
-                s.op_stats.inserts += per_shard_ins[si]
-                s.op_stats.deletes += per_shard_del[si]
-                mc = getattr(s, "metrics", None)
-                if mc is not None:
-                    mc.lock_acquired += per_shard_groups[si]
-                    mc.lock_released += per_shard_groups[si]
-                    mc.chunk_reads += per_shard_groups[si]
+        mc = sls[0].metrics
+        mc.inserts += n_ins
+        mc.deletes += n_batched - n_ins
+        mc.lock_acquired += g
+        mc.lock_released += g
+        mc.chunk_reads += g
         diag["batched"] = n_batched
     diag["fallback_conflict"] = int(np.count_nonzero(~handled))
     _publish_diag(diag)

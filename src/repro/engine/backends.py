@@ -117,12 +117,10 @@ class SequentialBackend:
                                       batch.keys.tolist(),
                                       batch.values.tolist())
         ]
-        m = getattr(structure, "metrics", None)
-        if m is not None:
-            # One op per "wave" — occupancy is 1.0 by construction.  No
-            # spans: run_to_completion has no step clock.
-            m.waves += len(results)
-            m.wave_ops += len(results)
+        # One op per "wave" — occupancy is 1.0 by construction.  No
+        # spans: run_to_completion has no step clock.
+        structure.metrics.waves += len(results)
+        structure.metrics.wave_ops += len(results)
         return BatchResult(results=results, backend=self.name,
                            waves=len(results), gen_ops=len(results))
 
@@ -131,8 +129,6 @@ def account_wave(metrics, index: int, wave_start: int, n_ops: int) -> None:
     """Account one finished wave: ``waves``/``wave_ops`` on the
     structure's metrics, plus a ``wave <index>`` span on the wave track
     from ``wave_start`` (the span clock when the wave began) to now."""
-    if metrics is None:
-        return
     metrics.waves += 1
     metrics.wave_ops += n_ops
     spans = metrics.spans
@@ -198,8 +194,8 @@ class InterleavedBackend:
             order = [int(i) for i in order_hook(batch)]
             if len(order) != len(ops):
                 raise ValueError("batch_order must permute the whole batch")
-        m = getattr(structure, "metrics", None)
-        spans = m.spans if m is not None else None
+        m = structure.metrics
+        spans = m.spans
         chaos = self.chaos
         tracer, injector, watchdog = ctx.tracer, None, None
         if chaos is not None:

@@ -2,8 +2,9 @@
 
 :class:`ConcurrentMap` is what a backend needs from a data structure:
 generator factories for the three paper operations, the owning
-:class:`~repro.gpu.kernel.GPUContext`, and an
-:class:`~repro.core.gfsl.OpStats` counter block.  Both
+:class:`~repro.gpu.kernel.GPUContext`, a
+:class:`~repro.metrics.counters.MetricsCollector` counter block and the
+registry's ``chunked`` capability flag.  Both
 :class:`~repro.core.GFSL` and the M&C baseline satisfy it, which is what
 lets the workload runner, the experiment harness, the CLI, and the
 examples select ``structure × backend`` by name instead of
@@ -32,9 +33,9 @@ from ..baseline import warm_structure as mc_warm
 from ..baseline.node import HEADER_WORDS
 from ..core import GFSL, GFSL_KERNEL, bulk_build_into, suggest_capacity
 from ..core.bulk import warm_structure
-from ..core.gfsl import OpStats
 from ..gpu.kernel import GPUContext
 from ..gpu.occupancy import KernelResources
+from ..metrics.counters import MetricsCollector
 from .batch import OP_CONTAINS, OP_DELETE, OP_INSERT
 
 
@@ -43,7 +44,8 @@ class ConcurrentMap(Protocol):
     """A concurrent ordered map executable by the batch engine.
 
     What a kind can do beyond it is one registry flag,
-    :attr:`StructureSpec.chunked`: the GFSL family's chunks give the
+    :attr:`StructureSpec.chunked`, which every instance carries as
+    ``chunked``: the GFSL family's chunks give the
     vectorized kernels (``vector_contains`` / ``vector_search`` /
     ``vector_update_wave``), ordered walks (``range_query``,
     ``min_key``/``max_key``) and snapshots (``begin_snapshot()``,
@@ -52,7 +54,8 @@ class ConcurrentMap(Protocol):
     """
 
     ctx: GPUContext
-    op_stats: OpStats
+    metrics: MetricsCollector
+    chunked: bool
 
     def contains_gen(self, key: int) -> Generator: ...
     def insert_gen(self, key: int, value: int = 0) -> Generator: ...

@@ -241,9 +241,9 @@ class VectorizedBackend:
         else:
             waves = plan_waves(batch.keys, self.wave_size)
         # The chunked kinds bring both multi-key kernels (M&C neither).
-        can_vector = hasattr(structure, "vector_update_wave")
-        m = getattr(structure, "metrics", None)
-        spans = m.spans if m is not None else None
+        can_vector = structure.chunked
+        m = structure.metrics
+        spans = m.spans
         n_waves = 0
         gen_ops = 0
         for wave in waves:

@@ -186,7 +186,7 @@ def restart_rate(key_range: int = 100_000, n_ops: int = 4000,
         else:
             gens.append(sl.delete_gen(k))
     sl.ctx.run_concurrent(gens, seed=seed)
-    contains_ops = max(1, sl.op_stats.contains_calls)
-    return dict(contains_ops=contains_ops,
-                restarts=sl.op_stats.contains_restarts,
-                rate=sl.op_stats.contains_restarts / contains_ops)
+    m = sl.metrics
+    contains_ops = max(1, m.contains_calls)
+    return dict(contains_ops=contains_ops, restarts=m.contains_restarts,
+                rate=m.contains_restarts / contains_ops)

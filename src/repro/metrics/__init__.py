@@ -2,11 +2,11 @@
 
 Three pieces:
 
-* :class:`MetricsCollector` (:mod:`~repro.metrics.counters`) —
-  per-phase counters (traversal steps, restarts, lock spins,
-  splits/merges/zombies, wave occupancy) attached to a structure via
-  its ``metrics`` attribute; ``None`` (the default) keeps every
-  instrumented path at its pre-metrics cost and schedule.
+* :class:`MetricsCollector` (:mod:`~repro.metrics.counters`) — a
+  structure's one counter block (operations, traversal steps,
+  restarts, lock spins, splits/merges/zombies, wave occupancy) in its
+  ``metrics`` attribute, always present, shared by a sharded map's
+  shards; assign a fresh one to observe a window.
 * :class:`SpanTracer` (:mod:`~repro.metrics.spans`) — span-style trace
   of scheduler ticks, exportable as chrome://tracing JSON.
 * :mod:`~repro.metrics.bench` — the ``repro bench`` engine: pinned

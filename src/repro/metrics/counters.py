@@ -1,27 +1,24 @@
 """Op-level observability counters.
 
-A :class:`MetricsCollector` is the per-batch counter block of the
-metrics layer: structured per-phase counters (traversal, locking,
+A :class:`MetricsCollector` is a structure's one counter block:
+structured per-phase counters (operations, traversal, locking,
 structure maintenance, wave scheduling) that explain *why* a backend is
 fast or slow — the per-operation breakdown the paper's quantitative
-argument (Sections 5.2–5.4) is built on.
+argument (Sections 5.2–5.4) is built on.  Every event is counted at
+exactly one site, on every backend.
 
-Attachment mirrors the chaos injector protocol: structures expose a
-``metrics`` attribute that is ``None`` by default, and every
-instrumentation site in :mod:`repro.core` and the engine backends reads
-it with one ``getattr``-and-``None``-check — when no collector is
-attached the instrumented paths execute exactly the pre-metrics code
-(near-zero overhead, and bit-identical scheduling; a differential test
-pins this).  Attach a collector before a batch::
+Every structure is built with a collector in its ``metrics`` attribute
+and keeps one for life; a :class:`~repro.shard.ShardedMap`'s shards
+share the map's.  Attaching is plain assignment, which starts a fresh
+observation window::
 
     m = MetricsCollector()
     sl.metrics = m
     make_backend("interleaved").execute(sl, batch)
     print(m.as_dict())
 
-Counters are *deltas for the attachment window* (unlike the
-structure-lifetime :class:`~repro.core.gfsl.OpStats`), so benchmark
-cells get clean per-batch numbers without reset discipline.
+Counting never changes a schedule or a result, so which collector is
+attached is observationally free.
 """
 
 from __future__ import annotations
@@ -33,9 +30,10 @@ from .spans import SpanTracer
 
 @dataclass
 class MetricsCollector:
-    """Per-phase counters for one observed batch execution.
+    """Per-phase counters of one structure (or one observation window).
 
-    All integer fields are monotonic counters; :meth:`merge`,
+    All integer fields are monotonic counters except
+    ``max_zombie_chain``, a high-water mark; :meth:`merge`,
     :meth:`reset`, and :meth:`as_dict` derive the field list from the
     dataclass, so a counter added later can never be silently dropped
     (the :class:`~repro.gpu.tracer.TraceStats` merge bug this layer was
@@ -44,13 +42,20 @@ class MetricsCollector:
     also record per-op / per-wave spans into it.
     """
 
-    # -- traversal phase (core/traversal.py) ---------------------------
+    # -- operations (core/gfsl.py, core/insert.py, core/delete.py) -----
+    inserts: int = 0              # inserts that landed
+    deletes: int = 0              # deletes that removed a key
+    contains_calls: int = 0
+
+    # -- traversal phase (core/traversal.py, core/vector.py) ------------
     chunk_reads: int = 0          # coalesced team chunk reads
     lateral_steps: int = 0        # next-pointer hops within a level
     down_steps: int = 0           # level descents
     backtrack_steps: int = 0      # Algorithm 4.2 backTrack recoveries
-    restarts: int = 0             # full traversal restarts (all flavours)
+    contains_restarts: int = 0    # lock-free read descents restarted
+    update_restarts: int = 0      # update-path descents restarted
     zombie_encounters: int = 0    # frozen chunks hopped over
+    max_zombie_chain: int = 0     # longest frozen chain walked (high water)
 
     # -- locking phase (core/locks.py) ---------------------------------
     lock_acquired: int = 0        # successful lock CAS
@@ -62,6 +67,7 @@ class MetricsCollector:
     splits: int = 0
     merges: int = 0
     zombies_unlinked: int = 0
+    downptr_updates: int = 0      # upper-level down pointers repaired
 
     # -- wave scheduling (engine backends) -----------------------------
     waves: int = 0                # scheduling rounds executed
@@ -76,19 +82,29 @@ class MetricsCollector:
         return [f.name for f in fields(MetricsCollector) if f.type == "int"]
 
     def merge(self, other: "MetricsCollector") -> None:
-        """Add ``other``'s counters into this collector (spans are not
-        merged — they live on independent step clocks)."""
+        """Add ``other``'s counters into this collector; the high-water
+        ``max_zombie_chain`` takes the larger.  Spans are not merged —
+        they live on independent step clocks."""
+        high = max(self.max_zombie_chain, other.max_zombie_chain)
         for name in self._counter_fields():
             setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.max_zombie_chain = high
 
     def reset(self) -> None:
         for name in self._counter_fields():
             setattr(self, name, 0)
 
+    @property
+    def restarts(self) -> int:
+        """Full traversal restarts, all flavours."""
+        return self.contains_restarts + self.update_restarts
+
     def as_dict(self) -> dict[str, int]:
-        """All counters as a plain dict (the BENCH_*.json ``counters``
-        block)."""
-        return {name: getattr(self, name) for name in self._counter_fields()}
+        """All counters plus the derived ``restarts`` as a plain dict
+        (the BENCH_*.json ``counters`` block)."""
+        out = {name: getattr(self, name) for name in self._counter_fields()}
+        out["restarts"] = self.restarts
+        return out
 
     def per_op(self, n_ops: int) -> dict[str, float]:
         """Counters normalized per operation (0.0 for an empty batch)."""

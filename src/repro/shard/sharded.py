@@ -22,11 +22,10 @@ engine's shard-aware hooks:
   into one lock-step dispatch over the merged index space (bound
   only for a kind the registry marks ``chunked``).
 
-Observability: attaching a :class:`~repro.metrics.counters
-.MetricsCollector` fans out one child collector per shard (core
-instrumentation sites write shard-locally); detaching folds the
-children back into the aggregate, and :attr:`shard_metrics` keeps the
-per-shard blocks for balance reporting.
+Observability: the map and its shards share one
+:class:`~repro.metrics.counters.MetricsCollector`; assigning
+``map.metrics`` points every shard at the new collector, exactly as
+assigning ``map.chaos`` installs one fault injector on every shard.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from typing import Generator
 
 import numpy as np
 
-from ..core.gfsl import OpStats
 from ..engine.batch import OP_INSERT, OpBatch
 from ..engine.interface import (STRUCTURES, _expected_keys, region_words,
                                 structure_spec)
@@ -46,33 +44,6 @@ from .router import merge_waves, round_robin_order, split_indices
 from .routing import RoutingTable
 
 _RESERVE_ALIGN = 16
-
-
-class _AggregateOpStats:
-    """Read-through aggregate over the shards' :class:`OpStats` blocks.
-
-    Field reads sum across shards; ``reset`` fans out.  Exposes the same
-    field list as :class:`OpStats` so counter-diffing code works
-    unchanged.
-    """
-
-    __dataclass_fields__ = OpStats.__dataclass_fields__
-
-    def __init__(self, shards):
-        object.__setattr__(self, "_shards", shards)
-
-    def __getattr__(self, name):
-        if name not in OpStats.__dataclass_fields__:
-            raise AttributeError(name)
-        return sum(getattr(s.op_stats, name) for s in self._shards)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(
-            "aggregate op_stats is read-only; mutate a shard's op_stats")
-
-    def reset(self) -> None:
-        for s in self._shards:
-            s.op_stats.reset()
 
 
 class ShardedMap:
@@ -95,11 +66,8 @@ class ShardedMap:
         self._capture: tuple[int, int, list] | None = None
         self.ctx = ctx
         self.kind = kind
-        self.op_stats = _AggregateOpStats(self.shards)
-        self._metrics: MetricsCollector | None = None
         self._chaos = None
-        #: Per-shard child collectors of the current attachment window.
-        self.shard_metrics: list[MetricsCollector] | None = None
+        self.metrics = MetricsCollector()
         #: Per-shard op counts of the most recently routed batch.
         self.last_shard_ops: list[int] | None = None
         #: The registry's flag: GFSL-family shards (see ConcurrentMap).
@@ -338,27 +306,16 @@ class ShardedMap:
         from ..engine import execute_batch
         return execute_batch(self, batch, backend, commit)
 
-    # -- observability fan-out -------------------------------------------
+    # -- shared observability --------------------------------------------
     @property
-    def metrics(self) -> MetricsCollector | None:
+    def metrics(self) -> MetricsCollector:
         return self._metrics
 
     @metrics.setter
-    def metrics(self, collector: MetricsCollector | None) -> None:
-        if collector is None:
-            # Detach: fold per-shard counters into the aggregate so the
-            # caller's collector ends up with the whole window's counts.
-            if self._metrics is not None and self.shard_metrics is not None:
-                for child in self.shard_metrics:
-                    self._metrics.merge(child)
-            for s in self.shards:
-                s.metrics = None
-            self._metrics = None
-            return
+    def metrics(self, collector: MetricsCollector) -> None:
         self._metrics = collector
-        self.shard_metrics = [MetricsCollector() for _ in self.shards]
-        for s, child in zip(self.shards, self.shard_metrics):
-            s.metrics = child
+        for s in self.shards:
+            s.metrics = collector
 
     @property
     def chaos(self):

@@ -163,9 +163,9 @@ def run_workload(structure_kind: str, workload: Workload,
     contention charge below is applied identically either way).
 
     ``metrics`` optionally takes a
-    :class:`~repro.metrics.counters.MetricsCollector`; it is attached to
-    the structure for the replay (prefill/bulk-build is *not* counted)
-    and its snapshot lands in ``RunResult.counters``.
+    :class:`~repro.metrics.counters.MetricsCollector`; it is assigned to
+    the structure before the replay (so prefill/bulk-build is *not*
+    counted) and its snapshot lands in ``RunResult.counters``.
     """
     device = device or DeviceConfig.gtx970()
     base_kind, kind_shards = parse_structure_kind(structure_kind)
@@ -222,12 +222,8 @@ def run_workload(structure_kind: str, workload: Workload,
     if metrics is not None:
         st.metrics = metrics
     t0 = time.perf_counter()
-    try:
-        res = engine.execute(st, OpBatch.from_workload(workload))
-    finally:
-        wall = time.perf_counter() - t0
-        if metrics is not None:
-            st.metrics = None
+    res = engine.execute(st, OpBatch.from_workload(workload))
+    wall = time.perf_counter() - t0
     stats = st.ctx.tracer.stats
     gen_ops = getattr(res, "gen_ops", None)
     if gen_ops is not None:

@@ -26,10 +26,9 @@ def _run(backend, kind, workload):
     params = ({"team_size": 8, "p_chunk": 1.0} if kind.startswith("gfsl")
               else {})
     sl = make_structure(kind, workload, seed=3, **params)
-    sl.op_stats.reset()
+    sl.metrics.reset()
     res = backend.execute(sl, OpBatch.from_workload(workload))
-    stats = {f: getattr(sl.op_stats, f)
-             for f in sl.op_stats.__dataclass_fields__}
+    stats = sl.metrics.as_dict()
     return (res.results, sorted(sl.keys()), stats,
             vars(sl.ctx.tracer.stats), sl.ctx.mem.raw().tobytes())
 

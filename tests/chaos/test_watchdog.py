@@ -11,9 +11,9 @@ from repro.chaos.watchdog import (LivelockDetected, StuckOpDiagnostics,
                                   Watchdog)
 from repro.core import GFSL
 from repro.core import constants as C
-from repro.core.gfsl import OpStats
 from repro.core.locks import LockTimeout
 from repro.core.traversal import RestartStorm, _count_restart
+from repro.metrics import MetricsCollector
 
 
 class TestWatchdog:
@@ -38,8 +38,8 @@ class TestWatchdog:
         assert w.finished_tasks == 2
 
     def test_diagnostics_carry_accounting(self):
-        stats = OpStats(lock_retries=7, contains_restarts=3,
-                        update_restarts=2, max_zombie_chain=4)
+        stats = MetricsCollector(lock_spins=7, contains_restarts=3,
+                                 update_restarts=2, max_zombie_chain=4)
         inj = FaultInjector(ChaosConfig.adversarial(), seed=1)
         inj.current_task = 1
         inj.note_lock(4)
@@ -100,6 +100,7 @@ class TestRestartStorm:
         class _SL:
             restart_limit = 5
         sl = _SL()
+        sl.metrics = MetricsCollector()
         restarts = 0
         with pytest.raises(RestartStorm) as ei:
             for _ in range(10):
@@ -109,3 +110,5 @@ class TestRestartStorm:
         assert e.restarts == 5
         assert e.where == "search_down"
         assert "retry storm" in str(e)
+        # Each restart counted once, by flavour.
+        assert (sl.metrics.contains_restarts, sl.metrics.restarts) == (5, 5)

@@ -111,7 +111,7 @@ class TestContendedKeys:
         random.Random(5).shuffle(gens)
         results = sl.ctx.run_concurrent(gens, seed=21)
         assert all(r.value for r in results)
-        assert sl.op_stats.merges + sl.op_stats.splits > 0
+        assert sl.metrics.merges + sl.metrics.splits > 0
         assert set(sl.keys()) == set(range(120, 200)) | set(range(300, 360))
         validate_structure(sl)
 

@@ -84,7 +84,7 @@ class TestCompact:
         for k in keys:
             if k % 4 != 0:
                 sl.delete(k)
-        assert sl.op_stats.merges > 0
+        assert sl.metrics.merges > 0
         before_items = sl.items()
         allocated_before = sl.pool.allocated(sl.ctx.mem)
         reclaimed = sl.compact()
@@ -116,7 +116,7 @@ class TestOpStats:
             sl.insert(k)
         sl.contains(5)
         sl.delete(5)
-        s = sl.op_stats
+        s = sl.metrics
         assert s.inserts == 59
         assert s.contains_calls == 1
         assert s.deletes == 1
@@ -125,8 +125,8 @@ class TestOpStats:
     def test_reset(self):
         sl = GFSL(capacity_chunks=256, team_size=16, seed=1)
         sl.insert(1)
-        sl.op_stats.reset()
-        assert sl.op_stats.inserts == 0
+        sl.metrics.reset()
+        assert sl.metrics.inserts == 0
 
 
 class TestUpdate:

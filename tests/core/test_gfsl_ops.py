@@ -62,7 +62,7 @@ class TestInsert:
         for k in range(1, n + 1):
             assert sl.insert(k, k)
         assert sl.keys() == list(range(1, n + 1))
-        assert sl.op_stats.splits > 0
+        assert sl.metrics.splits > 0
         stats = validate_structure(sl)
         assert stats["height"] >= 1
 
@@ -118,7 +118,7 @@ class TestDelete:
             sl.insert(k)
         for k in range(1, 150, 2):
             sl.delete(k)
-        assert sl.op_stats.merges > 0
+        assert sl.metrics.merges > 0
         assert sl.keys() == list(range(2, 150, 2))
         validate_structure(sl)
 

@@ -128,46 +128,6 @@ class TestFrozenView:
             snap.items()
 
 
-class TestRangeQueryGenMergeTolerance:
-    @pytest.mark.parametrize("pause_steps", [2, 6, 12, 20])
-    def test_scan_survives_concurrent_merges(self, pause_steps):
-        """A paused ``range_query_gen`` whose current chunk is merged
-        away re-descends instead of crashing or looping; keys untouched
-        by the writer all appear, in strict order."""
-        sl = fresh(team_size=8)
-        keys = list(range(1, 121))
-        for k in keys:
-            sl.insert(k, value=k * 2)
-        st = Stepper(sl, sl.range_query_gen(1, 120))
-        st.step(pause_steps)
-        assert not st.done
-        deleted = set(range(1, 81))
-        for k in sorted(deleted):      # merges unlink scanned chunks
-            assert sl.delete(k)
-        result = st.run()
-        got = [k for k, _ in result]
-        assert got == sorted(got) and len(set(got)) == len(got)
-        assert set(got) <= set(keys)
-        survivors = set(keys) - deleted
-        assert survivors <= set(got)
-        for k, v in result:
-            assert v == k * 2
-
-    def test_restart_counter_ticks_on_unlinked_chunk(self):
-        sl = fresh(team_size=8)
-        for k in range(1, 121):
-            sl.insert(k, value=k)
-        sl.op_stats.reset()
-        st = Stepper(sl, sl.range_query_gen(1, 120))
-        st.step(10)
-        assert not st.done
-        for k in range(1, 91):
-            sl.delete(k)
-        result = st.run()
-        assert set(range(91, 121)) <= {k for k, _ in result}
-        assert sl.op_stats.range_restarts >= 1
-
-
 class TestEpochDisabledIdentity:
     def _apply_ops(self, sl, snapshotting: bool):
         rng = np.random.default_rng(7)

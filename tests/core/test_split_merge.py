@@ -61,7 +61,7 @@ class TestSplit:
         n = sl.geo.dsize + 2
         for k in range(1, n + 1):
             sl.insert(k)
-        assert sl.op_stats.splits >= 1
+        assert sl.metrics.splits >= 1
         assert len(bottom_chunks(sl)) >= 2
         assert sl.keys() == list(range(1, n + 1))
         validate_structure(sl)
@@ -233,12 +233,12 @@ class TestMerge:
         n = 3 * sl.geo.dsize
         for k in range(1, n + 1):
             sl.insert(k)
-        merges_before = sl.op_stats.merges
+        merges_before = sl.metrics.merges
         deleted = []
         for k in range(1, n + 1):
             sl.delete(k)
             deleted.append(k)
-            if sl.op_stats.merges > merges_before:
+            if sl.metrics.merges > merges_before:
                 return deleted, n
         raise AssertionError("no merge triggered")
 
@@ -278,7 +278,7 @@ class TestMerge:
                 sl.delete(k)
                 survivors.discard(k)
         assert sl.keys() == sorted(survivors)
-        assert sl.op_stats.merges > 0
+        assert sl.metrics.merges > 0
         validate_structure(sl)
 
     def test_merge_copy_right_to_left(self):
@@ -288,14 +288,14 @@ class TestMerge:
         n = 3 * sl.geo.dsize
         for k in range(1, n + 1):
             sl.insert(k)
-        merges_before = sl.op_stats.merges
+        merges_before = sl.metrics.merges
         k = 0
-        while sl.op_stats.merges == merges_before:
+        while sl.metrics.merges == merges_before:
             k += 1
             # Record writes only once close to threshold.
             src = chunk_holding(sl, k) if sl.contains(k) else None
             writes = recorded_writes(sl, sl.delete_gen(k))
-            if sl.op_stats.merges > merges_before:
+            if sl.metrics.merges > merges_before:
                 # The final merge's target-chunk writes must be descending.
                 targets = {}
                 for w in writes:
@@ -339,7 +339,7 @@ class TestMerge:
         sl = fresh()
         for k in range(1, sl.geo.dsize + 2):
             sl.insert(k)
-        merges_before = sl.op_stats.merges
+        merges_before = sl.metrics.merges
         # Drain the rightmost chunk completely.
         for k in range(sl.geo.dsize + 1, 0, -1):
             sl.delete(k)

@@ -75,10 +75,10 @@ class TestZombieSkipping:
         chain = [p for p, kv in level_chain(sl, 0)]
         victim = chain[2]
         zombify_chunk(sl, victim)
-        before = sl.op_stats.zombies_unlinked
+        before = sl.metrics.zombies_unlinked
         # An insert whose key lies beyond the zombie walks over it.
         assert sl.insert(10_001)
-        assert sl.op_stats.zombies_unlinked > before
+        assert sl.metrics.zombies_unlinked > before
         assert victim not in [p for p, kv in level_chain(sl, 0)]
 
     def test_head_swings_off_zombie_first_chunk(self):

@@ -41,10 +41,10 @@ def _unique_key_workload(seed=5, key_range=4_000, n_ops=600) -> Workload:
 
 def _execute(kind: str, workload: Workload, backend_name: str, **kwargs):
     st = make_structure(kind, workload, seed=0, **kwargs)
-    st.op_stats.reset()
+    st.metrics.reset()
     res = make_backend(backend_name).execute(
         st, OpBatch.from_workload(workload))
-    stats = {f: getattr(st.op_stats, f) for f in INVARIANT_STATS}
+    stats = {f: getattr(st.metrics, f) for f in INVARIANT_STATS}
     return res.results, sorted(st.keys()), stats
 
 

@@ -6,7 +6,7 @@ contract the sharding layer builds on."""
 import numpy as np
 import pytest
 
-from repro.engine import region_words
+from repro.engine import available_structures, region_words
 from repro.engine.interface import _build_gfsl, _build_mc, parse_structure_kind
 from repro.gpu.kernel import RESERVE_ALIGN, GPUContext
 from repro.workloads import MIX_10_10_80, generate
@@ -87,6 +87,15 @@ class TestChunkedCapability:
     def test_flag_and_sharded_specs_inherit_it(self, kind, chunked):
         from repro.engine import structure_spec
         assert structure_spec(kind).chunked is chunked
+
+    @pytest.mark.parametrize("kind", [*available_structures(), "gfsl@2",
+                                      "pq@2", "mc@2"])
+    def test_every_instance_carries_its_spec_flag(self, kind):
+        """Callers read ``structure.chunked`` instead of probing for a
+        method, so each built instance must carry the registry's flag."""
+        from repro.engine import make_structure, structure_spec
+        w = generate(MIX_10_10_80, key_range=64, n_ops=8, seed=0)
+        assert make_structure(kind, w).chunked is structure_spec(kind).chunked
 
     @pytest.mark.parametrize("kind", ["mc", "mc@3"])
     def test_require_chunked_names_kind_caller_and_reason(self, kind):

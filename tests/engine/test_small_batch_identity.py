@@ -3,8 +3,9 @@ each other: every kernel call is run once with ``_SMALL_BATCH`` = 0
 (every call on numpy rows) and once with it above any call size (every
 call on Python ints), on twin structures.  The runs must agree on
 results, ``paths``, ``upper``, fallback order, ``last_call_diag``, the
-tracer's call sequence and ``TraceStats``, L2 and TLB contents,
-``op_stats``, ``MetricsCollector`` counters and ``mem.raw()``.
+tracer's call sequence and ``TraceStats``, L2 and TLB contents, the
+``MetricsCollector`` counters (the traversal steps each path counts for
+the rows it reads included) and ``mem.raw()``.
 
 The inputs are the kernel corpus of ``test_vector.py`` and
 ``test_vector_update.py``, sharded owners with unequal head heights
@@ -74,19 +75,23 @@ def _run(monkeypatch, threshold, build, drive):
         "trace_stats": tracer.stats,
         "l2": [list(s) for s in tracer.l2._sets],
         "tlb": list(tracer._tlb),
-        "op_stats": [vars(s.op_stats) for s in insts],
         "metrics": st.metrics.as_dict(),
         "mem": insts[0].ctx.mem.raw().tolist(),
     }
 
 
 def assert_paths_agree(monkeypatch, build, drive):
+    """Both paths' runs, compared part by part; returns the counters
+    and what ``drive`` returned."""
     arrays = _run(monkeypatch, ALL_ARRAYS, build, drive)
     ints = _run(monkeypatch, ALL_INTS, build, drive)
     assert arrays.keys() == ints.keys()
     for part in arrays:
         assert arrays[part] == ints[part], part
-    return arrays["out"]
+    # Every ``drive`` walks chunks, so equal counters are not vacuous.
+    counted = arrays["metrics"]
+    assert counted["chunk_reads"] > 0 and counted["down_steps"] > 0
+    return counted, arrays["out"]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +251,10 @@ def test_zombie_and_backtrack_branches(monkeypatch):
             out += _kernel_calls(st, sel, ops)
         return out
 
-    assert_paths_agree(monkeypatch, _zombie_structure, drive)
+    counted, _out = assert_paths_agree(monkeypatch, _zombie_structure,
+                                       drive)
+    assert counted["zombie_encounters"] > 0
+    assert counted["backtrack_steps"] > 0
 
 
 def _corrupted_structure():
@@ -271,7 +279,8 @@ def test_fallback_order(monkeypatch):
                                  record_path=True, track_upper=True)
                 for size in (16, 2_000)]
 
-    out = assert_paths_agree(monkeypatch, _corrupted_structure, drive)
+    _counted, out = assert_paths_agree(monkeypatch, _corrupted_structure,
+                                       drive)
     fallback, diag = out[-1][3], out[-1][4]
     assert diag["fallback_backtrack"] > 0 and diag["fallback_restart"] > 0
     assert fallback != sorted(fallback)

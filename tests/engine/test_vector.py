@@ -28,10 +28,10 @@ class TestVectorContains:
 
     def test_counts_contains_calls(self, built):
         sl, _present = built
-        sl.op_stats.reset()
+        sl.metrics.reset()
         keys = np.arange(1, 101, dtype=np.int64)
         vector.vector_contains(sl, keys, tracer=None)
-        assert sl.op_stats.contains_calls == 100
+        assert sl.metrics.contains_calls == 100
 
     def test_diagnostics_updated(self, built):
         sl, _present = built

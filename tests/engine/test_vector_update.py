@@ -69,8 +69,8 @@ class TestFastPath:
                 assert st_s.ctx.run(st_s.delete_gen(int(k)))
         assert np.array_equal(st_v.ctx.mem.raw(), st_s.ctx.mem.raw()), \
             "batched critical sections diverge from sequential bytes"
-        assert st_v.op_stats.inserts == st_s.op_stats.inserts
-        assert st_v.op_stats.deletes == st_s.op_stats.deletes
+        assert st_v.metrics.inserts == st_s.metrics.inserts
+        assert st_v.metrics.deletes == st_s.metrics.deletes
 
     def test_trivial_outcomes_resolved_without_batching(self):
         w = generate(MIX_10_10_80, key_range=1_000, n_ops=10, seed=3)
@@ -79,13 +79,13 @@ class TestFastPath:
         absent = next(k for k in range(1, 1_001) if k not in set(present))
         keys = np.array([present[0], absent], dtype=np.int64)
         ops = np.array([OP_INSERT, OP_DELETE], dtype=np.int64)
-        st.op_stats.reset()
+        st.metrics.reset()
         res, handled, _f, _p = st.vector_update_wave(
             ops, keys, np.ones(2, dtype=np.int64), tracer=None)
         assert bool(handled.all())
         assert not bool(res.any())      # insert-of-present / delete-of-absent
         assert vector.last_call_diag["batched"] == 0
-        assert st.op_stats.inserts == 0 and st.op_stats.deletes == 0
+        assert st.metrics.inserts == 0 and st.metrics.deletes == 0
 
 
 class TestAdversarialWaves:
@@ -106,7 +106,7 @@ class TestAdversarialWaves:
         res_s = make_backend("sequential").execute(
             st_s, OpBatch.from_workload(w))
         assert res_v.results == res_s.results
-        assert st_v.op_stats.splits == st_s.op_stats.splits > 0
+        assert st_v.metrics.splits == st_s.metrics.splits > 0
         assert np.array_equal(st_v.ctx.mem.raw(), st_s.ctx.mem.raw()), \
             "fallback replay diverges from sequential bytes"
 
@@ -118,9 +118,9 @@ class TestAdversarialWaves:
         st, _ = _twin(w, team_size=8)
         raised = None
         for k in range(10, 200):
-            before = st.op_stats.splits
+            before = st.metrics.splits
             assert st.ctx.run(st.insert_gen(k, 1))
-            if st.op_stats.splits > before:
+            if st.metrics.splits > before:
                 raised = k              # split inserts raise k itself
                 break
         assert raised is not None, "no split in 190 inserts?"

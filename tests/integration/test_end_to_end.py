@@ -99,5 +99,5 @@ class TestDeterminism:
             sl = GFSL(capacity_chunks=512, team_size=16, seed=6)
             gens = [sl.insert_gen(k) for k in range(10, 500, 10)]
             sl.ctx.run_concurrent(gens, seed=44)
-            return sl.keys(), sl.op_stats.splits
+            return sl.keys(), sl.metrics.splits
         assert run_once() == run_once()

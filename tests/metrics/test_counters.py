@@ -1,9 +1,9 @@
-"""MetricsCollector mechanics + the zero-overhead contract.
+"""MetricsCollector mechanics + the observation-free contract.
 
-The crucial property is the last test: with no collector attached (the
-default), every instrumented path produces byte-identical per-op
-results *and* byte-identical tracer accounting — the metrics layer is
-observationally free when disabled.
+The crucial property is the last test: counting never changes a
+schedule, so a run observed through a caller's collector produces
+byte-identical per-op results *and* byte-identical tracer accounting to
+one whose counts only go to the structure's own, unread collector.
 """
 
 from dataclasses import fields
@@ -36,6 +36,9 @@ class TestCollector:
             setattr(b, name, 100 + i)
         a.merge(b)
         for i, name in enumerate(counter_names()):
+            if name == "max_zombie_chain":    # a high-water mark
+                assert a.max_zombie_chain == 100 + i
+                continue
             assert getattr(a, name) == (2 * i + 1) + (100 + i), name
         # The other side is untouched.
         assert all(getattr(b, n) == 100 + i
@@ -44,7 +47,7 @@ class TestCollector:
     def test_as_dict_and_reset(self):
         m = MetricsCollector(chunk_reads=7, splits=2)
         d = m.as_dict()
-        assert set(d) == set(counter_names())
+        assert set(d) == set(counter_names()) | {"restarts"}
         assert d["chunk_reads"] == 7 and d["splits"] == 2
         assert all(isinstance(v, int) for v in d.values())
         m.reset()
@@ -70,9 +73,9 @@ class TestCollector:
 @pytest.mark.parametrize("backend", ["sequential", "interleaved",
                                      "vectorized"])
 def test_disabled_metrics_is_observationally_free(backend):
-    """Results and tracer stats with a collector attached must be
-    byte-identical to the uninstrumented run (and the uninstrumented run
-    is the pre-metrics code path)."""
+    """Results and tracer stats with a caller's collector assigned must
+    be byte-identical to a run that leaves the structure's own
+    collector unobserved."""
     w = generate(MIX_10_10_80, key_range=512, n_ops=200, seed=11)
 
     def run(metrics):
@@ -81,7 +84,6 @@ def test_disabled_metrics_is_observationally_free(backend):
         if metrics is not None:
             st.metrics = metrics
         res = make_backend(backend).execute(st, OpBatch.from_workload(w))
-        st.metrics = None
         stats = st.ctx.tracer.stats
         return res.results, sorted(st.keys()), stats
 

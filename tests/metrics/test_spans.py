@@ -85,7 +85,6 @@ def _run_with_spans(backend_name, n_ops=60, conc=None):
         kwargs = {"wave_size": conc} if conc is not None else {}
     res = make_backend(backend_name, **kwargs).execute(
         st, OpBatch.from_workload(w))
-    st.metrics = None
     return m, res
 
 
@@ -122,7 +121,6 @@ class TestEngineSpans:
             st.metrics = m
             make_backend(name, concurrency=8).execute(
                 st, OpBatch.from_workload(w))
-            st.metrics = None
             results[name] = m
         a = results["interleaved"].spans
         b = results["interleaved-chaos"].spans

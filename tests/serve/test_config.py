@@ -24,6 +24,19 @@ def test_bare_serve_bench_is_the_default_config():
         == ServeCampaignConfig(load=LoadConfig(**cli.SERVE_LOAD))
 
 
+def test_bare_serve_bench_chaos_flags_are_the_chaos_defaults():
+    """The chaos flags default to ``ServeChaosConfig``'s fields, so a
+    lone ``--freeze-shard`` runs the config's own default window."""
+    defaults = ServeChaosConfig()
+    parsed = vars(parse())
+    flagged = [name for name in vars(defaults) if name in parsed]
+    assert set(vars(defaults)) - set(flagged) == {"frozen_windows"}
+    for name in flagged:
+        assert parsed[name] == getattr(defaults, name), name
+    assert cli.serve_campaign_config(parse("--freeze-shard", "1")).chaos \
+        == ServeChaosConfig(freeze_shard=1)
+
+
 def test_every_policy_flag_defaults_to_its_field():
     defaults = ServeCampaignConfig()
     parsed = vars(parse())
@@ -90,7 +103,7 @@ def test_frozen_windows_must_name_a_shard():
 
 
 @pytest.mark.parametrize("kw", [
-    {"freeze_shard": 1},
+    {"freeze_shard": 1, "freeze_steps": 0},
     {"freeze_shard": 1, "freeze_steps": -3},
     {"frozen_windows": ((0, 100, 50), (1, 100, 0))},
 ])
@@ -100,5 +113,5 @@ def test_zero_step_freeze_is_refused(kw):
     with pytest.raises(ValueError, match="--freeze-steps"):
         ServeChaosConfig(**kw)
     assert ServeChaosConfig(freeze_shard=1, freeze_steps=1).windows() \
-        == [(1, 0, 1)]
+        == [(1, 400, 1)]
 

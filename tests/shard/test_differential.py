@@ -30,12 +30,11 @@ def _workload(seed=13):
 def _run(kind, workload, backend, **kwargs):
     st = make_structure(kind, workload, seed=0, **kwargs)
     st.ctx.tracer.reset_stats()
-    st.op_stats.reset()
+    st.metrics.reset()
     res = make_backend(backend).execute(st, OpBatch.from_workload(workload))
-    op_stats = {f: getattr(st.op_stats, f)
-                for f in type(st.op_stats).__dataclass_fields__}
+    counters = st.metrics.as_dict()
     trace = dataclasses.asdict(st.ctx.tracer.stats)
-    return st, res.results, op_stats, trace
+    return st, res.results, counters, trace
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
