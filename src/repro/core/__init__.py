@@ -8,7 +8,7 @@ docstrings for the mapping onto the thesis algorithms.
 from . import constants
 from .bulk import bulk_build_into, plan_chunks, rebuild_into, warm_structure
 from .chunk import ChunkGeometry, ChunkVersion, select_version
-from .epoch import EpochDomain, EpochManager, GFSLSnapshot
+from .epoch import EpochDomain, EpochManager, EpochNotRetained, GFSLSnapshot
 from .gfsl import GFSL, GFSL_KERNEL, suggest_capacity
 from .locks import LockTimeout
 from .pq import GPUPriorityQueue
@@ -19,7 +19,8 @@ from .validate import (InvariantViolation, bottom_items, count_zombies,
 __all__ = [
     "GFSL", "GFSL_KERNEL", "suggest_capacity", "ChunkGeometry",
     "ChunkVersion", "select_version",
-    "EpochDomain", "EpochManager", "GFSLSnapshot", "GPUPriorityQueue",
+    "EpochDomain", "EpochManager", "EpochNotRetained", "GFSLSnapshot",
+    "GPUPriorityQueue",
     "bulk_build_into", "plan_chunks", "rebuild_into", "warm_structure",
     "constants", "InvariantViolation",
     "LockTimeout", "RestartStorm",

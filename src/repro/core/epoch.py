@@ -20,9 +20,9 @@ This module keeps the mechanism entirely **host-side**:
   running epoch.  With no pins the hook is uninstalled and **no device
   word, no code path, and no allocation differs** from the pre-epoch
   simulator: the byte-identity suites pin this.
-* A reader pinned at epoch E reads each block through
-  :meth:`EpochManager.read_block`: the live image if the block was not
-  modified after E, else the retained version whose epoch interval
+* A reader pinned at epoch E asks :meth:`EpochManager.retained_image`
+  for each block: None when the block was not modified after E (the
+  live words are E's), else the retained version whose epoch interval
   covers E.  Retired versions are reclaimed as soon as no pin needs
   them.
 
@@ -40,11 +40,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as C
-from .chunk import ChunkVersion, is_zombie, keys_vec, max_field, next_ptr, \
-    select_version, vals_vec
+from .chunk import ChunkVersion, keys_vec, select_version, vals_vec
+from .validate import _pool
 
 #: Block id of a domain's head region (head array + pool counter + pad).
 HEAD_BLOCK = -1
+
+
+class EpochNotRetained(LookupError):
+    """A frozen read of a block that changed after an epoch no pin held:
+    the image the epoch saw was never retained."""
 
 
 @dataclass(frozen=True)
@@ -257,22 +262,23 @@ class EpochManager:
         return _CommitScope(self)
 
     # -- reading ---------------------------------------------------------
-    def read_block(self, domain: EpochDomain, block: int,
-                   epoch: int) -> np.ndarray:
-        """The image of ``block`` as of ``epoch``: the live words when
-        the block has not been modified since, else the retained
-        pre-image covering the epoch."""
+    def retained_image(self, domain: EpochDomain, block: int,
+                       epoch: int) -> np.ndarray | None:
+        """The retained pre-image of ``block`` as of ``epoch``, or None
+        when the live words are that epoch's (the block has not been
+        modified since).  A pin at ``epoch`` retains every cover, so a
+        block changed after an epoch with no cover means the epoch was
+        not pinned when the block changed: :class:`EpochNotRetained`."""
         key = (domain.domain_id, block)
         if self._last_mod.get(key, 0) <= epoch:
-            start, stop = domain.block_range(block)
-            return self.mem.raw()[start:stop].copy()
+            return None
         v = select_version(self._versions.get(key, ()), epoch)
-        if v is not None:
-            return v.image
-        # Defensive: a pin at `epoch` forces retention of every cover,
-        # so this only happens for epochs that were never pinned.
-        start, stop = domain.block_range(block)
-        return self.mem.raw()[start:stop].copy()
+        if v is None:
+            raise EpochNotRetained(
+                f"block {block} of domain {domain.domain_id} changed at "
+                f"epoch {self._last_mod[key]} and no retained version "
+                f"covers epoch {epoch} (not pinned while it changed)")
+        return v.image
 
     # -- observability ---------------------------------------------------
     def note_publish(self, kind: str) -> None:
@@ -332,55 +338,87 @@ class GFSLSnapshot:
         self.release()
         return False
 
-    def _block(self, block: int) -> np.ndarray:
+    # -- the frozen walk -------------------------------------------------
+    def _chase(self, hi: int):
+        """Phase one of the frozen walk: follow the bottom chain from the
+        frozen head's level-0 pointer, reading only each chunk's NEXT
+        and LOCK words — in place when the live words are the epoch's,
+        else from the retained image.  Stops at NULL, at a chunk already
+        visited, or after the first non-zombie chunk whose max exceeds
+        ``hi`` (every later chunk holds larger keys only).
+
+        Returns ``(visited, live, patches)``: the visited pointers in
+        chain order, the non-zombie ones among them, and a ``(row,
+        image)`` pair for each non-zombie chunk read from a retained
+        image, ``row`` indexing ``live``."""
         if self._released:
             raise RuntimeError("snapshot read after release")
-        return self._mgr.read_block(self._domain, block, self.epoch)
+        mgr, dom, epoch = self._mgr, self._domain, self.epoch
+        geo, lay = self.sl.geo, self.sl.layout
+        word = self.sl.ctx.mem.raw().item
+        head = mgr.retained_image(dom, HEAD_BLOCK, epoch)
+        addr = lay.head_addr(0)
+        ptr = (word(addr) if head is None
+               else int(head[addr - dom.base])) >> 32
+        n, next_at, lock_at = geo.n, geo.next_idx, geo.lock_idx
+        visited: dict[int, None] = {}
+        live: list[int] = []
+        patches: list[tuple[int, np.ndarray]] = []
+        while ptr != C.NULL_PTR and ptr not in visited:
+            visited[ptr] = None
+            image = mgr.retained_image(dom, ptr, epoch)
+            if image is None:
+                at = dom.data_base + ptr * n
+                nxt, lock = word(at + next_at), word(at + lock_at)
+            else:
+                nxt, lock = int(image[next_at]), int(image[lock_at])
+            if lock != C.ZOMBIE:
+                if image is not None:
+                    patches.append((len(live), image))
+                live.append(ptr)
+                if nxt & C.MASK32 > hi:
+                    break
+            ptr = nxt >> 32
+        return list(visited), live, patches
 
-    # -- the frozen walk -------------------------------------------------
-    def _bottom_head_ptr(self) -> int:
-        head = self._block(HEAD_BLOCK)
-        lay = self.sl.layout
-        return int(head[lay.head_addr(0) - lay.base]) >> 32
-
-    def iter_chunk_pairs(self, lo: int, hi: int, tracer=None):
-        """Yield ``(key, value)`` pairs in ``[lo, hi]`` in ascending key
-        order from the frozen bottom chain.
+    def _walk(self, lo: int, hi: int, tracer=None):
+        """The frozen pairs in ``[lo, hi]`` as ascending key and value
+        arrays: the chain chase, then one pass over the data rows of
+        every visited non-zombie chunk.
 
         The frozen images include mid-operation transients — zombie
         chunks (data skipped; survivors live in the right neighbour),
         merge targets whose migrated entries sit *unsorted* at the end
-        slots, and split/shift duplicates — so each chunk's hits are
-        sorted and a strictly-increasing key guard dedupes across chunk
-        boundaries.  Charged to ``tracer`` as coalesced chunk reads.
-        """
+        slots, and split/shift duplicates — so each row's hits are
+        stably sorted and a strictly-increasing key guard dedupes across
+        chunk boundaries.  Charged to ``tracer`` as one coalesced chunk
+        read per visited chunk, in chain order."""
+        visited, live, patches = self._chase(hi)
         sl = self.sl
-        geo = sl.geo
-        ptr = self._bottom_head_ptr()
-        last = lo - 1
-        seen: set[int] = set()
-        while ptr != C.NULL_PTR and ptr not in seen:
-            seen.add(ptr)
-            kvs = self._block(ptr)
-            if tracer is not None:
-                tracer.access_words(sl.layout.chunk_addr(ptr), geo.n,
+        n, dsize = sl.geo.n, sl.geo.dsize
+        if tracer is not None:
+            for ptr in visited:
+                tracer.access_words(sl.layout.chunk_addr(ptr), n,
                                     coalesced=True)
-            if not is_zombie(kvs, geo):
-                keys = keys_vec(kvs)[: geo.dsize]
-                vals = vals_vec(kvs)[: geo.dsize]
-                mask = ((keys >= lo) & (keys <= hi)
-                        & (keys != C.EMPTY_KEY) & (keys != C.NEG_INF_KEY))
-                idx = np.nonzero(mask)[0]
-                if idx.size:
-                    order = np.argsort(keys[idx], kind="stable")
-                    for i in idx[order]:
-                        k = int(keys[i])
-                        if k > last:
-                            yield k, int(vals[i])
-                            last = k
-                if max_field(kvs, geo) > hi:
-                    return
-            ptr = next_ptr(kvs, geo)
+        kvs = _pool(sl)[np.asarray(live, dtype=np.intp), :dsize]
+        for row, image in patches:
+            kvs[row] = image[:dsize]
+        keys = keys_vec(kvs)
+        mask = ((keys >= lo) & (keys <= hi)
+                & (keys != C.EMPTY_KEY) & (keys != C.NEG_INF_KEY))
+        hit = mask.any(axis=1)
+        kvs, keys, mask = kvs[hit], keys[hit], mask[hit]
+        # Each row's hits in stable key order; misses sort past every
+        # 32-bit key.
+        order = np.argsort(np.where(mask, keys, C.MASK32 + 1), axis=1,
+                           kind="stable")
+        picked = np.take_along_axis(mask, order, axis=1)
+        keys = np.take_along_axis(keys, order, axis=1)[picked]
+        kvs = np.take_along_axis(kvs, order, axis=1)[picked]
+        # A candidate survives only above every earlier one (and lo - 1).
+        floor = np.maximum.accumulate(np.concatenate(([lo - 1], keys[:-1])))
+        keep = keys > floor
+        return keys[keep], vals_vec(kvs[keep])
 
     # -- queries ---------------------------------------------------------
     def range_query(self, lo: int, hi: int,
@@ -388,13 +426,14 @@ class GFSLSnapshot:
         """All frozen (key, value) pairs with lo ≤ key ≤ hi, in order."""
         if lo > hi:
             return []
-        return list(self.iter_chunk_pairs(lo, hi, tracer=tracer))
+        keys, vals = self._walk(lo, hi, tracer=tracer)
+        return list(zip(keys.tolist(), vals.tolist()))
 
     def items(self, tracer=None) -> list[tuple[int, int]]:
         """Every frozen (key, value) pair, in order."""
-        return list(self.iter_chunk_pairs(C.MIN_USER_KEY, C.MAX_USER_KEY,
-                                          tracer=tracer))
+        return self.range_query(C.MIN_USER_KEY, C.MAX_USER_KEY,
+                                tracer=tracer)
 
     def keys(self, tracer=None) -> list[int]:
-        return [k for k, _ in self.iter_chunk_pairs(
-            C.MIN_USER_KEY, C.MAX_USER_KEY, tracer=tracer)]
+        return self._walk(C.MIN_USER_KEY, C.MAX_USER_KEY,
+                          tracer=tracer)[0].tolist()

@@ -88,10 +88,6 @@ class HeadArray:
         words = yield from self.read_all()
         return self.height_of(words)
 
-    def first_chunk_at_level(self, level: int):
-        words = yield from self.read_all()
-        return self.ptr_of(words, level)
-
     # -- device-side updates --------------------------------------------
     def increment_chunks(self, level: int):
         """Counter lives in the low 32 bits, so an atomicAdd of 1 bumps it
