@@ -35,7 +35,7 @@ def main(argv) -> int:
 
     groups = {}
     for row in doc["rows"]:
-        if row["source"] != "replay" or row["oom"]:
+        if row["oom"]:
             continue
         key = (row["structure"], row["backend"], row["shards"])
         groups.setdefault(key, []).append(

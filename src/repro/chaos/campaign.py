@@ -62,6 +62,11 @@ class CampaignConfig:
     structure: str = "gfsl"                    # registry name, e.g. "gfsl@4"
     snapshots: int = 0                         # frozen-snapshot readers per wave
 
+    def __post_init__(self):
+        if self.concurrency < 1:
+            raise ValueError(f"--concurrency must be at least 1 (got "
+                             f"{self.concurrency})")
+
     def mixture(self) -> Mixture:
         i, d, c = self.mix
         return Mixture(i, d, c)

@@ -79,13 +79,21 @@ def cmd_demo(args) -> int:
 def cmd_point(args) -> int:
     """Run a single benchmark data point and print diagnostics."""
     from .workloads import Mixture, generate, run_workload
-    mix = Mixture(args.inserts, args.deletes,
-                  100 - args.inserts - args.deletes)
-    w = generate(mix, key_range=args.range, n_ops=args.ops, seed=args.seed,
-                 distribution=args.distribution, zipf_s=args.zipf_s)
-    r = run_workload(args.structure, w, team_size=args.team_size,
-                     backend=args.backend, shards=args.shards,
-                     partitioner=args.partitioner)
+    try:
+        if args.inserts + args.deletes > 100:
+            raise ValueError(f"--inserts {args.inserts} plus --deletes "
+                             f"{args.deletes} exceed 100%")
+        mix = Mixture(args.inserts, args.deletes,
+                      100 - args.inserts - args.deletes)
+        w = generate(mix, key_range=args.range, n_ops=args.ops,
+                     seed=args.seed, distribution=args.distribution,
+                     zipf_s=args.zipf_s)
+        r = run_workload(args.structure, w, team_size=args.team_size,
+                         backend=args.backend, shards=args.shards,
+                         partitioner=args.partitioner)
+    except ValueError as e:          # misconfiguration, named by the cause
+        print(f"point: {e}", file=sys.stderr)
+        return 2
     if r.oom:
         print(f"{r.structure} @ {args.range:,}: OOM at paper scale "
               "(Section 5.3)")
@@ -182,7 +190,6 @@ def cmd_stress(args) -> int:
 def cmd_chaos(args) -> int:
     """Seeded adversarial campaigns with linearizability checking."""
     import time
-    from dataclasses import replace
 
     from .chaos import (CampaignConfig, ChaosConfig, repro_command,
                         run_campaign, shrink_campaign)
@@ -193,20 +200,18 @@ def cmd_chaos(args) -> int:
         faults = ChaosConfig.adversarial(args.intensity, bug=args.bug)
         for kind in args.disable:
             faults = faults.without(kind)
-    base = CampaignConfig(n_ops=args.ops, key_range=args.range,
-                          mix=tuple(args.mix), team_size=args.team_size,
-                          p_chunk=args.p_chunk, seed=args.seed,
-                          concurrency=args.concurrency, faults=faults,
-                          structure=args.structure,
-                          snapshots=args.snapshots)
 
     deadline = (time.monotonic() + args.seconds
                 if args.seconds is not None else None)
     ran = 0
     seed = args.seed
     while True:
-        cfg = replace(base, seed=seed)
         try:
+            cfg = CampaignConfig(
+                n_ops=args.ops, key_range=args.range, mix=tuple(args.mix),
+                team_size=args.team_size, p_chunk=args.p_chunk, seed=seed,
+                concurrency=args.concurrency, faults=faults,
+                structure=args.structure, snapshots=args.snapshots)
             report = run_campaign(cfg)
         except ValueError as e:      # e.g. a structure the audit can't judge
             print(f"chaos: {e}", file=sys.stderr)
@@ -251,12 +256,16 @@ def cmd_bench(args) -> int:
               "shard count", file=sys.stderr)
         return 2
 
-    doc, traces = B.run_grid(
-        backends, structures, key_ranges=ranges, mixes=mixes,
-        n_ops=args.ops, seed=args.seed, team_size=args.team_size,
-        shard_counts=shard_counts,
-        collect_spans=args.trace_out is not None,
-        distribution=args.distribution, zipf_s=args.zipf_s)
+    try:
+        doc, traces = B.run_grid(
+            backends, structures, key_ranges=ranges, mixes=mixes,
+            n_ops=args.ops, seed=args.seed, team_size=args.team_size,
+            shard_counts=shard_counts,
+            collect_spans=args.trace_out is not None,
+            distribution=args.distribution, zipf_s=args.zipf_s)
+    except ValueError as e:          # misconfiguration, named by the cause
+        print(f"bench: {e}", file=sys.stderr)
+        return 2
     errors = B.validate_bench(doc)
     if errors:
         for e in errors:
@@ -348,8 +357,7 @@ def cmd_serve_bench(args) -> int:
     import json
     from pathlib import Path
 
-    from .metrics.bench import merge_rows
-    from .serve import latency_histogram, run_serve_campaign, serve_bench_row
+    from .serve import run_serve_campaign, run_summary
 
     try:
         cfg = serve_campaign_config(args)
@@ -358,40 +366,13 @@ def cmd_serve_bench(args) -> int:
         print(f"serve-bench: {e}", file=sys.stderr)
         return 2
     print(report.summary())
-
-    def write_json(path, doc):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    if args.run_out is not None:
+        path = Path(args.run_out) / "summary.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(run_summary(report), indent=1) + "\n")
         print(f"wrote {path}")
 
     st = report.stats
-    if args.hist_out is not None:
-        write_json(args.hist_out, latency_histogram(st))
-    if args.bench_out is not None:
-        try:
-            merge_rows(args.bench_out, [serve_bench_row(cfg, report)])
-        except ValueError as e:
-            print(f"serve-bench: {e}", file=sys.stderr)
-            return 2
-        print(f"wrote serve row into {args.bench_out}")
-    if args.ctrl_out is not None:
-        write_json(args.ctrl_out, {
-            "seed": cfg.load.seed, "adaptive": cfg.adaptive,
-            "target_p99_us": cfg.target_p99,
-            "shard_rates": report.shard_rates,
-            "shard_windows": report.shard_windows,
-            "timeline": report.ctrl_timeline})
-    if args.migration_out is not None:
-        write_json(args.migration_out, {
-            "seed": cfg.load.seed, "elastic": cfg.elastic,
-            "migrations": st.migrations,
-            "migration_aborts": st.migration_aborts,
-            "migration_retries": st.migration_retries,
-            "migrated_keys": st.migrated_keys,
-            "migration_reconciled": st.migration_reconciled,
-            "events": report.migration_events,
-            "routing_history": report.routing_history})
-
     if not report.ok:
         return 1
     if st.terminated != st.submitted:
@@ -653,17 +634,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "exceeds this")
     serve_flag("--no-check", "check", action="store_false",
                help="skip the linearizability/invariant audit")
-    pv.add_argument("--hist-out", default=None,
-                    help="write the latency histogram JSON here")
-    pv.add_argument("--bench-out", default=None,
-                    help="write/merge a serve row into this "
-                    "BENCH_*.json file")
-    pv.add_argument("--ctrl-out", default=None,
-                    help="write the controller rate/window/occupancy "
-                    "time series JSON here (CI artifact)")
-    pv.add_argument("--migration-out", default=None,
-                    help="write the migration-event/routing-history "
-                    "JSON here (CI artifact)")
+    pv.add_argument("--run-out", default=None, metavar="DIR",
+                    help="write the run summary (config, verdict, "
+                    "latency, counters, controller and migration "
+                    "records) to DIR/summary.json")
     pv.set_defaults(func=cmd_serve_bench)
     return p
 

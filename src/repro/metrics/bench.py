@@ -17,14 +17,13 @@ recorded for information, never gated.
 BENCH_*.json schema (``SCHEMA_ID``)::
 
     {
-      "schema": "repro-bench/8",
-      "created_utc": "2026-10-17T12:00:00+00:00",
+      "schema": "repro-bench/9",
+      "created_utc": "2026-10-19T12:00:00+00:00",
       "seed": 1234, "n_ops": 400, "team_size": 32,
       "rows": [
         {"structure": "gfsl", "backend": "interleaved",
          "mixture": "[10,10,80]", "key_range": 2048, "n_ops": 400,
-         "shards": 1, "distribution": "uniform", "adaptive": false,
-         "elastic": false, "source": "replay",
+         "shards": 1, "distribution": "uniform",
          "gen_fraction": 1.0, "mops": 410.2, "model_seconds": 9.7e-07,
          "wall_seconds": 0.81, "transactions_per_op": 6.1,
          "l2_hit_rate": 0.93,
@@ -36,13 +35,12 @@ BENCH_*.json schema (``SCHEMA_ID``)::
       ]
     }
 
-Rows are matched across files on the ``ROW_IDENTITY`` fields.  Every
-row carries the ``_COMMON`` fields; grid cells (``source: "replay"``)
-add the cost-model attribution in ``_REPLAY`` and :mod:`repro.serve`
-campaign rows (``source: "serve"``) the request-path fields in
-``_SERVE``.  Every listed field is required.  A file written under any
-other schema id is refused, not read through a compatibility path:
-regenerate it.
+Every row is a grid cell; rows are matched across files on the
+``ROW_IDENTITY`` fields, and every field of ``ROW_FIELDS`` is required.
+A file written under any other schema id is refused, not read through a
+compatibility path: regenerate it.  Serve campaigns write no BENCH rows;
+``serve-bench --run-out`` writes their own run summary
+(:func:`repro.serve.run_summary`).
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from pathlib import Path
 from .counters import MetricsCollector
 from .spans import SpanTracer, merge_chrome
 
-SCHEMA_ID = "repro-bench/8"
+SCHEMA_ID = "repro-bench/9"
 BENCH_GLOB = "BENCH_*.json"
 _BENCH_RE = re.compile(r"^BENCH_.*\.json$")
 
@@ -68,11 +66,8 @@ DEFAULT_SHARDS = (1,)
 DEFAULT_THRESHOLD = 0.20
 
 #: The fields a row is matched on across BENCH files, in key order.
-#: Serve rows never pair with replay rows, adaptive campaigns never with
-#: static ones, and resharded runs never with frozen-mapping ones.
 ROW_IDENTITY = ("structure", "backend", "mixture", "key_range", "n_ops",
-                "shards", "distribution", "adaptive", "elastic", "source")
-ROW_SOURCES = ("replay", "serve")
+                "shards", "distribution")
 
 
 def _integer(v) -> bool:
@@ -90,16 +85,13 @@ _BOOL = ("a boolean", lambda v: isinstance(v, bool))
 _NUM = ("a finite number", _number)
 _COUNT = ("a non-negative integer", lambda v: _integer(v) and v >= 0)
 _POSITIVE = ("a positive integer", lambda v: _integer(v) and v >= 1)
-_NUMS = ("a non-empty list of numbers",
-         lambda v: isinstance(v, list) and bool(v) and all(map(_number, v)))
-_LIST = ("a list", lambda v: isinstance(v, list))
 
-#: Required on every row: the identity, then the measurement.
-_COMMON = {
+#: Required on every row: the identity, the measurement, then the cost
+#: model's binding bound and its terms.
+ROW_FIELDS = {
     "structure": _STR, "backend": _STR, "mixture": _STR,
     "key_range": _COUNT, "n_ops": _COUNT, "shards": _POSITIVE,
-    "distribution": _STR, "adaptive": _BOOL, "elastic": _BOOL,
-    "source": (f"one of {ROW_SOURCES}", lambda v: v in ROW_SOURCES),
+    "distribution": _STR,
     "gen_fraction": _NUM,
     "mops": ("a finite number or null", lambda v: v is None or _number(v)),
     "model_seconds": _NUM, "wall_seconds": _NUM,
@@ -107,40 +99,15 @@ _COMMON = {
     "counters": ("an object of integers",
                  lambda v: isinstance(v, dict)
                  and all(map(_integer, v.values()))),
-}
-#: Required on grid cells: the cost model's binding bound and its terms.
-_REPLAY = {
     "bottleneck": _STR, "occupancy": _NUM, "oom": _BOOL,
     "issue_cycles": _NUM, "bandwidth_cycles": _NUM,
     "latency_cycles": _NUM, "serialization_cycles": _NUM,
-}
-#: Required on serve campaign rows: latency, robustness, controller and
-#: migration results.
-_SERVE = {
-    "p50_us": _NUM, "p99_us": _NUM,
-    "rejected": _COUNT, "shed": _COUNT, "retries": _COUNT,
-    "target_p99_us": _NUM, "healthy_p99_us": _NUM,
-    "shard_rates": _NUMS, "shard_windows": _NUMS,
-    "migrations": _COUNT, "migration_aborts": _COUNT,
-    "migrated_keys": _COUNT, "migration_events": _LIST,
 }
 
 
 def row_key(row: dict) -> tuple:
     """The identity a row is matched on across BENCH files."""
     return tuple(row[field] for field in ROW_IDENTITY)
-
-
-def _new_doc(rows: list, seed: int, n_ops: int, team_size: int) -> dict:
-    return {
-        "schema": SCHEMA_ID,
-        "created_utc": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
-        "seed": seed,
-        "n_ops": n_ops,
-        "team_size": team_size,
-        "rows": rows,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +158,6 @@ def run_grid(backends, structures, key_ranges=DEFAULT_RANGES,
                             "n_ops": n_ops,
                             "shards": n_shards,
                             "distribution": distribution,
-                            "adaptive": False,
-                            "elastic": False,
-                            "source": "replay",
                             "gen_fraction": (0.0 if r.oom else
                                              r.gen_ops / max(1, r.n_ops)),
                             "mops": None if r.oom else r.mops,
@@ -216,7 +180,15 @@ def run_grid(backends, structures, key_ranges=DEFAULT_RANGES,
                             if n_shards != 1:
                                 cell += f"/s{n_shards}"
                             traces[cell] = metrics.spans
-    return _new_doc(rows, seed, n_ops, team_size), traces
+    return {
+        "schema": SCHEMA_ID,
+        "created_utc": datetime.now(timezone.utc).isoformat(
+            timespec="seconds"),
+        "seed": seed,
+        "n_ops": n_ops,
+        "team_size": team_size,
+        "rows": rows,
+    }, traces
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +224,9 @@ def validate_bench(doc) -> list[str]:
         if not isinstance(row, dict):
             errors.append(f"rows[{i}] is not an object")
             continue
-        extra = _SERVE if row.get("source") == "serve" else _REPLAY
-        for fields in (_COMMON, extra):
-            for name, (what, ok) in fields.items():
-                if name not in row or not ok(row[name]):
-                    errors.append(f"rows[{i}].{name} must be {what}")
+        for name, (what, ok) in ROW_FIELDS.items():
+            if name not in row or not ok(row[name]):
+                errors.append(f"rows[{i}].{name} must be {what}")
     return errors
 
 
@@ -304,8 +274,7 @@ def shard_bound_warnings(doc: dict) -> list[str]:
     scaling anomalies (e.g. sharding cutting tx/op while MOPS stays flat
     because a different term binds) are then self-diagnosing in
     ``repro bench`` output."""
-    cells = [r for r in doc["rows"]
-             if r["source"] == "replay" and not r["oom"]]
+    cells = [r for r in doc["rows"] if not r["oom"]]
 
     def config(row):
         return tuple(row[f] for f in ROW_IDENTITY if f != "shards")
@@ -338,9 +307,6 @@ def _cell_name(key: tuple) -> str:
             + (f" x{f['shards']}" if f["shards"] != 1 else "")
             + (f" {f['distribution']}"
                if f["distribution"] != "uniform" else "")
-            + (" adaptive" if f["adaptive"] else "")
-            + (" elastic" if f["elastic"] else "")
-            + (f" [{f['source']}]" if f["source"] != "replay" else "")
             + f" {f['mixture']} @{f['key_range']:,}")
 
 
@@ -358,8 +324,6 @@ def render_markdown(doc: dict, comparison: dict | None = None,
                  + " | ".join(_MD_COUNTERS) + " |")
     lines.append("|" + "---|" * (13 + len(_MD_COUNTERS)))
     for row in doc["rows"]:
-        if row["source"] != "replay":
-            continue
         c = row["counters"]
         mops = "OOM" if row["mops"] is None else f"{row['mops']:.1f}"
         lines.append(
@@ -374,26 +338,6 @@ def render_markdown(doc: dict, comparison: dict | None = None,
             f"| {row['wall_seconds']:.2f} | "
             + " | ".join(str(c.get(name, 0)) for name in _MD_COUNTERS)
             + " |")
-    serve_rows = [r for r in doc["rows"] if r["source"] == "serve"]
-    if serve_rows:
-        lines.append("")
-        lines.append("## Serve campaigns (request-path latency)")
-        lines.append("")
-        lines.append("| structure | backend | mixture | dist | mode | "
-                     "p50 µs | p99 µs | healthy p99 µs | rejected | shed | "
-                     "retries |")
-        lines.append("|" + "---|" * 11)
-        for row in serve_rows:
-            mode = "adaptive" if row["adaptive"] else "static"
-            if row["elastic"]:
-                mode += "+elastic"
-            lines.append(
-                f"| {row['structure']} | {row['backend']} "
-                f"| {row['mixture']} | {row['distribution']} | {mode} "
-                f"| {row['p50_us']:.0f} | {row['p99_us']:.0f} "
-                f"| {row['healthy_p99_us']:.0f} "
-                f"| {row['rejected']} | {row['shed']} "
-                f"| {row['retries']} |")
     if comparison is not None:
         lines.append("")
         lines.append(f"## Regression check vs {baseline_name or 'baseline'} "
@@ -444,28 +388,6 @@ def write_bench(doc: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, allow_nan=False)
         fh.write("\n")
-
-
-def merge_rows(path, rows: list[dict]) -> None:
-    """Merge ``rows`` into the BENCH file at ``path``, creating it when
-    missing: each row replaces any existing row with the same identity,
-    and the merged document is validated before it is written.  Raises
-    ``ValueError`` when the existing file was written under another
-    schema or the merged document is not schema-valid."""
-    path = Path(path)
-    if path.is_file():
-        doc = load_bench(path)
-        require_schema(doc, f"merge target {path}")
-    else:
-        doc = _new_doc([], seed=rows[0]["counters"].get("seed", 0),
-                       n_ops=rows[0]["n_ops"], team_size=32)
-    keys = {row_key(r) for r in rows}
-    doc["rows"] = [r for r in doc["rows"] if row_key(r) not in keys] + rows
-    errors = validate_bench(doc)
-    if errors:
-        raise ValueError("BENCH document failed schema validation: "
-                         + "; ".join(errors))
-    write_bench(doc, path)
 
 
 def write_trace(traces: dict[str, SpanTracer], path) -> None:

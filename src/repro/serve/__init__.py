@@ -17,7 +17,7 @@ from .admission import TokenBucket
 from .aio import (TIMED_OUT, Future, HangError, Queue, QueueEmpty,
                   QueueFull, Task, VirtualLoop)
 from .bench import (ServeReport, latency_histogram, run_serve_campaign,
-                    serve_bench_row)
+                    run_summary)
 from .breaker import CircuitBreaker
 from .config import ServeCampaignConfig
 from .controller import (ControllerConfig, ElasticityController,
@@ -42,6 +42,6 @@ __all__ = [
     "LoadConfig", "LoadPlan", "PlannedRequest", "build_plan",
     "sizing_workload", "make_clients", "run_client",
     "ServeCampaignConfig", "ServeReport", "run_serve_campaign",
-    "latency_histogram", "serve_bench_row",
+    "latency_histogram", "run_summary",
     "ReshardPlan", "ReshardPolicy",
 ]

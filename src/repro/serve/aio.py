@@ -3,7 +3,7 @@
 The frontend needs asyncio-style concurrency — client coroutines,
 coalescer tasks, timed flushes, bounded queues — but a real event loop
 schedules on wall-clock timers and readiness polling, which is not
-reproducible enough for seeded chaos campaigns or committed BENCH rows.
+reproducible enough for seeded chaos campaigns or their run summaries.
 This module is a tiny cooperative kernel with the same *shape* as
 asyncio (``create_task`` / ``await`` / ``sleep`` / ``Queue``) whose
 clock is **virtual**: ``loop.now`` counts simulator steps (the same

@@ -1,5 +1,5 @@
 """Serve campaigns: end-to-end overload runs with verification and a
-BENCH row.
+run summary.
 
 One campaign = one seeded load plan (Poisson + chaos bursts) driven
 through a :class:`~repro.serve.frontend.ServeFrontend` on the virtual
@@ -13,14 +13,16 @@ loop, then audited:
 * **invariants** — every shard still passes
   :func:`~repro.core.validate_structure`.
 
-The report folds into a BENCH row (``source: "serve"``) with p50/p99
-request latency and the rejection/shed/retry counters, plus a
-log2-bucketed latency histogram for the CI artifact.
+:func:`run_summary` folds the report into the one JSON document
+``serve-bench --run-out DIR`` writes as ``DIR/summary.json``: the
+config, the verdict, the totals, p50/p99 request latency with a
+log2-bucketed histogram, every counter, and the controller and
+migration records of adaptive and elastic runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..chaos.linearize import HistoryRecorder, check_history
 from ..chaos.serve_faults import ServeFaultInjector
@@ -51,10 +53,11 @@ class ServeReport:
     range_p99_us: float | None = None
     #: p99 over shards never chaos-frozen (equals p99_us faultless).
     healthy_p99_us: float | None = None
+    #: Final per-shard controller rates and windows (adaptive runs).
     shard_rates: list = field(default_factory=list)
     shard_windows: list = field(default_factory=list)
     ctrl_timeline: list = field(default_factory=list)
-    #: One dict per migration attempt (elastic runs; BENCH row material).
+    #: One dict per migration attempt (elastic runs).
     migration_events: list = field(default_factory=list)
     #: Routing generations published during the run.
     routing_history: list = field(default_factory=list)
@@ -210,10 +213,10 @@ def run_serve_campaign(cfg: ServeCampaignConfig) -> ServeReport:
     report.p99_us = percentile(st.point_latencies, 0.99)
     report.range_p99_us = percentile(st.range_latencies, 0.99)
 
-    snap = frontend.controller_snapshot()
-    report.shard_rates = snap["rates"]
-    report.shard_windows = snap["windows"]
     if frontend.controller is not None:
+        snap = frontend.controller.snapshot()
+        report.shard_rates = snap["rates"]
+        report.shard_windows = snap["windows"]
         report.ctrl_timeline = frontend.controller.timeline
     if frontend.migrator is not None:
         report.migration_events = list(frontend.migrator.events)
@@ -241,7 +244,7 @@ def run_serve_campaign(cfg: ServeCampaignConfig) -> ServeReport:
 
 
 def latency_histogram(stats: ServeStats) -> dict:
-    """Log2-bucketed latency histogram (µs buckets), the CI artifact."""
+    """Log2-bucketed latency histogram (µs buckets)."""
     def bucketize(samples):
         buckets: dict[str, int] = {}
         for v in samples:
@@ -260,53 +263,45 @@ def latency_histogram(stats: ServeStats) -> dict:
     }
 
 
-def serve_bench_row(cfg: ServeCampaignConfig, report: ServeReport) -> dict:
-    """A BENCH row for one serve campaign (``source: "serve"`` keeps it
-    out of replay-row regression comparisons; ``adaptive`` and
-    ``elastic`` are part of the row identity so static, adaptive, and
-    resharded runs of the same campaign coexist in one file)."""
-    st = report.stats
-    load = cfg.load
-    model_seconds = report.total_steps * 1e-6     # 1 step = 1 µs
-    mops = (st.completed / report.total_steps
-            if report.total_steps > 0 else 0.0)   # ops/µs = M ops/s
-    counters = st.counters()
-    counters["seed"] = int(load.seed)
-    if report.fault_counts:
-        for kind, n in sorted(report.fault_counts.items()):
-            counters[f"fault_{kind}"] = int(n)
+def run_summary(report: ServeReport) -> dict:
+    """The ``summary.json`` of ``serve-bench --run-out``: one run's
+    config, verdict, totals, latency, counters and faults, plus the
+    controller record (``None`` unless adaptive) and the migration
+    record (``None`` unless elastic).  Goodput is completed requests
+    per step, i.e. M ops/s on the 1 step = 1 µs clock."""
+    cfg, st = report.config, report.stats
+    steps, counters = report.total_steps, st.counters()
+    controller = migrations = None
+    if cfg.adaptive:
+        controller = {"rates": list(report.shard_rates),
+                      "windows": list(report.shard_windows),
+                      "ticks": st.ctrl_ticks,
+                      "timeline": list(report.ctrl_timeline)}
+    if cfg.elastic:
+        migrations = {name: counters[name] for name in (
+            "migrations", "migration_aborts", "migration_retries",
+            "migrated_keys", "migration_delta_ops", "migration_reconciled")}
+        migrations["events"] = list(report.migration_events)
+        migrations["routing_history"] = list(report.routing_history)
     return {
-        "structure": cfg.structure,
-        "backend": cfg.backend,
-        "mixture": "[" + ",".join(str(m) for m in load.mix) + "]",
-        "key_range": load.key_range,
-        "n_ops": load.n_requests,
-        "shards": cfg.n_shards,
-        "distribution": load.distribution,
-        "adaptive": bool(cfg.adaptive),
-        "elastic": bool(cfg.elastic),
-        "source": "serve",
-        "gen_fraction": (st.gen_ops / st.flushed_ops
-                         if st.flushed_ops else 0.0),
-        "mops": mops,
-        "model_seconds": model_seconds,
-        "wall_seconds": report.wall_seconds,
-        "transactions_per_op": (report.transactions
-                                / max(1, st.completed)),
-        "l2_hit_rate": report.l2_hit_rate,
-        "p50_us": report.p50_us if report.p50_us is not None else 0.0,
-        "p99_us": report.p99_us if report.p99_us is not None else 0.0,
-        "rejected": st.rejected,
-        "shed": st.shed,
-        "retries": st.retries,
-        "target_p99_us": float(cfg.target_p99),
-        "healthy_p99_us": (report.healthy_p99_us
-                           if report.healthy_p99_us is not None else 0.0),
-        "shard_rates": list(report.shard_rates),
-        "shard_windows": list(report.shard_windows),
-        "migrations": int(st.migrations),
-        "migration_aborts": int(st.migration_aborts),
-        "migrated_keys": int(st.migrated_keys),
-        "migration_events": list(report.migration_events),
+        "config": asdict(cfg),
+        "verdict": {"ok": report.ok, "hung": report.hung,
+                    "unresolved": report.unresolved,
+                    "linearizable": report.linearizable,
+                    "lin_summary": report.lin_summary,
+                    "invariant_error": report.invariant_error},
+        "totals": {"total_steps": steps,
+                   "wall_seconds": report.wall_seconds,
+                   "transactions": report.transactions,
+                   "l2_hit_rate": report.l2_hit_rate,
+                   "goodput_mops": st.completed / steps if steps > 0
+                   else 0.0},
+        "latency": {"p50_us": report.p50_us, "p99_us": report.p99_us,
+                    "range_p99_us": report.range_p99_us,
+                    "healthy_p99_us": report.healthy_p99_us,
+                    "histogram": latency_histogram(st)},
         "counters": counters,
+        "faults": dict(report.fault_counts),
+        "controller": controller,
+        "migrations": migrations,
     }

@@ -128,7 +128,7 @@ class ElasticityController:
         self._next_tick = int(now) + cfg.interval
         self.ticks = 0
         #: Rate/window/occupancy trajectory, one entry per shard per
-        #: tick — the ``--ctrl-out`` CI artifact.
+        #: tick — ``controller.timeline`` of a ``--run-out`` summary.
         self.timeline: list[dict] = []
 
     # -- inputs ------------------------------------------------------------
@@ -219,7 +219,7 @@ class ElasticityController:
 
     # -- export ------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Final controller state for bench rows and report lines."""
+        """Final controller state for the run report."""
         return {
             "rates": [round(r, 3) for r in self.effective_rates],
             "windows": list(self.windows),

@@ -261,18 +261,6 @@ class ServeFrontend:
                               int(round(self.cfg.coalesce_size * scale))))
         return self.cfg.coalesce_size
 
-    def controller_snapshot(self) -> dict:
-        """Final per-shard rates/windows — bench-row v6 material.  In
-        static mode every shard reports the shared bucket's rate and
-        the fixed window."""
-        if self.controller is not None:
-            return self.controller.snapshot()
-        rate = self.cfg.admit_rate
-        return {"rates": [0.0 if rate is None else round(rate, 3)]
-                * self.n_shards,
-                "windows": [self.cfg.coalesce_steps] * self.n_shards,
-                "ticks": 0}
-
     # -- admission (the submit path) --------------------------------------
     def _overloaded_for_ranges(self, sid: int) -> bool:
         if self.cfg.queue_depth > 0:

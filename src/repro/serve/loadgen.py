@@ -45,6 +45,8 @@ class LoadConfig:
                              "range) summing to 100")
         if self.rate <= 0:
             raise ValueError("--rate must be positive")
+        if self.n_clients < 1:
+            raise ValueError("--clients must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ Failures are attempt-scoped: a frozen shard or an injected abort ends
 the attempt with the destination untouched (nothing is mutated before
 the critical window) and retries after a backoff, up to
 ``max_attempts``.  Every attempt appends a migration event row —
-the ``migration_events`` time series of a serve BENCH row.
+``migrations.events`` of a ``serve-bench --run-out`` summary.
 """
 
 from __future__ import annotations

@@ -126,3 +126,16 @@ def test_cli_reports_rejected_structure_on_one_line(capsys):
     assert code == 2
     assert err.startswith("chaos: ") and err.count("\n") == 1
     assert "'mc@4'" in err
+
+
+def test_cli_refuses_zero_concurrency(capsys):
+    """The interleaved backend would run a zero-concurrency campaign at
+    concurrency 1 while the summary printed ``conc=0``."""
+    from repro import cli
+
+    with pytest.raises(ValueError, match="--concurrency"):
+        CampaignConfig(concurrency=0)
+    code = cli.main(["chaos", "--concurrency", "0", "--ops", "50"])
+    assert code == 2
+    assert capsys.readouterr().err \
+        == "chaos: --concurrency must be at least 1 (got 0)\n"

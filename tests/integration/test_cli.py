@@ -37,6 +37,15 @@ class TestCommands:
                      "--ops", "10"]) == 0
         assert "OOM" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags,cause", [
+        (["--shards", "0"], "need at least one shard"),
+        (["--inserts", "80", "--deletes", "40"],
+         "--inserts 80 plus --deletes 40 exceed 100%")])
+    def test_point_misconfiguration_is_a_one_line_usage_error(
+            self, capsys, flags, cause):
+        assert main(["point", "--range", "500", "--ops", "10", *flags]) == 2
+        assert capsys.readouterr().err == f"point: {cause}\n"
+
     def test_stress_clean(self, capsys):
         assert main(["stress", "--range", "800", "--ops", "250",
                      "--seed", "3"]) == 0

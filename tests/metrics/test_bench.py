@@ -1,15 +1,12 @@
-"""BENCH document engine: grid, schema, comparison, merge, files, CLI."""
+"""BENCH document engine: grid, schema, comparison, files, CLI."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.chaos import ServeChaosConfig
 from repro.cli import main as cli_main
 from repro.metrics import bench as B
-from repro.serve import (LoadConfig, ServeCampaignConfig, run_serve_campaign,
-                         serve_bench_row)
 
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 #: A committed baseline written under an older schema (read-only history).
@@ -30,24 +27,6 @@ def shard_doc():
     return doc
 
 
-@pytest.fixture(scope="module")
-def serve_row():
-    load = LoadConfig(n_requests=150, n_clients=8, key_range=512,
-                      rate=800.0, distribution="zipf", seed=11)
-    chaos = ServeChaosConfig(freeze_shard=0, freeze_at=100,
-                             freeze_steps=200, seed=11)
-    cfg = ServeCampaignConfig(structure="gfsl@2", load=load, chaos=chaos,
-                              admit_rate=400.0, coalesce_steps=200)
-    report = run_serve_campaign(cfg)
-    assert report.ok, report.summary()
-    return serve_bench_row(cfg, report)
-
-
-@pytest.fixture
-def mixed_doc(tiny_doc, serve_row):
-    return dict(tiny_doc, rows=tiny_doc["rows"] + [serve_row])
-
-
 class TestRunGrid:
     def test_schema_valid(self, tiny_doc):
         assert B.validate_bench(tiny_doc) == []
@@ -56,9 +35,7 @@ class TestRunGrid:
         (row,) = tiny_doc["rows"]
         assert row["structure"] == "gfsl"
         assert row["backend"] == "sequential"
-        assert (row["shards"], row["distribution"], row["adaptive"],
-                row["elastic"], row["source"]) \
-            == (1, "uniform", False, False, "replay")
+        assert (row["shards"], row["distribution"]) == (1, "uniform")
         assert row["mops"] > 0
         assert row["wall_seconds"] > 0
         assert row["gen_fraction"] == 1.0     # sequential: all generators
@@ -100,8 +77,7 @@ class TestRunGrid:
 def _fake_doc(mops, **fields):
     row = {"structure": "gfsl", "backend": "sequential",
            "mixture": "[10,10,80]", "key_range": 256, "n_ops": 10,
-           "shards": 1, "distribution": "uniform", "adaptive": False,
-           "elastic": False, "source": "replay", "gen_fraction": 1.0,
+           "shards": 1, "distribution": "uniform", "gen_fraction": 1.0,
            "mops": mops, "model_seconds": 1.0, "wall_seconds": 1.0,
            "transactions_per_op": 1.0, "l2_hit_rate": 0.5, "counters": {},
            "bottleneck": "issue", "occupancy": 0.5, "oom": False,
@@ -126,36 +102,23 @@ class TestValidate:
                    rows=[dict(tiny_doc["rows"][0], counters={"x": 1.5})])
         assert any("counters" in e for e in B.validate_bench(bad))
 
-    def test_each_source_carries_only_its_own_fields(self, mixed_doc):
-        assert B.validate_bench(mixed_doc) == []
-        replay, serve = mixed_doc["rows"]
-        assert set(replay) == set(B._COMMON) | set(B._REPLAY)
-        assert set(serve) == set(B._COMMON) | set(B._SERVE)
-        # A static campaign records the shared bucket on every shard.
-        assert (serve["shard_rates"], serve["shard_windows"]) \
-            == ([400.0, 400.0], [200, 200])
+    def test_rows_carry_exactly_the_listed_fields(self, tiny_doc):
+        assert set(tiny_doc["rows"][0]) == set(B.ROW_FIELDS)
 
-    @pytest.mark.parametrize("source,field", [
-        *(("replay", f) for f in (*B._COMMON, *B._REPLAY)),
-        *(("serve", f) for f in B._SERVE)])
-    def test_every_listed_field_is_required(self, mixed_doc, source, field):
-        row = dict(next(r for r in mixed_doc["rows"]
-                        if r["source"] == source))
+    @pytest.mark.parametrize("kind,field",
+                             [("replay", f) for f in B.ROW_FIELDS])
+    def test_every_listed_field_is_required(self, tiny_doc, kind, field):
+        row = dict(tiny_doc["rows"][0])
         row.pop(field)
-        errors = B.validate_bench(dict(mixed_doc, rows=[row]))
+        errors = B.validate_bench(dict(tiny_doc, rows=[row]))
         assert any(f".{field} " in e for e in errors), errors
 
     @pytest.mark.parametrize("field,bad", [
-        ("rejected", -1), ("migrations", -1), ("migrations", 1.5),
-        ("migration_aborts", True),
-        ("migrated_keys", "3"), ("adaptive", "yes"), ("elastic", 0),
-        ("shards", 0), ("source", "mystery"), ("target_p99_us", "fast"),
-        ("healthy_p99_us", True), ("shard_rates", []),
-        ("shard_rates", [1.0, "x"]), ("shard_windows", 150),
-        ("migration_events", {"step": 1})])
-    def test_malformed_values_rejected(self, serve_row, field, bad):
+        ("shards", 0), ("key_range", -1), ("n_ops", 1.5), ("oom", 0),
+        ("bottleneck", 3), ("mops", True)])
+    def test_malformed_values_rejected(self, field, bad):
         doc = _fake_doc(1.0)
-        doc["rows"] = [dict(serve_row, **{field: bad})]
+        doc["rows"] = [dict(doc["rows"][0], **{field: bad})]
         errors = B.validate_bench(doc)
         assert any(f".{field} " in e for e in errors), errors
 
@@ -163,14 +126,14 @@ class TestValidate:
 class TestRowIdentity:
     def test_identity_is_the_required_identity_fields(self, tiny_doc):
         row = tiny_doc["rows"][0]
-        assert set(B.ROW_IDENTITY) <= set(B._COMMON)
+        assert set(B.ROW_IDENTITY) <= set(B.ROW_FIELDS)
         assert B.row_key(row) == tuple(row[f] for f in B.ROW_IDENTITY)
         with pytest.raises(KeyError):        # no defaults, no padding
-            B.row_key({k: v for k, v in row.items() if k != "elastic"})
+            B.row_key({k: v for k, v in row.items()
+                       if k != "distribution"})
 
     @pytest.mark.parametrize("field,value", [
-        ("shards", 4), ("distribution", "hotspot"), ("adaptive", True),
-        ("elastic", True), ("source", "serve")])
+        ("shards", 4), ("distribution", "hotspot")])
     def test_identity_fields_never_pair(self, field, value):
         twin = _fake_doc(0.001, **{field: value})
         assert B.row_key(twin["rows"][0]) \
@@ -242,38 +205,21 @@ class TestFiles:
         with pytest.raises(ValueError):
             B.write_bench(doc, tmp_path / "BENCH_x.json")
 
-    def test_merge_refuses_a_file_of_another_schema(self, serve_row,
-                                                    tmp_path):
-        path = tmp_path / "BENCH_old.json"
-        path.write_text(OLD_SCHEMA_FILE.read_text())
-        with pytest.raises(ValueError) as err:
-            B.merge_rows(path, [serve_row])
-        assert "repro-bench/6" in str(err.value)
-        assert B.SCHEMA_ID in str(err.value)
-        assert path.read_text() == OLD_SCHEMA_FILE.read_text()
-
-    def test_merge_validates_before_writing(self, serve_row, tmp_path):
-        path = tmp_path / "BENCH_bad.json"
-        with pytest.raises(ValueError, match="p99_us"):
-            B.merge_rows(path, [dict(serve_row, p99_us=None)])
-        assert not path.exists()
-
 
 class TestCommittedBaseline:
-    """The newest committed BENCH file is readable by this build and
-    covers every cell the CI bench-smoke grids gate on."""
+    """The newest committed BENCH file is readable by this build and is
+    exactly the grid the CI bench-smoke job gates on."""
 
     def test_valid_and_covers_the_ci_grid(self):
         doc = B.load_bench(B.latest_bench(RESULTS))
         assert B.validate_bench(doc) == []
-        keys = {B.row_key(r) for r in doc["rows"]}
-        ci_cells = ([(s, b, 1) for s in ("gfsl", "mc")
-                     for b in ("sequential", "interleaved", "vectorized")]
-                    + [("gfsl", "vectorized", 4)])
-        for structure, backend, shards in ci_cells:
-            assert (structure, backend, "[10,10,80]", B.DEFAULT_RANGES[0],
-                    B.DEFAULT_OPS, shards, "uniform", False, False,
-                    "replay") in keys
+        keys = [B.row_key(r) for r in doc["rows"]]
+        assert sorted(keys) == sorted(
+            (structure, backend, "[10,10,80]", B.DEFAULT_RANGES[0],
+             B.DEFAULT_OPS, shards, "uniform")
+            for structure in ("gfsl", "mc")
+            for backend in ("sequential", "interleaved", "vectorized")
+            for shards in (1, 2, 4))
 
 
 class TestMarkdown:
@@ -285,21 +231,7 @@ class TestMarkdown:
         assert "| uniform |" in md and "| 100% |" in md
         assert "**REGRESSION**" in md
         assert "BENCH_old.json" in md
-        md2 = B.render_markdown(tiny_doc)
-        assert "REGRESSION" not in md2
-        assert "Serve campaigns" not in md2
-
-    def test_serve_section_and_mode_labels(self, mixed_doc, serve_row):
-        elastic = dict(serve_row, adaptive=True, elastic=True)
-        doc = dict(mixed_doc, rows=mixed_doc["rows"] + [elastic])
-        cmp = {"regressions": [{"row": B.row_key(elastic), "old_mops": 2.0,
-                                "new_mops": 1.0, "delta": -0.5}],
-               "improvements": [], "unmatched": []}
-        md = B.render_markdown(doc, cmp, "old")
-        assert "## Serve campaigns (request-path latency)" in md
-        assert "| mode |" in md and "| healthy p99 µs |" in md
-        assert "| static |" in md and "| adaptive+elastic |" in md
-        assert "adaptive elastic [serve]" in md
+        assert "REGRESSION" not in B.render_markdown(tiny_doc)
 
 
 class TestCli:
@@ -338,6 +270,20 @@ class TestCli:
                                    "--warn-only"])
         assert rc == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flags,cause", [
+        (["--structures", "foo"], "unknown structure kind 'foo'"),
+        (["--shards", "0"], "need at least one shard"),
+        (["--ranges", "0"], "key range too small")])
+    def test_misconfiguration_is_a_one_line_usage_error(self, tmp_path,
+                                                       capsys, flags,
+                                                       cause):
+        args = ["bench", "--backends", "sequential", "--ops", "10",
+                "--out-dir", str(tmp_path)]
+        assert cli_main(args + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bench: {cause}") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_missing_baseline_is_usage_error(self, tmp_path, capsys):
         rc = cli_main(self.ARGS + ["--out-dir", str(tmp_path),

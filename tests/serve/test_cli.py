@@ -6,13 +6,11 @@ scripts and CI can switch on *what* failed without parsing messages.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 import repro.cli as cli
 from repro.core.locks import LockTimeout
-from repro.metrics import bench as B
 from repro.core.pool import OutOfChunks
 from repro.serve.errors import Overloaded
 
@@ -56,37 +54,33 @@ class TestServeBenchCommand:
         assert "--mix" in capsys.readouterr().err
 
     def test_smoke_run_writes_artifacts(self, tmp_path, capsys):
-        hist = tmp_path / "hist.json"
-        bench = tmp_path / "BENCH_serve.json"
+        run = tmp_path / "run"
         code = cli.main([
             "serve-bench", "--structure", "gfsl@2", "--requests", "150",
             "--clients", "8", "--range", "512", "--rate", "800",
-            "--admit-rate", "400", "--seed", "11",
-            "--hist-out", str(hist), "--bench-out", str(bench)])
+            "--admit-rate", "400", "--seed", "11", "--run-out", str(run)])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "serve OK" in out
-        histogram = json.loads(hist.read_text())
+        assert f"wrote {run / 'summary.json'}" in out
+        assert [p.name for p in run.iterdir()] == ["summary.json"]
+        summary = json.loads((run / "summary.json").read_text())
+        assert summary["config"]["structure"] == "gfsl@2"
+        assert summary["config"]["load"]["seed"] == 11
+        assert summary["verdict"]["ok"] is True
+        histogram = summary["latency"]["histogram"]
         assert sum(histogram["point_us"].values()) \
             == histogram["point_samples"]
-        doc = json.loads(bench.read_text())
-        assert doc["schema"] == B.SCHEMA_ID
-        assert doc["rows"][0]["source"] == "serve"
+        assert summary["controller"] is None
+        assert summary["migrations"] is None
 
-    def test_bench_out_of_another_schema_is_a_usage_error(self, tmp_path,
-                                                          capsys):
-        old = (Path(__file__).resolve().parents[2] / "benchmarks"
-               / "results" / "BENCH_2026-08-08.json")
-        bench = tmp_path / "BENCH_old.json"
-        bench.write_text(old.read_text())
-        code = cli.main([
-            "serve-bench", "--structure", "gfsl@2", "--requests", "150",
-            "--clients", "8", "--range", "512", "--rate", "800",
-            "--admit-rate", "400", "--seed", "11", "--bench-out", str(bench)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "repro-bench/6" in err and B.SCHEMA_ID in err
-        assert bench.read_text() == old.read_text()
+    def test_old_artifact_flags_are_gone(self, capsys):
+        for flag in ("--hist-out", "--bench-out", "--ctrl-out",
+                     "--migration-out"):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(["serve-bench", flag, "x"])
+            assert exit_.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_max_p99_gate_fails_closed(self, capsys):
         code = cli.main([
@@ -113,7 +107,7 @@ class TestServeBenchCommand:
 
     def test_elastic_run_writes_the_migration_artifact(self, tmp_path,
                                                        capsys):
-        mig = tmp_path / "migration_events.json"
+        run = tmp_path / "elastic"
         code = cli.main([
             "serve-bench", "--structure", "pq@2", "--requests", "400",
             "--clients", "8", "--range", "2048", "--mix", "30", "15",
@@ -122,12 +116,21 @@ class TestServeBenchCommand:
             "--admit-rate", "600", "--adaptive",
             "--control-interval", "100", "--elastic",
             "--partitioner", "range", "--headroom", "2.0",
-            "--snapshot-audit", "--migration-out", str(mig)])
+            "--snapshot-audit", "--run-out", str(run)])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "resharding: migrations=" in out
-        doc = json.loads(mig.read_text())
-        assert doc["elastic"] is True
-        assert doc["migrations"] == len(
-            [e for e in doc["events"] if e["status"] == "published"])
-        assert len(doc["routing_history"]) == doc["migrations"]
+        summary = json.loads((run / "summary.json").read_text())
+        assert summary["config"]["elastic"] is True
+        mig = summary["migrations"]
+        assert mig["migrations"] == summary["counters"]["migrations"] \
+            == len([e for e in mig["events"] if e["status"] == "published"])
+        assert len(mig["routing_history"]) == mig["migrations"]
+        assert len(summary["controller"]["rates"]) == 2
+
+    def test_zero_clients_is_a_usage_error(self, capsys):
+        code = cli.main(["serve-bench", "--requests", "100",
+                         "--clients", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "serve-bench: --clients must be at least 1\n"
