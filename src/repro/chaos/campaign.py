@@ -63,9 +63,10 @@ class CampaignConfig:
     snapshots: int = 0                         # frozen-snapshot readers per wave
 
     def __post_init__(self):
-        if self.concurrency < 1:
-            raise ValueError(f"--concurrency must be at least 1 (got "
-                             f"{self.concurrency})")
+        for flag, value in (("--ops", self.n_ops),
+                            ("--concurrency", self.concurrency)):
+            if value < 1:
+                raise ValueError(f"{flag} must be at least 1 (got {value})")
 
     def mixture(self) -> Mixture:
         i, d, c = self.mix

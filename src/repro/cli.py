@@ -20,9 +20,9 @@ Commands
     failure (the standing correctness gate; see DESIGN.md §9).
 ``bench``
     Pinned seeded workload grid across backends × structures, emitting
-    ``BENCH_<date>.json`` + a markdown summary and comparing against the
-    previous BENCH file with a regression threshold (the standing
-    performance gate; see DESIGN.md §10).
+    ``BENCH_<date>.json`` + a markdown summary and requiring every
+    modeled field and counter to equal the previous BENCH file's (the
+    standing performance gate; see DESIGN.md §10).
 ``serve-bench``
     Seeded overload campaign through the async serving frontend
     (coalescing, admission control, deadlines, circuit breakers) with
@@ -238,8 +238,8 @@ def cmd_chaos(args) -> int:
 def cmd_bench(args) -> int:
     """Run the pinned benchmark grid; write BENCH_<date>.json + summary.
 
-    Exit codes: 0 OK, 1 regression beyond the threshold (unless
-    ``--warn-only``), 2 schema/usage error.
+    Exit codes: 0 OK, 1 a modeled field or counter differs from the
+    baseline (one line each in the summary), 2 schema/usage error.
     """
     from pathlib import Path
 
@@ -293,27 +293,21 @@ def cmd_bench(args) -> int:
         except ValueError as e:
             print(f"bench: {e}", file=sys.stderr)
             return 2
-        comparison = B.compare_bench(doc, baseline, threshold=args.threshold)
+        comparison = B.compare_bench(doc, baseline)
 
     B.write_bench(doc, out_path)
     if args.trace_out is not None:
         B.write_trace(traces, args.trace_out)
     md = B.render_markdown(
         doc, comparison,
-        baseline_name=baseline_path.name if baseline_path else None,
-        threshold=args.threshold)
+        baseline_name=baseline_path.name if baseline_path else None)
     if args.markdown is not None:
         Path(args.markdown).write_text(md)
     print(md, end="")
     for w in B.shard_bound_warnings(doc):
         print(f"bench: warning: {w}", file=sys.stderr)
     print(f"wrote {out_path}")
-    if comparison is not None and comparison["regressions"]:
-        if args.warn_only:
-            print("regressions found (warn-only mode)", file=sys.stderr)
-        else:
-            return 1
-    return 0
+    return 1 if comparison is not None and comparison["differences"] else 0
 
 
 #: The load a bare ``serve-bench`` offers, as ``LoadConfig`` fields:
@@ -490,11 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip seed shrinking on failure")
     pc.set_defaults(func=cmd_chaos, shrink=True)
 
-    from .metrics.bench import (DEFAULT_OPS, DEFAULT_RANGES, DEFAULT_SEED,
-                                DEFAULT_THRESHOLD)
+    from .metrics.bench import DEFAULT_OPS, DEFAULT_RANGES, DEFAULT_SEED
     pb = sub.add_parser(
         "bench", help="pinned benchmark grid with regression gate "
-        "(exits 1 on a regression beyond the threshold)")
+        "(exits 1 when a modeled field or counter differs from the "
+        "baseline)")
     pb.add_argument("--backends",
                     default=",".join(available_backends()),
                     help="comma-separated backend names "
@@ -526,12 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--baseline", default=None,
                     help="explicit baseline BENCH file (default: newest "
                     "other BENCH_*.json in --out-dir)")
-    pb.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                    help="fractional throughput-drop gate (default 0.20)")
     pb.add_argument("--no-compare", action="store_true",
                     help="skip the baseline comparison entirely")
-    pb.add_argument("--warn-only", action="store_true",
-                    help="report regressions but exit 0")
     pb.add_argument("--trace-out", default=None,
                     help="also write a chrome://tracing span trace here")
     pb.add_argument("--markdown", default=None,

@@ -5,14 +5,14 @@ key range), collecting for every cell the cost-model throughput, the
 trace diagnostics, replay wall-clock, and the
 :class:`~repro.metrics.counters.MetricsCollector` per-phase counters.
 Results are emitted as ``BENCH_<date>.json`` (schema below) plus a
-markdown summary, and compared against the previous BENCH file with a
-configurable regression threshold — the machine-readable perf
-trajectory later optimisation PRs are judged by.
+markdown summary, and compared against the previous BENCH file — the
+machine-readable perf trajectory later optimisation PRs are judged by.
 
 Everything in a cell is deterministic given the seed (the simulator is
-pure), so ``mops`` and the counters are stable across machines and the
-regression gate is reliable in CI; only ``wall_seconds`` varies and is
-recorded for information, never gated.
+pure), so every modeled field and counter is stable across machines,
+and the gate requires each one to equal the baseline's: a difference is
+always a code change, never noise.  Only ``wall_seconds`` (the host
+clock) varies; it is recorded for information, never gated.
 
 BENCH_*.json schema (``SCHEMA_ID``)::
 
@@ -63,7 +63,6 @@ DEFAULT_OPS = 400
 DEFAULT_RANGES = (2048,)
 DEFAULT_MIXES = ((10, 10, 80),)
 DEFAULT_SHARDS = (1,)
-DEFAULT_THRESHOLD = 0.20
 
 #: The fields a row is matched on across BENCH files, in key order.
 ROW_IDENTITY = ("structure", "backend", "mixture", "key_range", "n_ops",
@@ -234,38 +233,43 @@ def validate_bench(doc) -> list[str]:
 # Regression comparison
 # ---------------------------------------------------------------------------
 
-def compare_bench(new: dict, old: dict,
-                  threshold: float = DEFAULT_THRESHOLD) -> dict:
-    """Compare two BENCH documents row by row.
+#: The row fields the gate compares as whole values: all but the
+#: identity, the host clock (``wall_seconds``) and ``counters``, which
+#: is compared key by key.
+_GATED = tuple(f for f in ROW_FIELDS
+               if f not in (*ROW_IDENTITY, "wall_seconds", "counters"))
 
-    A row regresses when its new throughput drops more than
-    ``threshold`` (fractional) below the old one.  Rows without a
-    counterpart, and OOM rows, are reported but never gated.  Returns
-    ``{"regressions": [...], "improvements": [...], "unmatched": [...]}``
-    where each entry carries the row identity and both throughputs.
-    Raises ``ValueError`` when ``old`` was written under another
-    schema.
+
+def compare_bench(new: dict, old: dict) -> dict:
+    """Diff two BENCH documents row by row.
+
+    Rows pair on ``ROW_IDENTITY``; in each pair every ``_GATED`` field
+    must be equal, floats exactly, and so must ``counters``, key by key
+    over the union of both sides' keys (an absent key reads ``None``).
+    Returns ``{"differences": [(row, field, old, new), ...],
+    "unmatched": [row, ...]}``: ``row`` is a row identity, ``field`` a
+    field name or ``counters.<name>``, and ``unmatched`` lists the new
+    rows without a baseline row (reported, never gated).  Raises
+    ``ValueError`` when ``old`` was written under another schema.
     """
     require_schema(old, "baseline")
     old_rows = {row_key(r): r for r in old["rows"]}
-    regressions, improvements, unmatched = [], [], []
+    differences, unmatched = [], []
     for row in new["rows"]:
-        prev = old_rows.get(row_key(row))
+        key = row_key(row)
+        prev = old_rows.get(key)
         if prev is None:
-            unmatched.append({"row": row_key(row), "reason": "new cell"})
+            unmatched.append(key)
             continue
-        new_mops, old_mops = row["mops"], prev["mops"]
-        if new_mops is None or old_mops is None or old_mops <= 0:
-            continue
-        delta = new_mops / old_mops - 1.0
-        entry = {"row": row_key(row), "old_mops": old_mops,
-                 "new_mops": new_mops, "delta": delta}
-        if delta < -threshold:
-            regressions.append(entry)
-        elif delta > threshold:
-            improvements.append(entry)
-    return {"regressions": regressions, "improvements": improvements,
-            "unmatched": unmatched}
+        for name in _GATED:
+            if row[name] != prev[name]:
+                differences.append((key, name, prev[name], row[name]))
+        was, now = prev["counters"], row["counters"]
+        for name in sorted(was.keys() | now.keys()):
+            if was.get(name) != now.get(name):
+                differences.append((key, f"counters.{name}",
+                                    was.get(name), now.get(name)))
+    return {"differences": differences, "unmatched": unmatched}
 
 
 def shard_bound_warnings(doc: dict) -> list[str]:
@@ -311,10 +315,9 @@ def _cell_name(key: tuple) -> str:
 
 
 def render_markdown(doc: dict, comparison: dict | None = None,
-                    baseline_name: str | None = None,
-                    threshold: float = DEFAULT_THRESHOLD) -> str:
+                    baseline_name: str | None = None) -> str:
     """Human-readable summary of a BENCH document (plus the regression
-    report when a comparison is supplied)."""
+    check when a comparison is supplied)."""
     lines = [f"# repro bench — {doc['created_utc']}", ""]
     lines.append(f"seed {doc['seed']} · {doc['n_ops']} ops/cell · "
                  f"team size {doc.get('team_size', 32)}")
@@ -339,19 +342,18 @@ def render_markdown(doc: dict, comparison: dict | None = None,
             + " | ".join(str(c.get(name, 0)) for name in _MD_COUNTERS)
             + " |")
     if comparison is not None:
-        lines.append("")
-        lines.append(f"## Regression check vs {baseline_name or 'baseline'} "
-                     f"(threshold {threshold:.0%})")
-        if not comparison["regressions"]:
-            lines.append("")
-            lines.append("No regressions.")
-        for label, entries in (("**REGRESSION**", comparison["regressions"]),
-                               ("improvement", comparison["improvements"])):
-            for entry in entries:
-                lines.append(f"- {label} {_cell_name(entry['row'])}: "
-                             f"{entry['old_mops']:.1f} → "
-                             f"{entry['new_mops']:.1f} MOPS "
-                             f"({entry['delta']:+.1%})")
+        differences = comparison["differences"]
+        paired = len(doc["rows"]) - len(comparison["unmatched"])
+        lines += ["", "## Regression check vs "
+                  f"{baseline_name or 'baseline'}", "",
+                  f"{len(differences)} difference(s) on {paired} paired "
+                  "row(s); every modeled field and counter must be equal "
+                  "(wall_seconds is not gated)."]
+        lines += [f"- {_cell_name(key)}: {field} "       # values as in JSON
+                  f"{json.dumps(a)} -> {json.dumps(b)}"
+                  for key, field, a, b in differences]
+        lines += [f"- new row, no baseline (not gated): {_cell_name(key)}"
+                  for key in comparison["unmatched"]]
     return "\n".join(lines) + "\n"
 
 

@@ -45,8 +45,11 @@ class LoadConfig:
                              "range) summing to 100")
         if self.rate <= 0:
             raise ValueError("--rate must be positive")
-        if self.n_clients < 1:
-            raise ValueError("--clients must be at least 1")
+        for flag, value in (("--requests", self.n_requests),
+                            ("--clients", self.n_clients),
+                            ("--deadline-steps", self.deadline_steps)):
+            if value < 1:
+                raise ValueError(f"{flag} must be at least 1")
 
 
 @dataclass(frozen=True)

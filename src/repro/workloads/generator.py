@@ -218,6 +218,8 @@ def generate(mixture: Mixture, key_range: int, n_ops: int,
     """
     if key_range < 4:
         raise ValueError("key range too small")
+    if n_ops < 1:
+        raise ValueError(f"--ops must be at least 1 (got {n_ops})")
     rng = np.random.default_rng(seed)
     prefill = prefill_for(mixture, key_range, rng)
 

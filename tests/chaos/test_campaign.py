@@ -139,3 +139,23 @@ def test_cli_refuses_zero_concurrency(capsys):
     assert code == 2
     assert capsys.readouterr().err \
         == "chaos: --concurrency must be at least 1 (got 0)\n"
+
+
+def test_cli_refuses_zero_ops(capsys):
+    """A 0-op campaign used to print ``chaos OK`` having checked nothing."""
+    from repro import cli
+
+    assert cli.main(["chaos", "--ops", "0"]) == 2
+    assert capsys.readouterr().err \
+        == "chaos: --ops must be at least 1 (got 0)\n"
+
+
+@pytest.mark.parametrize("n_ops", [1, 3, 2_000])
+def test_shrink_never_proposes_fewer_than_one_op(monkeypatch, n_ops):
+    import repro.chaos.campaign as campaign
+
+    proposed = []
+    monkeypatch.setattr(campaign, "_fails",
+                        lambda cfg: proposed.append(cfg.n_ops) or True)
+    small = shrink_campaign(CampaignConfig(n_ops=n_ops), max_runs=40)
+    assert min(proposed, default=n_ops) >= 1 and small.n_ops >= 1

@@ -40,7 +40,8 @@ class TestCommands:
     @pytest.mark.parametrize("flags,cause", [
         (["--shards", "0"], "need at least one shard"),
         (["--inserts", "80", "--deletes", "40"],
-         "--inserts 80 plus --deletes 40 exceed 100%")])
+         "--inserts 80 plus --deletes 40 exceed 100%"),
+        (["--ops", "0"], "--ops must be at least 1 (got 0)")])
     def test_point_misconfiguration_is_a_one_line_usage_error(
             self, capsys, flags, cause):
         assert main(["point", "--range", "500", "--ops", "10", *flags]) == 2

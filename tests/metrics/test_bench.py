@@ -27,6 +27,25 @@ def shard_doc():
     return doc
 
 
+@pytest.fixture(scope="module")
+def backend_pair_doc():
+    doc, _ = B.run_grid(["vectorized", "sequential"], ["gfsl"],
+                        key_ranges=(512,), n_ops=60, seed=7)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def hotspot_doc():
+    doc, _ = B.run_grid(["vectorized"], ["gfsl"], key_ranges=(512,),
+                        n_ops=60, seed=7, distribution="hotspot")
+    return doc
+
+
+_CYCLE_FIELDS = ("issue_cycles", "bandwidth_cycles", "latency_cycles",
+                 "serialization_cycles")
+_BOUNDS = ("issue", "bandwidth", "latency", "serialization", "oom")
+
+
 class TestRunGrid:
     def test_schema_valid(self, tiny_doc):
         assert B.validate_bench(tiny_doc) == []
@@ -73,8 +92,37 @@ class TestRunGrid:
             if row["serialization_cycles"] > roof:
                 assert row["bottleneck"] == "serialization"
 
+    def test_rows_carry_nonnull_attribution(self, shard_doc):
+        assert B.validate_bench(shard_doc) == []
+        for row in shard_doc["rows"]:
+            assert row["transactions_per_op"] is not None
+            assert row["bottleneck"] in _BOUNDS
+            for f in _CYCLE_FIELDS:
+                assert isinstance(row[f], float) and row[f] >= 0.0
+            # The binding bound is consistent with the cycle terms.
+            roof = max(row["issue_cycles"], row["bandwidth_cycles"],
+                       row["latency_cycles"])
+            if row["serialization_cycles"] > roof:
+                assert row["bottleneck"] == "serialization"
 
-def _fake_doc(mops, **fields):
+    def test_schema_id_and_validation(self, backend_pair_doc):
+        assert backend_pair_doc["schema"] == B.SCHEMA_ID
+        assert B.validate_bench(backend_pair_doc) == []
+
+    def test_rows_carry_distribution_and_gen_fraction(self,
+                                                      backend_pair_doc):
+        for row in backend_pair_doc["rows"]:
+            assert row["distribution"] == "uniform"
+            assert isinstance(row["gen_fraction"], float)
+            assert 0.0 <= row["gen_fraction"] <= 1.0
+        by_backend = {r["backend"]: r for r in backend_pair_doc["rows"]}
+        # Sequential replay is all-generator; vectorized mostly escapes.
+        assert by_backend["sequential"]["gen_fraction"] == 1.0
+        assert (by_backend["vectorized"]["gen_fraction"]
+                < by_backend["sequential"]["gen_fraction"])
+
+
+def _fake_doc(mops=1.0, **fields):
     row = {"structure": "gfsl", "backend": "sequential",
            "mixture": "[10,10,80]", "key_range": 256, "n_ops": 10,
            "shards": 1, "distribution": "uniform", "gen_fraction": 1.0,
@@ -138,33 +186,69 @@ class TestRowIdentity:
         twin = _fake_doc(0.001, **{field: value})
         assert B.row_key(twin["rows"][0]) \
             != B.row_key(_fake_doc(100.0)["rows"][0])
-        cmp = B.compare_bench(twin, _fake_doc(100.0), threshold=0.20)
-        assert cmp["regressions"] == [] and len(cmp["unmatched"]) == 1
+        cmp = B.compare_bench(twin, _fake_doc(100.0))
+        assert cmp["differences"] == [] and len(cmp["unmatched"]) == 1
+
+
+#: The fields the gate compares as whole values, and a changed value of
+#: each: everything but the identity, the host clock and the counters.
+_CHANGED = {"gen_fraction": 0.5, "mops": None, "model_seconds": 2.0,
+            "transactions_per_op": 2.0, "l2_hit_rate": 0.5000000000000001,
+            "bottleneck": "bandwidth", "occupancy": 1.0, "oom": True,
+            "issue_cycles": 2.0, "bandwidth_cycles": 2.0,
+            "latency_cycles": 2.0, "serialization_cycles": 2.0}
 
 
 class TestCompare:
+    KEY = B.row_key(_fake_doc(1.0)["rows"][0])
+
     def test_regression_detected(self):
-        cmp = B.compare_bench(_fake_doc(70.0), _fake_doc(100.0),
-                              threshold=0.20)
-        assert len(cmp["regressions"]) == 1
-        assert cmp["regressions"][0]["delta"] == pytest.approx(-0.3)
+        """One counter off by one is exactly one difference."""
+        cmp = B.compare_bench(
+            _fake_doc(1.0, counters={"chunk_reads": 6, "splits": 2}),
+            _fake_doc(1.0, counters={"chunk_reads": 5, "splits": 2}))
+        assert cmp == {"differences": [(self.KEY, "counters.chunk_reads",
+                                        5, 6)], "unmatched": []}
 
-    def test_within_threshold_is_clean(self):
-        cmp = B.compare_bench(_fake_doc(85.0), _fake_doc(100.0),
-                              threshold=0.20)
-        assert cmp["regressions"] == [] and cmp["improvements"] == []
+    def test_gated_fields_are_all_but_identity_clock_and_counters(self):
+        assert set(_CHANGED) == set(B.ROW_FIELDS) - set(B.ROW_IDENTITY) \
+            - {"wall_seconds", "counters"}
 
-    def test_improvement_and_unmatched(self):
-        new = _fake_doc(130.0)
-        new["rows"].append(dict(new["rows"][0], backend="interleaved"))
-        cmp = B.compare_bench(new, _fake_doc(100.0), threshold=0.20)
-        assert len(cmp["improvements"]) == 1
-        assert len(cmp["unmatched"]) == 1
+    @pytest.mark.parametrize("field", sorted(_CHANGED))
+    def test_every_modeled_field_is_compared_exactly(self, field):
+        old = _fake_doc()
+        was = old["rows"][0][field]
+        cmp = B.compare_bench(_fake_doc(**{field: _CHANGED[field]}), old)
+        assert cmp["differences"] == [(self.KEY, field, was,
+                                       _CHANGED[field])]
+
+    def test_counter_present_on_one_side_only(self):
+        cmp = B.compare_bench(_fake_doc(1.0, counters={"merges": 0}),
+                              _fake_doc(1.0))
+        assert cmp["differences"] == [(self.KEY, "counters.merges",
+                                       None, 0)]
+        cmp = B.compare_bench(_fake_doc(1.0),
+                              _fake_doc(1.0, counters={"merges": 0}))
+        assert cmp["differences"] == [(self.KEY, "counters.merges",
+                                       0, None)]
+
+    def test_wall_seconds_is_not_gated(self):
+        cmp = B.compare_bench(_fake_doc(1.0, wall_seconds=9.0),
+                              _fake_doc(1.0))
+        assert cmp["differences"] == []
 
     def test_oom_rows_never_gate(self):
-        cmp = B.compare_bench(_fake_doc(None), _fake_doc(100.0),
-                              threshold=0.20)
-        assert cmp["regressions"] == []
+        """OOM on both sides (``mops: null``) is equal, not skipped."""
+        oom = dict(mops=None, oom=True, bottleneck="oom")
+        cmp = B.compare_bench(_fake_doc(**oom), _fake_doc(**oom))
+        assert cmp == {"differences": [], "unmatched": []}
+
+    def test_unmatched_new_row_is_listed_not_gated(self):
+        new = _fake_doc(1.0)
+        new["rows"].append(dict(new["rows"][0], backend="interleaved"))
+        cmp = B.compare_bench(new, _fake_doc(1.0))
+        assert cmp["differences"] == []
+        assert cmp["unmatched"] == [B.row_key(new["rows"][1])]
 
     def test_refuses_a_baseline_of_another_schema(self):
         with pytest.raises(ValueError, match="repro-bench/6.*"
@@ -224,14 +308,39 @@ class TestCommittedBaseline:
 
 class TestMarkdown:
     def test_table_and_regression_lines(self, tiny_doc):
-        cmp = B.compare_bench(_fake_doc(70.0), _fake_doc(100.0))
+        cmp = B.compare_bench(_fake_doc(counters={"chunk_reads": 6}),
+                              _fake_doc(counters={"chunk_reads": 5}))
         md = B.render_markdown(tiny_doc, cmp, baseline_name="BENCH_old.json")
         assert "| structure | backend |" in md
         assert "| dist |" in md and "| gen% |" in md and "| bound |" in md
         assert "| uniform |" in md and "| 100% |" in md
-        assert "**REGRESSION**" in md
-        assert "BENCH_old.json" in md
-        assert "REGRESSION" not in B.render_markdown(tiny_doc)
+        assert "## Regression check vs BENCH_old.json" in md
+        assert "1 difference(s) on 1 paired row(s)" in md
+        assert ("- gfsl/sequential [10,10,80] @256: counters.chunk_reads "
+                "5 -> 6\n") in md
+        assert "Regression check" not in B.render_markdown(tiny_doc)
+
+    def test_values_print_as_json(self, tiny_doc):
+        cmp = B.compare_bench(_fake_doc(None, bottleneck="oom"),
+                              _fake_doc(2.5))
+        md = B.render_markdown(tiny_doc, cmp)
+        assert '@256: mops 2.5 -> null\n' in md
+        assert '@256: bottleneck "issue" -> "oom"\n' in md
+
+    def test_markdown_shows_bound_column(self, shard_doc):
+        md = B.render_markdown(shard_doc)
+        assert "| bound |" in md
+        assert any(f"| {row['bottleneck']} |" in md
+                   for row in shard_doc["rows"])
+
+    def test_columns_present(self, backend_pair_doc):
+        md = B.render_markdown(backend_pair_doc)
+        assert "| dist |" in md and "| gen% |" in md
+        assert "| uniform |" in md
+        assert "| 100% |" in md            # sequential residue
+
+    def test_hotspot_rows_labelled(self, hotspot_doc):
+        assert "| hotspot |" in B.render_markdown(hotspot_doc)
 
 
 class TestCli:
@@ -252,29 +361,62 @@ class TestCli:
         assert "traceEvents" in trace
         assert "wrote" in capsys.readouterr().out
 
-    def test_regression_gate_exit_codes(self, tmp_path, capsys):
-        # A baseline claiming implausibly high throughput forces the gate.
-        rc = cli_main(self.ARGS + ["--out-dir", str(tmp_path)])
-        assert rc == 0
-        real = B.load_bench(next(tmp_path.glob("BENCH_*.json")))
-        fast = dict(real, rows=[dict(r, mops=r["mops"] * 10)
-                                for r in real["rows"]])
-        B.write_bench(fast, tmp_path / "BENCH_2000-01-01.json")
-        rc = cli_main(self.ARGS + ["--out-dir", str(tmp_path),
-                                   "--baseline",
-                                   str(tmp_path / "BENCH_2000-01-01.json")])
-        assert rc == 1
-        rc = cli_main(self.ARGS + ["--out-dir", str(tmp_path),
-                                   "--baseline",
-                                   str(tmp_path / "BENCH_2000-01-01.json"),
-                                   "--warn-only"])
-        assert rc == 0
+    CELL = "gfsl/sequential [10,10,80] @256"
+
+    def _baseline(self, tmp_path, edit):
+        """Run the grid, then write its output with ``edit`` applied to
+        the one row as the baseline; returns the baseline's path."""
+        assert cli_main(self.ARGS + ["--out-dir", str(tmp_path),
+                                     "--no-compare"]) == 0
+        doc = B.load_bench(tmp_path / B.bench_filename())
+        edit(doc["rows"][0])
+        path = tmp_path / "BENCH_2000-01-01.json"
+        B.write_bench(doc, path)
+        return path
+
+    def _gate(self, tmp_path, baseline, capsys):
+        """Exit code and the summary's bullet lines against a baseline."""
         capsys.readouterr()
+        rc = cli_main(self.ARGS + ["--out-dir", str(tmp_path),
+                                   "--baseline", str(baseline)])
+        out = capsys.readouterr().out
+        return rc, [ln for ln in out.splitlines() if ln.startswith("- ")]
+
+    def test_regression_gate_exit_codes(self, tmp_path, capsys):
+        """One counter off by one fails with one line naming the row and
+        the counter; a host-clock-only change passes."""
+        def one_read_fewer(row):
+            row["counters"]["chunk_reads"] -= 1
+        baseline = self._baseline(tmp_path, one_read_fewer)
+        was = B.load_bench(baseline)["rows"][0]["counters"]["chunk_reads"]
+        assert self._gate(tmp_path, baseline, capsys) == (1, [
+            f"- {self.CELL}: counters.chunk_reads {was} -> {was + 1}"])
+        baseline = self._baseline(
+            tmp_path, lambda row: row.update(wall_seconds=1234.5))
+        assert self._gate(tmp_path, baseline, capsys) == (0, [])
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda row: row.update(l2_hit_rate=0.25), "l2_hit_rate"),
+        (lambda row: row["counters"].update(not_a_counter=0),
+         "counters.not_a_counter")])
+    def test_one_difference_is_one_line(self, tmp_path, capsys, edit,
+                                        field):
+        rc, lines = self._gate(tmp_path, self._baseline(tmp_path, edit),
+                               capsys)
+        assert rc == 1 and len(lines) == 1
+        assert lines[0].startswith(f"- {self.CELL}: {field} ")
+
+    def test_unmatched_new_row_is_listed_and_passes(self, tmp_path, capsys):
+        baseline = self._baseline(
+            tmp_path, lambda row: row.update(backend="interleaved"))
+        assert self._gate(tmp_path, baseline, capsys) == (0, [
+            f"- new row, no baseline (not gated): {self.CELL}"])
 
     @pytest.mark.parametrize("flags,cause", [
         (["--structures", "foo"], "unknown structure kind 'foo'"),
         (["--shards", "0"], "need at least one shard"),
-        (["--ranges", "0"], "key range too small")])
+        (["--ranges", "0"], "key range too small"),
+        (["--ops", "0"], "--ops must be at least 1 (got 0)")])
     def test_misconfiguration_is_a_one_line_usage_error(self, tmp_path,
                                                        capsys, flags,
                                                        cause):

@@ -66,6 +66,8 @@ def test_every_policy_flag_defaults_to_its_field():
     (["--adaptive", "--target-p99", "0"], "--target-p99"),
     (["--structure", "mc"], "--structure"),
     (["--structure", "mc@2"], "--structure"),
+    (["--requests", "0"], "--requests"),
+    (["--deadline-steps", "0"], "--deadline-steps"),
 ])
 def test_silent_downgrades_are_usage_errors(capsys, monkeypatch, argv, flag):
     """Each of these used to run to completion with the setting
