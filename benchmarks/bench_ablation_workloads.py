@@ -18,7 +18,7 @@ from repro.workloads import MIX_10_10_80, generate, run_workload
 
 
 def test_key_skew(benchmark, scale):
-    key_range = min(300_000, max(scale.ranges))
+    key_range = 300_000
 
     def run():
         rows = []

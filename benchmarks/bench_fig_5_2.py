@@ -2,48 +2,15 @@
 
 Paper: GFSL is slower than M&C by up to 46% at 10K, within ~10% at 30K,
 then ahead by 27%–1064% in the higher ranges; at 10M the speedup is
-6.8x–11.6x (abstract).
+6.8x–11.6x (abstract).  The claim scorecard (``bench_claims.py``)
+judges 'ratio-10k', 'ratio-30k', 'ratio-large', 'ratio-10m' and
+'updates-flip-10k' on these series.
 """
 
-import math
-
-
-from conftest import cached_series, ratios, save_result
-from repro.analysis import render_series
-from repro.workloads import PAPER_MIXTURES
+from conftest import save_result
+from repro.experiments import figures
 
 
 def test_figure_5_2(benchmark, scale):
-    def run():
-        out = {}
-        for mix in PAPER_MIXTURES:
-            g = cached_series("gfsl", mix)
-            m = cached_series("mc", mix)
-            out[mix.name] = ratios(g, m)
-        return out
-
-    ratio_series = benchmark.pedantic(run, rounds=1, iterations=1)
-    text = render_series(
-        f"Figure 5.2 — GFSL-32 / M&C ratio (scale={scale.name})",
-        "range", list(scale.ranges), ratio_series)
-    save_result("fig_5_2", text)
-
-    smallest = [ratio_series[m.name][0] for m in PAPER_MIXTURES]
-    largest = [ratio_series[m.name][-1] for m in PAPER_MIXTURES]
-    # Claim 'ratio-10k': at 10K, M&C wins the contains-heavy mixtures;
-    # GFSL is at worst ~46% slower (ratio ≥ ~0.5).
-    assert min(smallest) < 1.1, "M&C should be competitive at 10K"
-    assert min(smallest) > 0.45
-    # Claim 'updates-flip-10k': the update-heavy [20,20,60] mixture is
-    # the most favourable to GFSL at 10K.
-    assert ratio_series["[20,20,60]"][0] == max(smallest)
-    # Claim 'ratio-large': clear GFSL wins at the largest range.
-    assert all(r > 1.27 for r in largest if not math.isnan(r))
-    # Ratio grows monotonically-ish with range (crossover exists).
-    for mix in PAPER_MIXTURES:
-        series = ratio_series[mix.name]
-        assert series[-1] > series[0]
-    # At paper scale, the 10M ratio must land in the 6.8–11.6 band.
-    if scale.ranges[-1] >= 10_000_000:
-        ten_m = [ratio_series[m.name][-1] for m in PAPER_MIXTURES]
-        assert all(5.5 <= r <= 13.0 for r in ten_m if not math.isnan(r))
+    save_result("fig_5_2", benchmark.pedantic(
+        figures.render, args=("5.2", scale), rounds=1, iterations=1))

@@ -3,48 +3,14 @@
 Paper: GFSL's performance "does not change drastically as the range
 increases" (≤ ~8% loss from 1M to 10M) while M&C "melts down quickly"
 (69–75% loss over the same step); GFSL shows a contention dip at small
-ranges that deepens with the update percentage.
+ranges that deepens with the update percentage.  The claim scorecard
+(``bench_claims.py``) judges 'gfsl-flat' and 'dip' on these series.
 """
 
-import math
-
-
-from conftest import cached_series, mops_of, save_result
-from repro.analysis import render_series
-from repro.workloads import MIX_1_1_98, MIX_20_20_60, PAPER_MIXTURES
+from conftest import save_result
+from repro.experiments import figures
 
 
 def test_figure_5_3(benchmark, scale):
-    def run():
-        return {mix.name: (cached_series("gfsl", mix),
-                           cached_series("mc", mix))
-                for mix in PAPER_MIXTURES}
-
-    data = benchmark.pedantic(run, rounds=1, iterations=1)
-    blocks = []
-    for name, (g, m) in data.items():
-        blocks.append(render_series(
-            f"Figure 5.3 {name} — throughput, MOPS (scale={scale.name})",
-            "range", list(scale.ranges),
-            {"GFSL-32": mops_of(g), "M&C": mops_of(m)}))
-    text = "\n\n".join(blocks)
-    save_result("fig_5_3", text)
-
-    ranges = list(scale.ranges)
-    i_1m = ranges.index(1_000_000) if 1_000_000 in ranges else len(ranges) - 1
-    for name, (g, m) in data.items():
-        gm, mm = mops_of(g), mops_of(m)
-        # Claim 'gfsl-flat': GFSL loses little from 1M to the top range.
-        if ranges[-1] > ranges[i_1m]:
-            assert gm[-1] >= 0.85 * gm[i_1m], name
-        # M&C decays substantially from its small-range peak to the top
-        # (only once the sweep leaves the L2-resident regime).
-        if not math.isnan(mm[-1]) and ranges[-1] >= 1_000_000:
-            assert mm[-1] < 0.75 * max(mm), name
-    # Claim 'dip': the GFSL small-range dip deepens with update share:
-    # [20,20,60] loses more of its peak at 10K than [1,1,98].
-    g_heavy = mops_of(data[MIX_20_20_60.name][0])
-    g_light = mops_of(data[MIX_1_1_98.name][0])
-    dip_heavy = g_heavy[0] / max(g_heavy)
-    dip_light = g_light[0] / max(g_light)
-    assert dip_heavy < dip_light
+    save_result("fig_5_3", benchmark.pedantic(
+        figures.render, args=("5.3", scale), rounds=1, iterations=1))

@@ -3,57 +3,15 @@
 Paper: GFSL wins every single-op test — Contains by up to 4.4x at large
 ranges (2.9x at low), Insert by 3.5x–9.1x, Delete by 3.5x–12.6x; the
 Contains-only test shows no contention dip for GFSL.  M&C's single-op
-tests run only to the 3M range before exhausting device memory.
+tests run only to the 3M range before exhausting device memory.  The
+claim scorecard (``bench_claims.py``) judges the three '*-speedup'
+claims, 'dip' and 'mc-oom' on these series.
 """
 
-import math
-
-
-from conftest import cached_series, mops_of, ratios, save_result
-from repro.analysis import render_series
-from repro.workloads import CONTAINS_ONLY, DELETE_ONLY, INSERT_ONLY
+from conftest import save_result
+from repro.experiments import figures
 
 
 def test_figure_5_4(benchmark, scale):
-    def run():
-        return {label: (cached_series("gfsl", mix),
-                        cached_series("mc", mix))
-                for label, mix in (("contains-only", CONTAINS_ONLY),
-                                   ("insert-only", INSERT_ONLY),
-                                   ("delete-only", DELETE_ONLY))}
-
-    data = benchmark.pedantic(run, rounds=1, iterations=1)
-    blocks = []
-    for label, (g, m) in data.items():
-        blocks.append(render_series(
-            f"Figure 5.4 {label} — throughput, MOPS (scale={scale.name})",
-            "range", list(scale.ranges),
-            {"GFSL-32": mops_of(g), "M&C": mops_of(m),
-             "ratio": ratios(g, m)}))
-    text = "\n\n".join(blocks)
-    save_result("fig_5_4", text)
-
-    for label, (g, m) in data.items():
-        rs = [r for r in ratios(g, m) if not math.isnan(r)]
-        # Claim: GFSL outperforms M&C in every measurable single-op
-        # range (the contains test allows near-parity at 10K where the
-        # paper itself saw unstable M&C numbers).
-        floor = 0.9 if label == "contains-only" else 1.0
-        assert all(r > floor for r in rs), (label, rs)
-        if scale.ranges[-1] >= 1_000_000:  # past the L2-resident regime
-            assert max(rs) > 1.8, (label, rs)
-    # Claim 'dip': contains-only GFSL has no contention dip — its 10K
-    # point is not the series minimum by any meaningful margin.
-    g_contains = mops_of(data["contains-only"][0])
-    assert g_contains[0] >= 0.9 * min(g_contains)
-    # Update-type ratios exceed the contains ratio at the top range
-    # (paper: 9.1x/12.6x vs 4.4x).
-    top = {label: ratios(g, m)[-1] for label, (g, m) in data.items()}
-    if scale.ranges[-1] <= 3_000_000:  # M&C still measurable
-        assert top["delete-only"] >= top["contains-only"] * 0.9
-    # Claim 'mc-oom': at paper scale, M&C's single-op tests are OOM
-    # above 3M while GFSL still reports numbers.
-    if scale.ranges[-1] >= 10_000_000:
-        for label, (g, m) in data.items():
-            assert m[-1].oom, label
-            assert not g[-1].oom, label
+    save_result("fig_5_4", benchmark.pedantic(
+        figures.render, args=("5.4", scale), rounds=1, iterations=1))

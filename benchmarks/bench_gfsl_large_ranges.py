@@ -1,46 +1,53 @@
-"""GFSL beyond M&C's memory wall: the 30M and 100M key ranges.
+"""GFSL beyond M&C's memory wall: the 30M key range.
 
 Section 5.3: "M&C's implementation was measured up to the 10M range ...
 as it runs out of memory for larger structures.  In contrast, GFSL's
 compact layout and partial reuse of chunks allow it to run up to the
-range of 100M."  This bench reproduces that asymmetry: at paper scale
-it measures GFSL at 30M (and 100M when ``REPRO_LARGE=1``) while
-confirming M&C's paper-scale allocation cannot fit; at smaller scales
-it checks the memory arithmetic only.
+range of 100M."  This bench reproduces that asymmetry: it sets M&C's
+paper-scale allocation arithmetic next to the chunk footprint of real
+GFSL builds up to 30M keys, and runs GFSL at 30M where M&C cannot.
 """
-
-import os
-
-import pytest
 
 from conftest import save_result
 from repro.analysis import render_table
+from repro.engine import make_structure
+from repro.gpu import DeviceConfig
+from repro.gpu.memory import WORD_BYTES
 from repro.workloads import (MIX_10_10_80, generate,
                              mc_paper_scale_feasible, run_workload)
 
+BUILT_RANGES = (1_000_000, 10_000_000, 30_000_000)
 
-def test_memory_wall_arithmetic(benchmark):
-    """The OOM boundary itself (no big allocations needed)."""
+
+def _gfsl_chunk_bytes(key_range: int) -> int:
+    """Bytes of the chunks a prefilled GFSL build has handed out."""
+    w = generate(MIX_10_10_80, key_range=key_range, n_ops=600, seed=1)
+    sl = make_structure("gfsl", w)
+    return sl.pool.allocated(sl.ctx.mem) * sl.geo.n * WORD_BYTES
+
+
+def test_memory_wall(benchmark):
+    built = benchmark.pedantic(
+        lambda: {r: _gfsl_chunk_bytes(r) for r in BUILT_RANGES},
+        rounds=1, iterations=1)
     rows = []
-    for key_range in (1_000_000, 10_000_000, 30_000_000, 100_000_000):
+    for key_range in BUILT_RANGES + (100_000_000,):
         feasible = mc_paper_scale_feasible(key_range, MIX_10_10_80)
-        # GFSL footprint: chunks at ~2/3 fill, 256B each.
-        gfsl_bytes = (key_range // 20) * 256 * 1.15
+        gfsl = built.get(key_range)
         rows.append([f"{key_range:,}", "yes" if feasible else "OOM",
-                     gfsl_bytes / 2**30])
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+                     None if gfsl is None else gfsl / 2**20])
     text = render_table(
-        "Memory wall — M&C feasibility vs GFSL footprint (GiB)",
-        ["range", "M&C fits?", "GFSL GiB"], rows)
+        "Memory wall — M&C feasibility vs measured GFSL chunk MiB "
+        "(— = not built)",
+        ["range", "M&C fits?", "GFSL MiB"], rows)
     save_result("memory_wall", text)
     assert rows[1][1] == "yes"      # mixed at 10M still fits (paper)
     assert rows[2][1] == "OOM"      # 30M does not
-    # GFSL at 100M needs ~1.4 GiB — comfortably inside 4 GiB.
-    assert rows[3][2] < 2.0
+    # GFSL's 30M build fits the device M&C's 30M allocation overflows,
+    # using well under a tenth of it.
+    assert built[30_000_000] < DeviceConfig.gtx970().device_memory_bytes / 10
 
 
-@pytest.mark.skipif(os.environ.get("REPRO_SCALE") != "paper",
-                    reason="multi-GiB host allocations; paper scale only")
 def test_gfsl_runs_at_30m(benchmark):
     w = generate(MIX_10_10_80, key_range=30_000_000, n_ops=600, seed=1)
     r = benchmark.pedantic(lambda: run_workload("gfsl", w),

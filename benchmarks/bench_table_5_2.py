@@ -26,8 +26,5 @@ def test_table_5_2(benchmark, scale):
     # Intrinsic spill shows at every shape.
     assert all(r.spill_pct > 10.0 for r in rows)
     # Occupancy achieved stays well below theoretical (memory-stalled
-    # warps), unlike GFSL's near-theoretical occupancy.  Only visible
-    # once the table's 1M-key structure exceeds the L2 (not at smoke
-    # scale, which shrinks the range).
-    if max(scale.ranges) >= 1_000_000:
-        assert all(r.occupancy_pct < 0.93 * r.theoretical_pct for r in rows)
+    # warps), unlike GFSL's near-theoretical occupancy.
+    assert all(r.occupancy_pct < 0.93 * r.theoretical_pct for r in rows)

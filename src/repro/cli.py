@@ -44,17 +44,8 @@ import numpy as np
 
 
 def _add_scale_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scale", choices=("smoke", "quick", "paper"),
-                   default=None, help="experiment scale preset "
-                   "(default: REPRO_SCALE or quick)")
-
-
-def _resolve_scale(args):
-    import os
-    if args.scale:
-        os.environ["REPRO_SCALE"] = args.scale
-    from .experiments.harness import current_scale
-    return current_scale()
+    p.add_argument("--scale", choices=("smoke", "paper"), default="paper",
+                   help="experiment scale preset (default: paper)")
 
 
 def cmd_demo(args) -> int:
@@ -108,33 +99,19 @@ def cmd_point(args) -> int:
 
 def cmd_figure(args) -> int:
     """Regenerate one of the paper's figures (5.1-5.4)."""
-    from .experiments import figures
-    scale = _resolve_scale(args)
-    name = args.name
-    if name == "5.1":
-        print(figures.figure_5_1(scale).render())
-    elif name == "5.2":
-        fig = figures.figure_5_2(scale)
-        print(figures.render_figure_5_2(fig))
-    elif name == "5.3":
-        for mix_name, fig in figures.figure_5_3(scale).items():
-            print(fig.render())
-            print()
-    elif name == "5.4":
-        for label, fig in figures.figure_5_4(scale).items():
-            print(fig.render())
-            print()
-    else:
-        print(f"unknown figure {name!r} (choose 5.1/5.2/5.3/5.4)",
+    from .experiments import SCALES, figures
+    if args.name not in figures.FIGURES:
+        print(f"unknown figure {args.name!r} (choose 5.1/5.2/5.3/5.4)",
               file=sys.stderr)
         return 2
+    print(figures.render(args.name, SCALES[args.scale]))
     return 0
 
 
 def cmd_table(args) -> int:
     """Regenerate Table 5.1 or 5.2."""
-    from .experiments import paper_data, tables
-    scale = _resolve_scale(args)
+    from .experiments import SCALES, paper_data, tables
+    scale = SCALES[args.scale]
     if args.name == "5.1":
         rows = tables.table_5_1(scale)
         print(tables.render(rows, "Table 5.1 — GFSL warps/block",

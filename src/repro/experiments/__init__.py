@@ -2,9 +2,8 @@
 plus the §5.2 configuration studies and extra ablations."""
 
 from . import ablations, figures, paper_data, tables
-from .harness import (SCALES, Point, Scale, current_scale, run_point,
-                      run_range_series)
+from .harness import SCALES, Point, Scale, run_point, run_range_series
 
 __all__ = ["ablations", "figures", "paper_data", "tables", "SCALES",
-           "Point", "Scale", "current_scale", "run_point",
+           "Point", "Scale", "run_point",
            "run_range_series"]

@@ -25,7 +25,7 @@ import numpy as np
 from ..core import GFSL, suggest_capacity
 from ..gpu import DeviceConfig
 from ..workloads import MIX_10_10_80, generate, run_workload
-from .harness import Scale, current_scale, run_point
+from .harness import PAPER, Scale, run_point
 
 
 @dataclass
@@ -35,8 +35,7 @@ class SweepPoint:
 
 
 def p_chunk_sweep(values=(0.25, 0.5, 0.75, 1.0), key_range: int = 300_000,
-                  scale: Scale | None = None) -> list[SweepPoint]:
-    scale = scale or current_scale()
+                  scale: Scale = PAPER) -> list[SweepPoint]:
     key_range = min(key_range, max(scale.ranges))
     out = []
     for p in values:
@@ -48,8 +47,7 @@ def p_chunk_sweep(values=(0.25, 0.5, 0.75, 1.0), key_range: int = 300_000,
 
 def p_key_sweep(values=(0.2, 0.35, 0.5, 0.65, 0.8),
                 key_range: int = 300_000,
-                scale: Scale | None = None) -> list[SweepPoint]:
-    scale = scale or current_scale()
+                scale: Scale = PAPER) -> list[SweepPoint]:
     key_range = min(key_range, max(scale.ranges))
     out = []
     for p in values:
@@ -60,8 +58,7 @@ def p_key_sweep(values=(0.2, 0.35, 0.5, 0.65, 0.8),
 
 
 def chunk_size_sweep(sizes=(16, 32), key_range: int = 1_000_000,
-                     scale: Scale | None = None) -> list[SweepPoint]:
-    scale = scale or current_scale()
+                     scale: Scale = PAPER) -> list[SweepPoint]:
     key_range = min(key_range, max(scale.ranges))
     out = []
     for ts in sizes:
@@ -72,12 +69,11 @@ def chunk_size_sweep(sizes=(16, 32), key_range: int = 1_000_000,
 
 
 def l2_sensitivity(l2_sizes_mb=(0.5, 1.75, 8.0), key_range: int = 300_000,
-                   scale: Scale | None = None) -> list[dict]:
+                   scale: Scale = PAPER) -> list[dict]:
     """GFSL/M&C ratio as a function of L2 capacity: a bigger cache moves
     the crossover right, a smaller one moves it left — evidence for the
     paper's explanation that coalescing pays off exactly when the
     structure stops fitting in L2."""
-    scale = scale or current_scale()
     key_range = min(key_range, max(scale.ranges))
     out = []
     for mb in l2_sizes_mb:
@@ -93,7 +89,7 @@ def l2_sensitivity(l2_sizes_mb=(0.5, 1.75, 8.0), key_range: int = 300_000,
 
 
 def sequential_vs_interleaved(key_range: int = 1_000_000,
-                              scale: Scale | None = None) -> dict:
+                              scale: Scale = PAPER) -> dict:
     """Replay the same M&C workload with one op in flight vs. the full
     interleave, isolating the thrashing contribution to the trace."""
     from ..baseline import MC_KERNEL
@@ -101,7 +97,6 @@ def sequential_vs_interleaved(key_range: int = 1_000_000,
     from ..gpu import LaunchConfig
     from ..gpu.kernel import default_concurrency
     from ..gpu.occupancy import compute_occupancy
-    scale = scale or current_scale()
     key_range = min(key_range, max(scale.ranges))
     w = generate(MIX_10_10_80, key_range=key_range, n_ops=scale.n_ops,
                  seed=9)
@@ -123,7 +118,7 @@ def sequential_vs_interleaved(key_range: int = 1_000_000,
 
 
 def warp_lockstep_mc(key_range: int = 300_000,
-                     scale: Scale | None = None) -> dict:
+                     scale: Scale = PAPER) -> dict:
     """Not in the paper: re-run M&C under full warp-lockstep accounting
     (32 lanes advancing together, loads coalesced *across* the warp).
 
@@ -135,7 +130,6 @@ def warp_lockstep_mc(key_range: int = 300_000,
     """
     from ..engine import OpBatch, make_backend, make_structure, op_generator
     from ..gpu.warp import run_in_warps
-    scale = scale or current_scale()
     key_range = min(key_range, max(scale.ranges))
     w = generate(MIX_10_10_80, key_range=key_range, n_ops=scale.n_ops,
                  seed=17)

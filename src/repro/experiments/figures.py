@@ -1,108 +1,113 @@
 """Figures 5.1–5.4: throughput and speedup curves.
 
-Each function regenerates one figure's data series; ``render_*`` prints
-it as the rows the plot encodes.  The test suite checks the qualitative
-claims of :mod:`repro.experiments.paper_data` against these series.
+Each ``figure_5_x`` returns one figure's panels; :func:`render` prints
+them as the rows the plots encode.  ``repro figure`` prints that text
+and ``benchmarks/`` commits it as ``benchmarks/results/fig_5_x.txt``.
+The claim scorecard (``benchmarks/bench_claims.py``) judges the claims
+of :mod:`repro.experiments.paper_data` on the same :func:`series`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from ..analysis.report import render_series
 from ..workloads import (CONTAINS_ONLY, DELETE_ONLY, INSERT_ONLY,
-                         PAPER_MIXTURES)
-from .harness import Point, Scale, current_scale, run_range_series
+                         MIX_10_10_80, PAPER_MIXTURES, Mixture)
+from .harness import PAPER, Point, Scale, run_range_series
+
+SINGLE_OP_MIXTURES = (("contains-only", CONTAINS_ONLY),
+                      ("insert-only", INSERT_ONLY),
+                      ("delete-only", DELETE_ONLY))
+
+
+def series(structure_kind: str, mixture: Mixture, scale: Scale = PAPER,
+           team_size: int = 32) -> tuple[Point, ...]:
+    """One figure line: a Point per key range of ``scale``.
+
+    Runs once per process and argument set — Figures 5.1–5.3 plot
+    shared runs, and the scorecard judges them again."""
+    return _series(structure_kind, mixture, scale, team_size)
+
+
+@functools.cache
+def _series(structure_kind, mixture, scale, team_size):
+    return tuple(run_range_series(structure_kind, mixture, scale=scale,
+                                  team_size=team_size))
+
+
+def mops(points) -> list[float]:
+    return [p.mean_mops for p in points]
+
+
+def ratios(gfsl, mc) -> list[float]:
+    """GFSL/M&C throughput per range; NaN where M&C is out of memory."""
+    return [float("nan") if m.oom else g.mean_mops / m.mean_mops
+            for g, m in zip(gfsl, mc)]
 
 
 @dataclass
 class FigureData:
-    """One figure: x values (key ranges) and named series of Points."""
+    """One panel of a figure: the key ranges and the columns it plots."""
 
     title: str
     ranges: tuple[int, ...]
-    series: dict[str, list[Point]] = field(default_factory=dict)
-
-    def mops(self, name: str) -> list[float]:
-        return [p.mean_mops for p in self.series[name]]
+    series: dict[str, list[float]]
 
     def render(self) -> str:
-        return render_series(
-            self.title, "range",
-            list(self.ranges),
-            {name: self.mops(name) for name in self.series})
+        return render_series(self.title, "range", list(self.ranges),
+                             self.series)
 
 
-def figure_5_1(scale: Scale | None = None) -> FigureData:
+def figure_5_1(scale: Scale = PAPER) -> list[FigureData]:
     """GFSL-16 vs GFSL-32 vs M&C, [10,10,80] (Figure 5.1)."""
-    scale = scale or current_scale()
-    from ..workloads import MIX_10_10_80
-    fig = FigureData("Figure 5.1: GFSL-16 / GFSL-32 / M&C, [10,10,80] (MOPS)",
-                     tuple(scale.ranges))
-    fig.series["GFSL-16"] = run_range_series("gfsl", MIX_10_10_80,
-                                             scale=scale, team_size=16)
-    fig.series["GFSL-32"] = run_range_series("gfsl", MIX_10_10_80,
-                                             scale=scale, team_size=32)
-    fig.series["M&C"] = run_range_series("mc", MIX_10_10_80, scale=scale)
-    return fig
+    return [FigureData(
+        f"Figure 5.1 — [10,10,80] throughput, MOPS (scale={scale.name})",
+        scale.ranges,
+        {"GFSL-16": mops(series("gfsl", MIX_10_10_80, scale, 16)),
+         "GFSL-32": mops(series("gfsl", MIX_10_10_80, scale)),
+         "M&C": mops(series("mc", MIX_10_10_80, scale))})]
 
 
-def figure_5_2(scale: Scale | None = None) -> FigureData:
-    """GFSL/M&C throughput ratio per mixture (Figure 5.2).
-
-    The Points stored are GFSL's; the rendered series divides by M&C's
-    matching runs (NaN where M&C is out of memory)."""
-    scale = scale or current_scale()
-    fig = FigureData("Figure 5.2: GFSL-32 / M&C throughput ratio",
-                     tuple(scale.ranges))
-    fig.ratio_series = {}
-    for mix in PAPER_MIXTURES:
-        g = run_range_series("gfsl", mix, scale=scale)
-        m = run_range_series("mc", mix, scale=scale)
-        fig.series[f"GFSL {mix.name}"] = g
-        fig.series[f"M&C {mix.name}"] = m
-        fig.ratio_series[mix.name] = [
-            gp.mean_mops / mp.mean_mops if not mp.oom else float("nan")
-            for gp, mp in zip(g, m)]
-    return fig
+def figure_5_2(scale: Scale = PAPER) -> list[FigureData]:
+    """GFSL-32 / M&C throughput ratio per mixture (Figure 5.2)."""
+    return [FigureData(
+        f"Figure 5.2 — GFSL-32 / M&C ratio (scale={scale.name})",
+        scale.ranges,
+        {mix.name: ratios(series("gfsl", mix, scale),
+                          series("mc", mix, scale))
+         for mix in PAPER_MIXTURES})]
 
 
-def render_figure_5_2(fig: FigureData) -> str:
-    return render_series("Figure 5.2: GFSL/M&C ratio by mixture", "range",
-                         list(fig.ranges), fig.ratio_series)
-
-
-def figure_5_3(scale: Scale | None = None) -> dict[str, FigureData]:
+def figure_5_3(scale: Scale = PAPER) -> list[FigureData]:
     """Throughput vs range for the four mixed workloads (Figure 5.3a–d)."""
-    scale = scale or current_scale()
-    out: dict[str, FigureData] = {}
-    for mix in PAPER_MIXTURES:
-        fig = FigureData(f"Figure 5.3 {mix.name}: throughput (MOPS)",
-                         tuple(scale.ranges))
-        fig.series["GFSL-32"] = run_range_series("gfsl", mix, scale=scale)
-        fig.series["M&C"] = run_range_series("mc", mix, scale=scale)
-        out[mix.name] = fig
-    return out
+    return [FigureData(
+        f"Figure 5.3 {mix.name} — throughput, MOPS (scale={scale.name})",
+        scale.ranges,
+        {"GFSL-32": mops(series("gfsl", mix, scale)),
+         "M&C": mops(series("mc", mix, scale))})
+        for mix in PAPER_MIXTURES]
 
 
-def figure_5_4(scale: Scale | None = None) -> dict[str, FigureData]:
-    """Single-op-type tests (Figure 5.4a–c): contains-, insert-,
-    delete-only."""
-    scale = scale or current_scale()
-    out: dict[str, FigureData] = {}
-    for mix, label in ((CONTAINS_ONLY, "contains-only"),
-                       (INSERT_ONLY, "insert-only"),
-                       (DELETE_ONLY, "delete-only")):
-        fig = FigureData(f"Figure 5.4 {label}: throughput (MOPS)",
-                         tuple(scale.ranges))
-        fig.series["GFSL-32"] = run_range_series("gfsl", mix, scale=scale)
-        fig.series["M&C"] = run_range_series("mc", mix, scale=scale)
-        out[label] = fig
-    return out
+def figure_5_4(scale: Scale = PAPER) -> list[FigureData]:
+    """Single-op-type tests (Figure 5.4a–c): contains-, insert- and
+    delete-only, with the GFSL/M&C ratio."""
+    panels = []
+    for label, mix in SINGLE_OP_MIXTURES:
+        g, m = series("gfsl", mix, scale), series("mc", mix, scale)
+        panels.append(FigureData(
+            f"Figure 5.4 {label} — throughput, MOPS (scale={scale.name})",
+            scale.ranges,
+            {"GFSL-32": mops(g), "M&C": mops(m), "ratio": ratios(g, m)}))
+    return panels
 
 
-def speedups(fig: FigureData, gfsl: str = "GFSL-32",
-             mc: str = "M&C") -> list[float]:
-    return [g / m if (m and not math.isnan(m)) else float("nan")
-            for g, m in zip(fig.mops(gfsl), fig.mops(mc))]
+FIGURES = {"5.1": figure_5_1, "5.2": figure_5_2, "5.3": figure_5_3,
+           "5.4": figure_5_4}
+
+
+def render(name: str, scale: Scale = PAPER) -> str:
+    """Figure ``name`` ("5.1"–"5.4") as ``repro figure`` prints it and
+    ``benchmarks/results/fig_5_x.txt`` records it."""
+    return "\n\n".join(panel.render() for panel in FIGURES[name](scale))

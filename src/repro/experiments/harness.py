@@ -6,18 +6,16 @@ workload with different op-stream seeds, summarize) and
 trades fidelity for wall-clock time:
 
 * ``smoke``  — tiny ranges/op counts, used by the test suite,
-* ``quick``  — the default for ``pytest benchmarks/``: every paper range
-  up to 3M, modest op counts,
-* ``paper``  — full ranges to 10M (and 100M for the GFSL-only sweep),
-  more ops and repetitions (``pytest benchmarks/ --benchmark-only``
-  took 8 min 31 s on a 2-core x86 host).
+* ``paper``  — the default, and the only scale ``pytest benchmarks/``
+  runs: every key range of Chapter 5 up to 10M, 2,000 ops and 3
+  repetitions per point (``pytest benchmarks/ --benchmark-only`` took
+  4 min 8 s to 4 min 43 s over three runs on a 2-core x86 host).
 
-Select via the ``REPRO_SCALE`` environment variable.
+Pass a preset as ``scale=`` (``--scale`` on the CLI).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ..analysis.stats import Summary, summarize
@@ -43,17 +41,12 @@ class Scale:
 
 SCALES = {
     "smoke": Scale("smoke", (10_000, 100_000), 300, 1),
-    "quick": Scale("quick", (10_000, 30_000, 100_000, 300_000, 1_000_000,
-                             3_000_000), 800, 2),
     "paper": Scale("paper", paper_data.PAPER_RANGES, 2000, 3),
 }
+PAPER = SCALES["paper"]
 
 
-def current_scale() -> Scale:
-    return SCALES[os.environ.get("REPRO_SCALE", "quick")]
-
-
-@dataclass
+@dataclass(frozen=True)
 class Point:
     """One (structure, mixture, range) cell, summarized over repeats."""
 
@@ -72,7 +65,7 @@ class Point:
 
 
 def run_point(structure_kind: str, mixture: Mixture, key_range: int,
-              scale: Scale | None = None, team_size: int = 32,
+              scale: Scale = PAPER, team_size: int = 32,
               p_chunk: float = 1.0, p_key: float = 0.5,
               launch=None, n_ops: int | None = None,
               repeats: int | None = None,
@@ -82,7 +75,6 @@ def run_point(structure_kind: str, mixture: Mixture, key_range: int,
     ``backend`` names the batch-engine execution path (see
     :func:`repro.engine.available_backends`); the default is the
     interleaved replay every published figure uses."""
-    scale = scale or current_scale()
     n = n_ops if n_ops is not None else scale.ops_for(mixture, key_range)
     reps = repeats if repeats is not None else scale.repeats
     mops_vals = []
@@ -109,10 +101,9 @@ def run_point(structure_kind: str, mixture: Mixture, key_range: int,
 
 
 def run_range_series(structure_kind: str, mixture: Mixture,
-                     scale: Scale | None = None, ranges=None,
+                     scale: Scale = PAPER, ranges=None,
                      **kw) -> list[Point]:
     """One figure line: a point per key range."""
-    scale = scale or current_scale()
     ranges = ranges if ranges is not None else scale.ranges
     return [run_point(structure_kind, mixture, r, scale=scale, **kw)
             for r in ranges]

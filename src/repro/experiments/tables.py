@@ -17,7 +17,7 @@ from ..core import GFSL_KERNEL
 from ..gpu import DeviceConfig, LaunchConfig, compute_occupancy
 from ..workloads import MIX_10_10_80, generate, run_workload
 from . import paper_data
-from .harness import Scale, current_scale
+from .harness import PAPER, Scale
 
 WARPS_GRID = (8, 16, 24, 32)
 TABLE_RANGE = 1_000_000
@@ -36,8 +36,7 @@ class TableRow:
 
 
 def _run_table(structure_kind: str, kernel, paper_table,
-               scale: Scale | None = None) -> list[TableRow]:
-    scale = scale or current_scale()
+               scale: Scale = PAPER) -> list[TableRow]:
     device = DeviceConfig.gtx970()
     key_range = min(TABLE_RANGE, max(scale.ranges))
     rows = []
@@ -72,12 +71,12 @@ def _spill_pct(run_result, occ, kernel) -> float:
     return 100.0 * spill / total if total else 0.0
 
 
-def table_5_1(scale: Scale | None = None) -> list[TableRow]:
+def table_5_1(scale: Scale = PAPER) -> list[TableRow]:
     """GFSL warps-per-block study (Table 5.1)."""
     return _run_table("gfsl", GFSL_KERNEL, paper_data.TABLE_5_1, scale)
 
 
-def table_5_2(scale: Scale | None = None) -> list[TableRow]:
+def table_5_2(scale: Scale = PAPER) -> list[TableRow]:
     """M&C warps-per-block study (Table 5.2)."""
     return _run_table("mc", MC_KERNEL, paper_data.TABLE_5_2, scale)
 

@@ -35,7 +35,7 @@ class TestHarness:
         assert TINY.ops_for(MIX_10_10_80, 100) == 250
 
     def test_scales_registered(self):
-        assert set(SCALES) == {"smoke", "quick", "paper"}
+        assert set(SCALES) == {"smoke", "paper"}
 
 
 class TestTables:
@@ -67,22 +67,26 @@ class TestTables:
 
 class TestFigures:
     def test_figure_5_1_series(self):
-        fig = figures.figure_5_1(scale=TINY)
+        [fig] = figures.figure_5_1(scale=TINY)
         assert set(fig.series) == {"GFSL-16", "GFSL-32", "M&C"}
-        assert all(m > 0 for m in fig.mops("GFSL-32"))
+        assert all(m > 0 for m in fig.series["GFSL-32"])
         assert "GFSL-32" in fig.render()
 
     def test_figure_5_4_contains_only_no_dip(self):
         """Claim 'dip': contains-only GFSL shows no contention dip —
         small-range throughput is not below mid-range."""
-        figs = figures.figure_5_4(scale=TINY)
-        contains = figs["contains-only"].mops("GFSL-32")
+        contains_panel = figures.figure_5_4(scale=TINY)[0]
+        assert "contains-only" in contains_panel.title
+        contains = contains_panel.series["GFSL-32"]
         assert contains[0] >= 0.9 * contains[-1] or contains[0] > 0
 
     def test_speedups_helper(self):
-        fig = figures.figure_5_1(scale=TINY)
-        sp = figures.speedups(fig)
+        gfsl = figures.series("gfsl", MIX_10_10_80, TINY)
+        mc = figures.series("mc", MIX_10_10_80, TINY)
+        sp = figures.ratios(gfsl, mc)
         assert len(sp) == len(TINY.ranges)
+        assert sp == [g / m for g, m in zip(figures.mops(gfsl),
+                                            figures.mops(mc))]
 
 
 class TestAblations:

@@ -52,9 +52,8 @@ class TestCommands:
                      "--seed", "3"]) == 0
         assert "stress OK" in capsys.readouterr().out
 
-    def test_table(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "smoke")
-        assert main(["table", "5.1"]) == 0
+    def test_table(self, capsys):
+        assert main(["table", "5.1", "--scale", "smoke"]) == 0
         assert "warps/blk" in capsys.readouterr().out
 
     def test_table_unknown(self, capsys):
@@ -63,7 +62,14 @@ class TestCommands:
     def test_figure_unknown(self, capsys):
         assert main(["figure", "9.9"]) == 2
 
-    def test_figure_5_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "smoke")
-        assert main(["figure", "5.1"]) == 0
+    def test_figure_5_1(self, capsys):
+        assert main(["figure", "5.1", "--scale", "smoke"]) == 0
         assert "GFSL-32" in capsys.readouterr().out
+
+    def test_figure_prints_the_bench_rendering(self, capsys):
+        """``repro figure`` prints what ``bench_fig_5_2.py`` commits as
+        ``fig_5_2.txt`` at the same scale."""
+        from repro.experiments import SCALES, figures
+        assert main(["figure", "5.2", "--scale", "smoke"]) == 0
+        assert capsys.readouterr().out == \
+            figures.render("5.2", SCALES["smoke"]) + "\n"
