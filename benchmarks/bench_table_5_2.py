@@ -13,12 +13,14 @@ from repro.experiments import paper_data, tables
 
 
 def test_table_5_2(benchmark, scale):
-    rows = benchmark.pedantic(tables.table_5_2, rounds=1, iterations=1)
-    text = tables.render(rows, "Table 5.2 — M&C warps/block "
-                         f"(scale={scale.name})", paper_data.TABLE_5_2)
-    save_result("table_5_2", text)
+    save_result("table_5_2", benchmark.pedantic(
+        tables.render, args=("5.2", scale), rounds=1, iterations=1))
+    rows = tables.table_5_2(scale)      # the rows the rendering printed
 
     by_wpb = {r.warps_per_block: r for r in rows}
+    # Register column reproduces the paper exactly, every row.
+    for wpb, paper in paper_data.TABLE_5_2.items():
+        assert by_wpb[wpb].registers == paper["registers"], wpb
     assert by_wpb[8].active_blocks == 5
     # Claim 'mc-warps-flat': variation across the grid stays small.
     mops = [r.mops for r in rows]

@@ -14,8 +14,9 @@ Run:  python examples/engine_backends.py
 
 import time
 
-from repro.engine import (available_backends, available_structures,
-                          make_backend, make_structure)
+from repro.engine import (OpBatch, available_backends,
+                          available_structures, make_backend,
+                          make_structure)
 from repro.workloads import MIX_10_10_80, generate
 
 KEY_RANGE = 20_000
@@ -24,7 +25,7 @@ N_OPS = 2_000
 
 def main() -> None:
     w = generate(MIX_10_10_80, key_range=KEY_RANGE, n_ops=N_OPS, seed=7)
-    batch = w.to_batch()
+    batch = OpBatch.from_workload(w)
     print(f"batch: {len(batch)} ops {batch.counts()} over "
           f"{KEY_RANGE:,} keys\n")
     header = (f"{'structure':>9} {'backend':>11} | {'ok ops':>6} "

@@ -110,20 +110,12 @@ def cmd_figure(args) -> int:
 
 def cmd_table(args) -> int:
     """Regenerate Table 5.1 or 5.2."""
-    from .experiments import SCALES, paper_data, tables
-    scale = SCALES[args.scale]
-    if args.name == "5.1":
-        rows = tables.table_5_1(scale)
-        print(tables.render(rows, "Table 5.1 — GFSL warps/block",
-                            paper_data.TABLE_5_1))
-    elif args.name == "5.2":
-        rows = tables.table_5_2(scale)
-        print(tables.render(rows, "Table 5.2 — M&C warps/block",
-                            paper_data.TABLE_5_2))
-    else:
+    from .experiments import SCALES, tables
+    if args.name not in tables.TABLES:
         print(f"unknown table {args.name!r} (choose 5.1/5.2)",
               file=sys.stderr)
         return 2
+    print(tables.render(args.name, SCALES[args.scale]))
     return 0
 
 

@@ -20,8 +20,7 @@ from .downptrs import update_down_ptrs
 from .insert import pre_split, split_copy
 from .locks import (find_and_lock_enclosing, lock_next_chunk, mark_zombie,
                     unlock_chunk)
-from .traversal import (_injector, _note_publish, read_chunk, search_lateral,
-                        search_slow)
+from .traversal import _injector, read_chunk, search_lateral, search_slow
 
 
 def execute_remove_no_merge(sl, ptr: int, kvs, k: int):
@@ -144,7 +143,6 @@ def remove_from_chunk(sl, k: int, p_enc: int, level: int):
     moved_keys = yield from execute_remove_merge(
         sl, p_enc, enc_kvs, p_next, next_kvs, k)
     yield from mark_zombie(sl, p_enc)
-    _note_publish(sl, "merge")
     sl.metrics.merges += 1
     moved_real = any(mk != C.NEG_INF_KEY for mk in moved_keys)
     if target_utilized or not moved_real:

@@ -112,7 +112,6 @@ class EpochManager:
         # Host-side observability (chaos + tests read these).
         self.retained = 0
         self.reclaimed = 0
-        self.publications: dict[str, int] = {}
 
     # -- domains ---------------------------------------------------------
     def register(self, base: int, data_base: int, block_words: int,
@@ -279,13 +278,6 @@ class EpochManager:
                 f"epoch {self._last_mod[key]} and no retained version "
                 f"covers epoch {epoch} (not pinned while it changed)")
         return v.image
-
-    # -- observability ---------------------------------------------------
-    def note_publish(self, kind: str) -> None:
-        """Count a structural publication (split/merge/head swing/batch
-        wave) — chaos and tests use these to assert the publish path is
-        epoch-aware."""
-        self.publications[kind] = self.publications.get(kind, 0) + 1
 
 
 class _CommitScope:

@@ -352,20 +352,6 @@ class GFSL:
         from ..engine import execute_batch
         return execute_batch(self, batch, backend, commit)
 
-    def insert_many(self, pairs, seed: int | None = None) -> list[bool]:
-        """Run a batch of inserts as one interleaved kernel (extension:
-        the host→device batching model every GPU data structure uses)."""
-        gens = [self.insert_gen(k, v) for k, v in pairs]
-        return [r.value for r in self.ctx.run_concurrent(gens, seed=seed)]
-
-    def delete_many(self, keys, seed: int | None = None) -> list[bool]:
-        gens = [self.delete_gen(k) for k in keys]
-        return [r.value for r in self.ctx.run_concurrent(gens, seed=seed)]
-
-    def contains_many(self, keys, seed: int | None = None) -> list[bool]:
-        gens = [self.contains_gen(k) for k in keys]
-        return [r.value for r in self.ctx.run_concurrent(gens, seed=seed)]
-
     def min_key_gen(self):
         """Smallest user key in the structure, or None (PQ support)."""
         head_words = yield from self.head.read_all()
@@ -405,12 +391,15 @@ class GFSL:
     def range_query(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """Synchronous inclusive ordered window query — consistent by
         construction: rebased onto a one-shot snapshot epoch, so the
-        result is the frozen state at the instant the query began."""
+        result is the frozen state at the instant the query began.  The
+        migration executor reads its source range through it
+        (DESIGN.md §16), capturing concurrent writes as the delta."""
         self._check_key(lo)
         self._check_key(hi)
         if lo > hi:
             return []
-        return self.snapshot_range_query(lo, hi)
+        with self.begin_snapshot() as snap:
+            return snap.range_query(lo, hi, tracer=self.ctx.tracer)
 
     # -- snapshots (DESIGN.md §13) ----------------------------------------
     def begin_snapshot(self):
@@ -426,27 +415,6 @@ class GFSL:
         on the shared manager and hands the epoch to every shard)."""
         from .epoch import GFSLSnapshot
         return GFSLSnapshot(self, epoch=epoch)
-
-    def snapshot_range_query(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Inclusive ordered window query over a one-shot snapshot: a
-        consistent cut even while writers run."""
-        self._check_key(lo)
-        self._check_key(hi)
-        with self.begin_snapshot() as snap:
-            return snap.range_query(lo, hi, tracer=self.ctx.tracer)
-
-    def snapshot_items(self) -> list[tuple[int, int]]:
-        """Every (key, value) pair from a one-shot consistent snapshot."""
-        with self.begin_snapshot() as snap:
-            return snap.items(tracer=self.ctx.tracer)
-
-    def export_range(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """The migration executor's snapshot-backed source read
-        (DESIGN.md §16): every (key, value) in ``[lo, hi]`` from one
-        consistent cut, so the copied image is a legal state of the
-        range even while writers keep landing on this shard (the
-        executor captures those as the delta)."""
-        return self.snapshot_range_query(lo, hi)
 
     # -- host-side utilities -----------------------------------------------
     def items(self) -> list[tuple[int, int]]:

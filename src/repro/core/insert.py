@@ -17,7 +17,7 @@ from .chunk import (has_user_keys, keys_vec, max_field, num_live_entries,
                     pack_next)
 from .downptrs import update_down_ptrs
 from .locks import find_and_lock_enclosing, lock_next_chunk, unlock_chunk
-from .traversal import _injector, _note_publish, read_chunk, search_slow
+from .traversal import _injector, read_chunk, search_slow
 
 
 def execute_insert(sl, ptr: int, kvs, k: int, v: int):
@@ -75,7 +75,6 @@ def split_copy(sl, p_split: int, kvs, p_new: int):
     # max field — the publication point of the split.
     yield ev.WordWrite(sl.layout.entry_addr(p_split, geo.next_idx),
                        pack_next(thresh, p_new))
-    _note_publish(sl, "split")
     # Empty the moved entries, highest tId first.
     for i in range(geo.dsize - 1, geo.split_keep - 1, -1):
         yield ev.WordWrite(sl.layout.entry_addr(p_split, i), C.EMPTY_KV)

@@ -49,24 +49,6 @@ def _injector(sl):
     return getattr(sl, "chaos", None)
 
 
-def _epochs(sl):
-    """The context's epoch manager *if it was ever created* (None is the
-    common snapshot-free case).  Publish sites use this to notify the
-    manager without instantiating it — the epoch-disabled path must stay
-    byte- and object-identical to the pre-epoch simulator."""
-    return getattr(sl.ctx, "_epochs", None)
-
-
-def _note_publish(sl, kind: str) -> None:
-    """Record a structural publication (split / merge / head swing) with
-    the epoch manager.  The retention itself happens in the memory
-    write barrier; this is the observability half of the publish-path
-    contract (DESIGN.md §13)."""
-    mgr = _epochs(sl)
-    if mgr is not None:
-        mgr.note_publish(kind)
-
-
 def _count_restart(sl, key: int, restarts: int, where: str) -> int:
     """Count one restart by flavour — the lock-free read descent is a
     contains restart, every update-path descent an update restart — and
@@ -264,7 +246,6 @@ def search_slow(sl, k: int):
                 elif via_head:
                     yield from sl.head.replace_first_chunk(
                         height, zombie_ptr, first_nz)
-                    _note_publish(sl, "head_swing")
                 pcurr = first_nz
             via_head = False
             step_tid = team.tid_for_next_step(k, kvs, geo)
@@ -318,7 +299,6 @@ def search_lateral_with_redirect(sl, k: int, ptr: int,
             elif head_level is not None:
                 yield from sl.head.replace_first_chunk(
                     head_level, zombie_ptr, first_nz)
-                _note_publish(sl, "head_swing")
             ptr = first_nz
         found_tid = team.tid_with_equal_key(k, kvs, geo)
         if found_tid == geo.next_idx:

@@ -696,9 +696,6 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
         if mem.write_barrier is not None:
             for a in batched_addrs:
                 mem.write_barrier(a, n)
-            mgr = sls[0].ctx._epochs
-            if mgr is not None:
-                mgr.note_publish("batch_wave")
         words[addrs[:, None] + np.arange(n, dtype=np.int64)] = \
             np.array(images, dtype=np.uint64)
         if tracer is not None:

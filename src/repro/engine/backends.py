@@ -78,14 +78,13 @@ class BatchResult:
     backends.  ``gen_ops`` counts ops that ran as per-op Python
     generators — ``len(results)`` for the generator backends, only the
     vectorized backend's fallback ops otherwise; the cost model scales
-    its serialization charge by ``gen_ops / n_ops`` (``None`` means the
-    backend predates the field and charges fully).
+    its serialization charge by ``gen_ops / n_ops``.
     """
 
     results: list[Any]
     backend: str
-    waves: int = 1
-    gen_ops: int | None = None
+    waves: int
+    gen_ops: int
 
     def __len__(self) -> int:
         return len(self.results)

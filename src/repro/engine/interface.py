@@ -49,8 +49,11 @@ class ConcurrentMap(Protocol):
     vectorized kernels (``vector_contains`` / ``vector_search`` /
     ``vector_update_wave``), ordered walks (``range_query``,
     ``min_key``/``max_key``) and snapshots (``begin_snapshot()``,
-    ``snapshot_view(epoch)`` — DESIGN.md §13).  M&C has none of these,
-    and :func:`require_chunked` refuses it where a caller needs them.
+    ``snapshot_view(epoch)`` — DESIGN.md §13).  M&C has none of these:
+    an ``mc@S`` map still defines them, and they raise
+    :class:`TypeError` naming the kind.  Read the flag, never probe
+    for a method; :func:`require_chunked` refuses M&C where a caller
+    needs them.
     """
 
     ctx: GPUContext

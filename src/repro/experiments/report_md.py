@@ -37,9 +37,11 @@ SECTIONS = [
      "block — the optimum at 16 balances latency-hiding occupancy "
      "against register spillover (79→64→40→32 allocated registers, "
      "0%→10%→43%→53% spill traffic).\n\n"
-     "Measured: the occupancy model reproduces the block counts and the "
-     "16/24/32-warp register counts; the throughput optimum lands at 16 "
-     "warps with the 32-warp row a double-digit margin below it.  The "
+     "Measured: the occupancy model reproduces the block counts and "
+     "every register count (the registers the kernel uses; allocation "
+     "rounds the 8-warp row's 79 up to 80).  The throughput optimum "
+     "lands at 16 warps with the 32-warp row a double-digit margin "
+     "below it.  The "
      "24-warp row degrades more than the paper's (our spill-cost model "
      "is linear in the register deficit)."),
     ("table_5_2", "Table 5.2 — M&C: warps per block",
@@ -47,7 +49,9 @@ SECTIONS = [
      "little\" because M&C is memory-access-bound, with ~23-25% local "
      "spill traffic (thread-local path arrays) at every shape.\n\n"
      "Measured: flat across the grid, intrinsic spill at every row, "
-     "achieved occupancy well below theoretical."),
+     "achieved occupancy well below theoretical, and every register "
+     "count as in the paper (42 used where 8 and 16 warps allocate "
+     "48)."),
     ("fig_5_1", "Figure 5.1 — GFSL-16 vs GFSL-32 vs M&C",
      "Paper: the two chunk sizes are similar at small ranges; GFSL-32 "
      "outperforms GFSL-16 by up to 28% at high ranges (cause unknown to "

@@ -466,7 +466,7 @@ class ServeFrontend:
                 breaker.record_success()
                 st.flushes += 1
                 st.flushed_ops += len(reqs)
-                st.gen_ops += int(getattr(res, "gen_ops", 0) or 0)
+                st.gen_ops += res.gen_ops
                 end = loop.now
                 for r, value in zip(reqs, res.results):
                     result = bool(value)
@@ -514,13 +514,12 @@ class ServeFrontend:
                 self._resolve(req, exc=DeadlineExceeded(
                     req.deadline, loop.now, "queued, snapshot released"))
                 return
-            tracer = getattr(self.structure.ctx, "tracer", None)
-            before = tracer.stats.transactions if tracer is not None else 0
+            tracer = self.structure.ctx.tracer
+            before = tracer.stats.transactions
             rows = snap.range_query(req.key, req.hi, tracer=tracer)
-            if tracer is not None:
-                # Charge the frozen walk to the virtual clock: ~4
-                # memory transactions per device step, floor 1.
-                loop.now += max(1, (tracer.stats.transactions - before) // 4)
+            # Charge the frozen walk to the virtual clock: ~4 memory
+            # transactions per device step, floor 1.
+            loop.now += max(1, (tracer.stats.transactions - before) // 4)
             if self.cfg.snapshot_audit:
                 # Snapshot-consistency material for the chaos checker:
                 # this frozen window must equal some legal state within

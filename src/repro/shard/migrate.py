@@ -5,8 +5,9 @@ shard(s) to a destination shard while the serve frontend keeps
 processing requests, in the classic copy/delta/flip shape:
 
 1. **Capture + pin** — start a delta capture on the sharded map (every
-   mutation landing in the range is logged), then export the range from
-   a §13 snapshot of the source: a consistent image at one epoch.
+   mutation landing in the range is logged), then read the range with
+   the source's ``range_query``, one §13 snapshot: a consistent image
+   at one epoch.
 2. **Copy** — stream the frozen image toward the destination in slices,
    charging virtual time per slice (this phase is where a real system
    spends its bytes; here the cost model sleeps stand in for the DMA).
@@ -121,7 +122,7 @@ class MigrationExecutor:
             # image and the delta log.
             sharded.begin_delta_capture(lo, hi)
             try:
-                frozen_items = src.export_range(lo, hi)
+                frozen_items = src.range_query(lo, hi)
             except Exception:
                 sharded.end_delta_capture()
                 raise

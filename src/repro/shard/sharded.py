@@ -19,8 +19,11 @@ engine's shard-aware hooks:
   per-shard (preserving per-key FIFO) and zipped by wave index,
 * :meth:`vector_contains` / :meth:`vector_search` /
   :meth:`vector_update_wave` — multi-key kernels fused across shards
-  into one lock-step dispatch over the merged index space (bound
-  only for a kind the registry marks ``chunked``).
+  into one lock-step dispatch over the merged index space.
+
+Which of these a map can run is its ``chunked`` flag, the registry's
+one capability signal: on M&C shards the kernels, :meth:`begin_snapshot`
+and the ordered walks raise :class:`TypeError` naming the kind.
 
 Observability: the map and its shards share one
 :class:`~repro.metrics.counters.MetricsCollector`; assigning
@@ -72,15 +75,6 @@ class ShardedMap:
         self.last_shard_ops: list[int] | None = None
         #: The registry's flag: GFSL-family shards (see ConcurrentMap).
         self.chunked = structure_spec(kind).chunked
-        if self.chunked:
-            # Fused kernels, and cross-shard snapshots: one shared
-            # context, hence one pin is a cut over all (DESIGN.md §13).
-            self.vector_contains = self._vector_contains
-            self.vector_search = self._vector_search
-            self.vector_update_wave = self._vector_update_wave
-            self.begin_snapshot = self._begin_snapshot
-            self.snapshot_range_query = self._snapshot_range_query
-            self.snapshot_items = self._snapshot_items
 
     # -- routing ---------------------------------------------------------
     @property
@@ -189,19 +183,15 @@ class ShardedMap:
         """Inclusive ordered window read on **one** cross-shard epoch
         pin: a single consistent cut (every shard is still walked)."""
         self._need_chunks("range_query")
-        return self._snapshot_range_query(lo, hi)
-
-    # -- cross-shard snapshots (DESIGN.md §13) ---------------------------
-    def _begin_snapshot(self) -> "ShardedSnapshot":
-        return ShardedSnapshot(self)
-
-    def _snapshot_range_query(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        with self._begin_snapshot() as snap:
+        with self.begin_snapshot() as snap:
             return snap.range_query(lo, hi, tracer=self.ctx.tracer)
 
-    def _snapshot_items(self) -> list[tuple[int, int]]:
-        with self._begin_snapshot() as snap:
-            return snap.items(tracer=self.ctx.tracer)
+    # -- cross-shard snapshots (DESIGN.md §13) ---------------------------
+    def begin_snapshot(self) -> "ShardedSnapshot":
+        """Pin once for every shard: one shared context, hence one pin
+        is a consistent cut over all of them."""
+        self._need_chunks("begin_snapshot")
+        return ShardedSnapshot(self)
 
     # M&C has no zombies and nothing to compact: 0 is the answer.
     def zombie_count(self) -> int:
@@ -260,10 +250,13 @@ class ShardedMap:
                           for wave in plan(keys[ix], shard_budget)])
         return merge_waves(plans)
 
-    def _vector_contains(self, keys, tracer=None) -> np.ndarray:
+    # The fused kernels import core.vector at call time, so a wrapper
+    # installed on its module attributes sees every dispatch.
+    def vector_contains(self, keys, tracer=None) -> np.ndarray:
         # One fused lock-step dispatch over all shards: every shard's ops
         # advance together in the merged index space (the shards share
         # one memory, so only the per-op base offsets differ).
+        self._need_chunks("vector_contains")
         from ..core.vector import contains_multi
         keys = np.asarray(keys, dtype=np.int64)
         return contains_multi(self.shards,
@@ -271,7 +264,8 @@ class ShardedMap:
                                   keys, self._route_gen),
                               keys, tracer=tracer)
 
-    def _vector_search(self, keys, tracer=None):
+    def vector_search(self, keys, tracer=None):
+        self._need_chunks("vector_search")
         from ..core.vector import search_multi
         keys = np.asarray(keys, dtype=np.int64)
         return search_multi(self.shards,
@@ -279,7 +273,8 @@ class ShardedMap:
                                 keys, self._route_gen),
                             keys, tracer=tracer)
 
-    def _vector_update_wave(self, ops, keys, values, tracer=None):
+    def vector_update_wave(self, ops, keys, values, tracer=None):
+        self._need_chunks("vector_update_wave")
         from ..core.vector import update_wave
         keys = np.asarray(keys, dtype=np.int64)
         ops = np.asarray(ops, dtype=np.int64)

@@ -89,13 +89,6 @@ class Workload:
         """Number of operations in the array."""
         return int(self.ops.size)
 
-    def to_batch(self):
-        """This workload's op array as a zero-copy engine
-        :class:`~repro.engine.batch.OpBatch` (lazy import — the engine
-        package must not be imported at workloads import time)."""
-        from ..engine.batch import OpBatch
-        return OpBatch.from_workload(self)
-
 
 def prefill_for(mixture: Mixture, key_range: int,
                 rng: np.random.Generator) -> np.ndarray:

@@ -225,12 +225,10 @@ def run_workload(structure_kind: str, workload: Workload,
     res = engine.execute(st, OpBatch.from_workload(workload))
     wall = time.perf_counter() - t0
     stats = st.ctx.tracer.stats
-    gen_ops = getattr(res, "gen_ops", None)
-    if gen_ops is not None:
-        # Only ops replayed as per-op generators serialize on locks; the
-        # vectorized backend's batched critical sections are conflict-free
-        # by construction, so they escape the analytic contention charge.
-        extra *= gen_ops / max(1, workload.n_ops)
+    # Only ops replayed as per-op generators serialize on locks; the
+    # vectorized backend's batched critical sections are conflict-free
+    # by construction, so they escape the analytic contention charge.
+    extra *= res.gen_ops / max(1, workload.n_ops)
     timing = st.ctx.cost_model.evaluate(
         stats, occ, ops=workload.n_ops, kernel=kernel,
         extra_serial_cycles=extra)
@@ -250,7 +248,7 @@ def run_workload(structure_kind: str, workload: Workload,
         shards=n_shards if is_sharded else 1,
         wall_seconds=wall,
         counters=metrics.as_dict() if metrics is not None else None,
-        gen_ops=workload.n_ops if gen_ops is None else int(gen_ops),
+        gen_ops=res.gen_ops,
         issue_cycles=timing.issue_cycles,
         bandwidth_cycles=timing.bandwidth_cycles,
         latency_cycles=timing.latency_cycles,

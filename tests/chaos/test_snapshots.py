@@ -15,7 +15,8 @@ from repro.chaos import ChaosHooks
 from repro.chaos.campaign import CampaignConfig, run_campaign
 from repro.chaos.linearize import HistoryEvent
 import repro.engine.backends
-from repro.engine import InterleavedBackend, make_backend, make_structure
+from repro.engine import (InterleavedBackend, OpBatch, make_backend,
+                          make_structure)
 from repro.workloads import MIX_10_10_80, generate
 
 
@@ -105,14 +106,16 @@ class TestChaosBackendReaders:
                    make_backend("interleaved-chaos", seed=1,
                                 snapshot_readers=2)):
             with pytest.raises(ValueError, match="per-op"):
-                sl.execute_batch(wl.to_batch(), backend=be, commit="batch")
+                sl.execute_batch(OpBatch.from_workload(wl), backend=be,
+                                 commit="batch")
         assert not sl.ctx.epochs.committing
         assert sl.ctx.epochs.active_pins == 0
 
     def test_commit_guard_creates_no_epoch_manager(self):
         wl = generate(MIX_10_10_80, key_range=60, n_ops=40, seed=1)
         sl = make_structure("gfsl", wl)
-        make_backend("interleaved-chaos", seed=1).execute(sl, wl.to_batch())
+        make_backend("interleaved-chaos", seed=1).execute(
+            sl, OpBatch.from_workload(wl))
         assert sl.ctx._epochs is None
 
     def test_small_campaign_records_observations(self):

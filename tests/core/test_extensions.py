@@ -6,6 +6,8 @@ import pytest
 
 from repro.core import GFSL, bulk_build_into, validate_structure
 from repro.core import constants as C
+from repro.engine import (OP_CONTAINS, OP_DELETE, OP_INSERT, OpBatch,
+                          make_backend)
 
 
 def build(keys, **kw):
@@ -227,22 +229,32 @@ class TestSuccessorPredecessor:
 
 
 class TestBatchAPI:
-    def test_insert_many_reports_duplicates(self):
+    """The one batch API: every op of a batch races the others in one
+    interleaved wave (``execute_batch`` with a seeded backend)."""
+
+    @staticmethod
+    def run(sl, op, keys, seed, values=None):
+        batch = OpBatch(ops=[op] * len(keys), keys=keys, values=values)
+        backend = make_backend("interleaved", seed=seed)
+        return sl.execute_batch(batch, backend=backend).results
+
+    def test_insert_batch_reports_duplicates(self):
         sl = build([10])
-        assert sl.insert_many([(10, 0), (11, 1), (12, 2)],
-                              seed=1) == [False, True, True]
+        assert self.run(sl, OP_INSERT, [10, 11, 12], seed=1,
+                        values=[0, 1, 2]) == [False, True, True]
 
-    def test_contains_many(self):
+    def test_contains_batch(self):
         sl = build([10, 30])
-        assert sl.contains_many([10, 20, 30], seed=2) == [True, False, True]
+        assert self.run(sl, OP_CONTAINS, [10, 20, 30],
+                        seed=2) == [True, False, True]
 
-    def test_delete_many(self):
+    def test_delete_batch(self):
         sl = build([10, 20, 30])
-        assert sl.delete_many([20, 25], seed=3) == [True, False]
+        assert self.run(sl, OP_DELETE, [20, 25], seed=3) == [True, False]
         assert sl.keys() == [10, 30]
 
     def test_batch_racing_duplicates_single_winner(self):
         sl = build([])
-        res = sl.insert_many([(7, 0)] * 5, seed=4)
+        res = self.run(sl, OP_INSERT, [7] * 5, seed=4)
         assert sum(res) == 1
         assert sl.keys() == [7]

@@ -46,8 +46,9 @@ def test_pq_is_a_gfsl_and_keeps_snapshot_semantics():
     for p in range(10, 60):
         pq.push(p)
     assert isinstance(pq, GFSL)
-    snap = pq.snapshot_items()
-    assert pq.pop_min_batch(10) == list(range(10, 20))
+    with pq.begin_snapshot() as view:
+        assert pq.pop_min_batch(10) == list(range(10, 20))
+        snap = view.items()
     assert [k for k, _v in snap] == list(range(10, 60)), \
         "the snapshot view moved with the pops"
 

@@ -73,15 +73,14 @@ class TestFrozenView:
         for k in range(2, 60, 2):
             sl.insert(k, value=k)
         pre = sl.items()
-        mgr = sl.ctx.epochs
-        splits_before = mgr.publications.get("split", 0)
+        splits_before = sl.metrics.splits
         with sl.begin_snapshot() as snap:
             for k in range(1, 61, 2):   # odd keys force splits
                 st = Stepper(sl, sl.insert_gen(k, value=k + 1))
                 while not st.done:
                     st.step()
                     assert snap.items() == pre
-        assert mgr.publications.get("split", 0) > splits_before
+        assert sl.metrics.splits > splits_before
         assert validate_structure(sl)["chunks"] > 0
         assert dict(sl.items()) == {**dict(pre),
                                     **{k: k + 1 for k in range(1, 61, 2)}}
@@ -91,15 +90,14 @@ class TestFrozenView:
         for k in range(1, 61):
             sl.insert(k, value=k)
         pre = sl.items()
-        mgr = sl.ctx.epochs
-        merges_before = mgr.publications.get("merge", 0)
+        merges_before = sl.metrics.merges
         with sl.begin_snapshot() as snap:
             for k in range(1, 55):      # drain chunks to force merges
                 st = Stepper(sl, sl.delete_gen(k))
                 while not st.done:
                     st.step()
                     assert snap.items() == pre
-        assert mgr.publications.get("merge", 0) > merges_before
+        assert sl.metrics.merges > merges_before
         assert sl.keys() == list(range(55, 61))
 
     def test_pin_mid_operation_sees_pre_publish_state(self):
@@ -117,7 +115,8 @@ class TestFrozenView:
             assert 55 not in dict(snap.items())
         finally:
             snap.release()
-        assert 55 in dict(sl.snapshot_items())
+        with sl.begin_snapshot() as fresh_snap:
+            assert 55 in dict(fresh_snap.items())
 
     def test_read_after_release_raises(self):
         sl = fresh()

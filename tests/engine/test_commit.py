@@ -113,12 +113,13 @@ class TestEveryKindAndBackend:
         — on every registry kind through every backend."""
         w = generate(MIX_20_20_60, key_range=300, n_ops=120, seed=4)
         per_op = make_structure(kind, w, team_size=8)
-        a = per_op.execute_batch(w.to_batch(), backend=backend,
+        a = per_op.execute_batch(OpBatch.from_workload(w), backend=backend,
                                  commit="per-op")
         st = make_structure(kind, w, team_size=8)
         mgr = st.ctx.epochs
         before = mgr.epoch
-        b = st.execute_batch(w.to_batch(), backend=backend, commit="batch")
+        b = st.execute_batch(OpBatch.from_workload(w), backend=backend,
+                             commit="batch")
         assert list(b.results) == list(a.results)
         assert st.items() == per_op.items()
         assert mgr.epoch == before + 1
@@ -144,5 +145,5 @@ class TestEveryKindAndBackend:
         st = make_structure("mc", w)
         before = st.items()
         with pytest.raises(ValueError, match="commit mode"):
-            st.execute_batch(w.to_batch(), commit="transactional")
+            st.execute_batch(OpBatch.from_workload(w), commit="transactional")
         assert st.items() == before

@@ -47,6 +47,7 @@ class TestTables:
         assert by_wpb[16].registers == 64
         assert by_wpb[24].registers == 40
         assert by_wpb[32].registers == 32
+        assert by_wpb[8].registers == 79     # not the allocated 80
         # Spill grows with warps/block; 8-warp row has none.
         assert by_wpb[8].spill_pct == 0.0
         assert by_wpb[32].spill_pct > by_wpb[16].spill_pct
@@ -55,14 +56,17 @@ class TestTables:
         rows = tables.table_5_2(scale=TINY)
         by_wpb = {r.warps_per_block: r for r in rows}
         assert by_wpb[8].active_blocks == 5
+        assert [r.registers for r in rows] == [
+            paper_data.TABLE_5_2[w]["registers"] for w in (8, 16, 24, 32)]
         # M&C spillover is roughly flat (intrinsic local arrays).
         spills = [r.spill_pct for r in rows]
         assert max(spills) - min(spills) < 15.0
 
     def test_render(self):
-        rows = tables.table_5_1(scale=TINY)
-        out = tables.render(rows, "Table 5.1", paper_data.TABLE_5_1)
+        out = tables.render("5.1", TINY)
         assert "warps/blk" in out and "paper-MOPS" in out
+        assert out.startswith(
+            f"Table 5.1 — GFSL warps/block (scale={TINY.name})")
 
 
 class TestFigures:

@@ -56,6 +56,14 @@ class TestCommands:
         assert main(["table", "5.1", "--scale", "smoke"]) == 0
         assert "warps/blk" in capsys.readouterr().out
 
+    def test_table_prints_the_bench_rendering(self, capsys):
+        """``repro table`` prints what ``bench_table_5_1.py`` commits as
+        ``table_5_1.txt`` at the same scale."""
+        from repro.experiments import SCALES, tables
+        assert main(["table", "5.1", "--scale", "smoke"]) == 0
+        assert capsys.readouterr().out == \
+            tables.render("5.1", SCALES["smoke"]) + "\n"
+
     def test_table_unknown(self, capsys):
         assert main(["table", "9.9"]) == 2
 

@@ -81,7 +81,7 @@ class TestExpiredRange:
         loop = VirtualLoop()
         fe = build(loop, structure="gfsl@2")
         mgr = fe.structure.ctx.epochs
-        assert hasattr(fe.structure, "begin_snapshot")
+        assert fe.structure.chunked
         assert mgr.active_pins == 0
 
         loop.now = 50

@@ -65,11 +65,12 @@ def test_vector_kernels_gated_on_shard_capability():
     w = _workload()
     g = build_sharded("gfsl", 2, w)
     m = build_sharded("mc", 2, w)
-    assert hasattr(g, "vector_contains") and hasattr(g, "vector_search")
-    assert not hasattr(m, "vector_contains")
-    assert not hasattr(m, "vector_search")
+    assert g.chunked and not m.chunked
     present = np.asarray(g.keys()[:10], dtype=np.int64)
     absent = np.asarray([w.key_range + 50], dtype=np.int64)
+    for kernel in (m.vector_contains, m.vector_search):
+        with pytest.raises(TypeError, match="mc@2"):
+            kernel(present)
     assert g.vector_contains(present).all()
     assert not g.vector_contains(absent).any()
 

@@ -41,10 +41,11 @@ class TestCrossShardCut:
 
     def test_range_query_rebased_onto_one_cut(self):
         sm = sharded()
-        assert hasattr(sm, "begin_snapshot")
+        assert sm.chunked
         expect = [kv for kv in sorted(sm.items()) if 100 <= kv[0] <= 600]
         assert sm.range_query(100, 600) == expect
-        assert sm.snapshot_range_query(100, 600) == expect
+        with sm.begin_snapshot() as snap:
+            assert snap.range_query(100, 600) == expect
 
     def test_release_reclaims_and_uninstalls(self):
         sm = sharded()
@@ -67,17 +68,20 @@ class TestCrossShardCut:
 
 class TestCapabilityGate:
     def test_mc_shards_expose_no_snapshot_api(self):
-        """M&C is not chunked (the registry's flag) → the partitioned map
-        binds no snapshot API, and its ordered queries raise a
+        """M&C is not chunked (the registry's flag) → the partitioned
+        map's snapshot API, fused kernels and ordered queries raise a
         ``TypeError`` naming the kind instead of answering empty."""
         sm = sharded(kind="mc@2", n_keys=40)
         assert not sm.chunked
-        assert not hasattr(sm, "begin_snapshot")
-        assert not hasattr(sm, "snapshot_items")
-        assert not hasattr(sm, "vector_contains")
         assert len(sm.items()) > 0
+        keys = np.asarray(sm.keys()[:3], dtype=np.int64)
+        ops = np.full(keys.size, OP_INSERT)
         for call in (lambda: sm.range_query(1, 1000), sm.min_key,
-                     sm.max_key, lambda: sm.get(sm.keys()[0])):
+                     sm.max_key, lambda: sm.get(sm.keys()[0]),
+                     sm.begin_snapshot,
+                     lambda: sm.vector_contains(keys),
+                     lambda: sm.vector_search(keys),
+                     lambda: sm.vector_update_wave(ops, keys, keys)):
             with pytest.raises(TypeError, match="mc@2"):
                 call()
 
@@ -144,4 +148,4 @@ def test_mc_snapshot_reader_request_rejected_by_chaos():
     sm = sharded(kind="mc@2", n_keys=10)
     wl = generate(MIX_10_10_80, key_range=100, n_ops=8, seed=1)
     with pytest.raises(ValueError, match="snapshot"):
-        be.execute(sm, wl.to_batch())
+        be.execute(sm, OpBatch.from_workload(wl))

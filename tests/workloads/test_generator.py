@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import OpBatch
 from repro.workloads import (CONTAINS_ONLY, DELETE_ONLY, INSERT_ONLY,
                              MIX_10_10_80, PAPER_MIXTURES, Mixture, Op,
                              generate, prefill_for)
@@ -107,7 +108,7 @@ class TestRNGDeterminism:
         wa = generate(MIX_10_10_80, **kw)
         wb = generate(MIX_10_10_80, **kw)
         assert np.array_equal(wa.prefill, wb.prefill)
-        a, b = wa.to_batch(), wb.to_batch()
+        a, b = OpBatch.from_workload(wa), OpBatch.from_workload(wb)
         assert np.array_equal(a.ops, b.ops)
         assert np.array_equal(a.keys, b.keys)
         assert np.array_equal(a.values, b.values)
@@ -125,7 +126,7 @@ class TestRNGDeterminism:
 
     def test_batch_is_zero_copy(self):
         w = generate(MIX_10_10_80, 1000, 100, seed=1)
-        batch = w.to_batch()
+        batch = OpBatch.from_workload(w)
         assert np.shares_memory(batch.keys, w.keys)
         assert np.shares_memory(batch.ops, w.ops)
         assert np.shares_memory(batch.values, w.values)
