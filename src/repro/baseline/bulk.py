@@ -35,11 +35,6 @@ def bulk_build_into(mc: MCSkiplist, keys, values=None,
     mem = mc.ctx.mem
     if n == 0:
         return {}
-    if keys[0] < 0:
-        raise ValueError("bulk build keys must be non-negative")
-    keys = keys.astype(np.uint64)
-    if np.any(keys[1:] == keys[:-1]):
-        raise ValueError("bulk build keys must be unique")
 
     # Geometric tower heights, capped at max_level.
     u = rng.random(n)

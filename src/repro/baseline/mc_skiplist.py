@@ -22,6 +22,7 @@ from ..gpu import events as ev
 from ..gpu.device import DeviceConfig
 from ..gpu.kernel import GPUContext
 from ..gpu.occupancy import KernelResources
+from ..core import constants as C
 from ..metrics.counters import MetricsCollector
 from . import node as N
 
@@ -76,13 +77,13 @@ class MCSkiplist:
         # Head and tail sentinels with full towers.
         self.tail = self.pool.host_alloc(mem, N.node_words(self.max_level))
         self.head = self.pool.host_alloc(mem, N.node_words(self.max_level))
-        mem.write_word(self.tail, N.KEY_INF)
+        mem.write_word(self.tail, C.EMPTY_KEY)
         mem.write_word(self.tail + 1, self.max_level)
-        mem.write_word(self.head, N.KEY_NEG_INF)
+        mem.write_word(self.head, C.NEG_INF_KEY)
         mem.write_word(self.head + 1, self.max_level)
         for l in range(self.max_level):
             mem.write_word(self.tail + N.HEADER_WORDS + l,
-                           N.pack_link(N.NULL_PTR))
+                           N.pack_link(C.NULL_PTR))
             mem.write_word(self.head + N.HEADER_WORDS + l,
                            N.pack_link(self.tail))
 
@@ -97,7 +98,7 @@ class MCSkiplist:
     # -- device helpers ---------------------------------------------------
     def _key_of(self, addr: int):
         word = yield ev.WordRead(addr)
-        return word & N.MASK32
+        return C.key_of(word)
 
     def _link_addr(self, addr: int, level: int) -> int:
         return addr + N.HEADER_WORDS + level
@@ -111,7 +112,7 @@ class MCSkiplist:
         while True:  # retry
             retry = False
             preds = [self.head] * L
-            succs = [N.NULL_PTR] * L
+            succs = [C.NULL_PTR] * L
             pred = self.head
             for level in range(L - 1, -1, -1):
                 curr_word = yield ev.WordRead(self._link_addr(pred, level))
@@ -152,10 +153,10 @@ class MCSkiplist:
     # -- operations -------------------------------------------------------
     def contains_gen(self, key: int):
         """Wait-free membership test (no snipping)."""
-        self._check_key(key)
+        C.check_key(key)
         self.metrics.contains_calls += 1
         pred = self.head
-        curr = N.NULL_PTR
+        curr = C.NULL_PTR
         for level in range(self.max_level - 1, -1, -1):
             curr_word = yield ev.WordRead(self._link_addr(pred, level))
             curr = N.link_ptr(curr_word)
@@ -176,15 +177,15 @@ class MCSkiplist:
     def insert_gen(self, key: int, value: int = 0, height: int | None = None):
         """Lock-free add: bottom-level CAS linearizes, upper levels link
         lazily; ``height`` overrides the geometric tower draw."""
-        self._check_key(key)
+        C.check_key(key)
+        C.check_value(value)
         top = height if height is not None else self.draw_height()
         while True:
             found, preds, succs = yield from self._find(key)
             if found:
                 return False
             node = yield from self.pool.alloc(top)
-            yield ev.WordWrite(node, (key & N.MASK32)
-                               | ((value & N.MASK32) << 32))
+            yield ev.WordWrite(node, C.pack_kv(key, value))
             yield ev.WordWrite(node + 1, top)
             for l in range(top):
                 yield ev.WordWrite(self._link_addr(node, l),
@@ -221,7 +222,7 @@ class MCSkiplist:
     def delete_gen(self, key: int):
         """Lock-free remove: mark the tower top-down (the bottom-level
         mark is the linearization point), then snip via ``_find``."""
-        self._check_key(key)
+        C.check_key(key)
         found, _preds, succs = yield from self._find(key)
         if not found:
             return False
@@ -273,11 +274,11 @@ class MCSkiplist:
         out = []
         word = mem.read_word(self._link_addr(self.head, 0))
         addr = N.link_ptr(word)
-        while addr != N.NULL_PTR and addr != self.tail:
+        while addr != C.NULL_PTR and addr != self.tail:
             kv = mem.read_word(addr)
             nxt = mem.read_word(self._link_addr(addr, 0))
             if not N.link_marked(nxt):
-                out.append((kv & N.MASK32, (kv >> 32) & N.MASK32))
+                out.append((C.key_of(kv), C.val_of(kv)))
             addr = N.link_ptr(nxt)
         return out
 
@@ -287,8 +288,3 @@ class MCSkiplist:
 
     def __len__(self) -> int:
         return len(self.items())
-
-    @staticmethod
-    def _check_key(key: int) -> None:
-        if not 1 <= key <= N.MASK32 - 1:
-            raise ValueError("key outside user range [1, 2^32-2]")

@@ -9,7 +9,7 @@ cost the paper's evaluation hinges on.
 
 Node at word address ``a``::
 
-    a+0          key (lower 32b) | value (upper 32b)
+    a+0          key (lower 32b) | value (upper 32b): a GFSL entry
     a+1          tower height (number of linked levels, ≥ 1)
     a+2 .. a+1+h next-pointer words, one per level:
                  successor word-address (lower 32b) | mark (bit 32)
@@ -21,16 +21,11 @@ covers pointer+mark.
 
 from __future__ import annotations
 
+from ..core.constants import MASK32
 from ..gpu import events as ev
 from ..gpu.memory import GlobalMemory
 
-MASK32 = 0xFFFFFFFF
-NULL_PTR = MASK32
 MARK_BIT = 1 << 32
-
-KEY_NEG_INF = 0
-KEY_INF = MASK32
-
 HEADER_WORDS = 2  # key/value word + height word
 
 

@@ -196,12 +196,12 @@ def check_key_history(events: list[HistoryEvent], initial: bool,
     condition (see module docstring); callers that need to know use
     :func:`check_history`, which counts fallback keys.
     """
-    ok, _ = _check_key(events, initial, final)
+    ok, _ = _key_verdict(events, initial, final)
     return ok
 
 
-def _check_key(events: list[HistoryEvent], initial: bool,
-               final: bool) -> tuple[bool, bool]:
+def _key_verdict(events: list[HistoryEvent], initial: bool,
+                 final: bool) -> tuple[bool, bool]:
     """Returns ``(linearizable, used_fallback)``."""
     if not events:
         return initial == final, False
@@ -355,7 +355,7 @@ class _KeyTable:
         one key (net-effect fallback included)."""
         doubled = [_doubled(e) for e in self.events]
         doubled.append(HistoryEvent("contains", self.key, want, t, t))
-        ok, _ = _check_key(doubled, self.initial, self.final)
+        ok, _ = _key_verdict(doubled, self.initial, self.final)
         return ok
 
 

@@ -35,16 +35,25 @@ def _per_chunk(geo: ChunkGeometry, fill: float) -> int:
 
 
 def sorted_kv(keys, values=None) -> tuple[np.ndarray, np.ndarray]:
-    """``keys`` (int64) and ``values`` (uint64, zeros when None) as flat
-    arrays in ascending key order — the input both bulk builders take."""
+    """Checked, unique ``keys`` and ``values`` (zeros when None) as flat
+    uint64 arrays in key order — the input both bulk builders take."""
     keys = np.asarray(keys, dtype=np.int64)
     if values is None:
-        return np.sort(keys), np.zeros(keys.size, dtype=np.uint64)
-    vals = np.asarray(values, dtype=np.uint64)
-    if vals.shape != keys.shape:
-        raise ValueError("bulk build values must have one entry per key")
-    order = np.argsort(keys, kind="stable")
-    return keys[order], vals[order]
+        keys, vals = np.sort(keys), np.zeros(keys.size, dtype=np.uint64)
+    else:
+        vals = np.asarray(values)
+        if vals.shape != keys.shape:
+            raise ValueError("bulk build values must have one entry per key")
+        C.check_array(C.check_value, vals)   # before the cast wraps them
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], vals[order].astype(np.uint64)
+    if keys.size:                  # sorted: the two ends decide for all
+        C.check_key(int(keys[0]))
+        C.check_key(int(keys[-1]))
+    keys = keys.astype(np.uint64)
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("bulk build keys must be unique")
+    return keys, vals
 
 
 def bulk_build_into(sl, keys, values=None,
@@ -62,19 +71,13 @@ def bulk_build_into(sl, keys, values=None,
     Returns per-level chunk counts.  Works entirely host-side through
     vectorized numpy writes to the memory pool.
     """
+    keys, vals = sorted_kv(keys, values)
+    n_items = int(keys.size)
     geo = sl.geo
     lay = sl.layout
     mem = sl.ctx.mem
     sl._format()
     rng = rng if rng is not None else np.random.default_rng(0xB111D)
-
-    keys, vals = sorted_kv(keys, values)
-    n_items = int(keys.size)
-    if n_items and keys[0] < C.MIN_USER_KEY:
-        raise ValueError("bulk build keys must be user keys")
-    keys = keys.astype(np.uint64)
-    if n_items and np.any(keys[1:] == keys[:-1]):
-        raise ValueError("bulk build keys must be unique")
 
     per_chunk = _per_chunk(geo, fill)
     # Bounded view: the chunk region ends at capacity, not at the end of
@@ -192,7 +195,7 @@ def rebuild_into(sl, keys, values=None,
       formatting (destroying the old contents).
     """
     keys = np.asarray(keys, dtype=np.int64)
-    mgr = getattr(sl.ctx, "_epochs", None)
+    mgr = sl.ctx._epochs
     if mgr is not None and mgr.active_pins:
         raise RuntimeError(
             f"rebuild_into with {mgr.active_pins} live snapshot pin(s): "

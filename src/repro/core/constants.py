@@ -62,3 +62,26 @@ def val_of(word: int) -> int:
 
 
 EMPTY_KV = pack_kv(EMPTY_KEY, 0)
+
+
+# --- the key contract (DESIGN.md §5) -------------------------------------
+def check_key(key: int) -> None:
+    """Raise ``ValueError`` unless ``key`` (or a window bound) is a user key."""
+    if not MIN_USER_KEY <= key <= MAX_USER_KEY:
+        raise ValueError(
+            f"key {key} outside user range [{MIN_USER_KEY}, {MAX_USER_KEY}] "
+            "(0 and 2^32-1 are the ±∞ sentinels)")
+
+
+def check_value(value: int) -> None:
+    """Raise ``ValueError`` unless ``value`` fits an entry's upper 32 bits."""
+    if not 0 <= value <= MASK32:
+        raise ValueError(f"value {value} outside [0, {MASK32}]")
+
+
+def check_array(check, arr) -> None:
+    """Apply ``check`` to every entry of an int array: each rule is an
+    interval, so the smallest and the largest entry decide."""
+    if len(arr):
+        check(int(arr.min()))
+        check(int(arr.max()))

@@ -396,8 +396,7 @@ class GFSLSnapshot:
         for row, image in patches:
             kvs[row] = image[:dsize]
         keys = keys_vec(kvs)
-        mask = ((keys >= lo) & (keys <= hi)
-                & (keys != C.EMPTY_KEY) & (keys != C.NEG_INF_KEY))
+        mask = (keys >= lo) & (keys <= hi)
         hit = mask.any(axis=1)
         kvs, keys, mask = kvs[hit], keys[hit], mask[hit]
         # Each row's hits in stable key order; misses sort past every
@@ -416,6 +415,8 @@ class GFSLSnapshot:
     def range_query(self, lo: int, hi: int,
                     tracer=None) -> list[tuple[int, int]]:
         """All frozen (key, value) pairs with lo ≤ key ≤ hi, in order."""
+        C.check_key(lo)
+        C.check_key(hi)
         if lo > hi:
             return []
         keys, vals = self._walk(lo, hi, tracer=tracer)

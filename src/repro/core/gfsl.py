@@ -146,7 +146,7 @@ class GFSL:
     # -- generator factories (device functions) --------------------------
     def contains_gen(self, key: int):
         """Algorithm 4.1: lock-free membership test."""
-        self._check_key(key)
+        C.check_key(key)
         self.metrics.contains_calls += 1
         p_curr = yield from _traversal.search_down(self, key)
         found, _ = yield from _traversal.search_lateral(self, key, p_curr)
@@ -157,22 +157,21 @@ class GFSL:
 
         ``hint`` optionally carries a precomputed ``(found, path)`` from
         :meth:`vector_search` so the batch engine can skip the per-op
-        traversal."""
-        self._check_key(key)
-        if not 0 <= value <= C.MASK32:
-            raise ValueError("value must fit in 32 bits")
-        return (yield from _insert.insert(self, key, value, hint=hint))
+        traversal.  Checks at the call: a refused op yields no generator."""
+        C.check_key(key)
+        C.check_value(value)
+        return _insert.insert(self, key, value, hint=hint)
 
     def delete_gen(self, key: int, hint=None):
         """Algorithm 4.11: top-down removal under the bottom lock."""
-        self._check_key(key)
-        return (yield from _delete.delete(self, key, hint=hint))
+        C.check_key(key)
+        return _delete.delete(self, key, hint=hint)
 
     def get_gen(self, key: int):
         """Lookup returning the associated value, or None.  Same
         traversal as Contains, but the winning lane shfl-broadcasts its
         value field."""
-        self._check_key(key)
+        C.check_key(key)
         p_curr = yield from _traversal.search_down(self, key)
         found, enc = yield from _traversal.search_lateral(self, key, p_curr)
         if not found:
@@ -211,9 +210,8 @@ class GFSL:
         is absent.  Upper-level entries are untouched (their values are
         chunk pointers, not payloads).
         """
-        self._check_key(key)
-        if not 0 <= value <= C.MASK32:
-            raise ValueError("value must fit in 32 bits")
+        C.check_key(key)
+        C.check_value(value)
         from . import team as _team
         from .locks import find_and_lock_enclosing, unlock_chunk
         from ..gpu import events as _ev
@@ -263,7 +261,7 @@ class GFSL:
         lateral scan — one coalesced read usually suffices because the
         chunk holds the whole neighbourhood.
         """
-        self._check_key(key)
+        C.check_key(key)
         from .chunk import is_zombie, max_field, next_ptr
         p_curr = yield from _traversal.search_down(self, key)
         ptr = p_curr
@@ -294,8 +292,7 @@ class GFSL:
         chunk holding the predecessor (down pointers land at or left of
         it), so no back pointers are needed.
         """
-        self._check_key(key)
-        from . import team as _team
+        C.check_key(key)
         from .chunk import is_zombie, max_field, next_ptr
         p_curr = yield from _traversal.search_down(self, key)
         ptr = p_curr
@@ -305,8 +302,8 @@ class GFSL:
             if not is_zombie(kvs, self.geo):
                 keys = keys_vec(kvs)[: self.geo.dsize]
                 vals = vals_vec(kvs)[: self.geo.dsize]
-                mask = ((keys <= key) & (keys != C.EMPTY_KEY)
-                        & (keys != C.NEG_INF_KEY))
+                # key <= MAX_USER_KEY already excludes EMPTY entries.
+                mask = (keys <= key) & (keys != C.NEG_INF_KEY)
                 hits = np.nonzero(mask)[0]
                 if hits.size:
                     i = int(hits[-1])
@@ -394,10 +391,6 @@ class GFSL:
         result is the frozen state at the instant the query began.  The
         migration executor reads its source range through it
         (DESIGN.md §16), capturing concurrent writes as the delta."""
-        self._check_key(lo)
-        self._check_key(hi)
-        if lo > hi:
-            return []
         with self.begin_snapshot() as snap:
             return snap.range_query(lo, hi, tracer=self.ctx.tracer)
 
@@ -456,14 +449,6 @@ class GFSL:
         bulk_build_into(self, keys, vals, rng=self.rng)
         after = self.pool.allocated(self.ctx.mem)
         return max(0, before - after)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _check_key(key: int) -> None:
-        if not C.MIN_USER_KEY <= key <= C.MAX_USER_KEY:
-            raise ValueError(
-                f"key {key} outside user range [{C.MIN_USER_KEY}, "
-                f"{C.MAX_USER_KEY}] (0 and 2^32-1 are the ±∞ sentinels)")
 
 
 def suggest_capacity(num_keys: int, team_size: int = 32,

@@ -139,8 +139,9 @@ def _traverse(sls, owner: np.ndarray, keys: np.ndarray, tracer,
     (:func:`_lockstep_ints`), larger ones on numpy rows
     (:func:`_lockstep_arrays`); both issue the same tracer batches,
     return the same values and count the same traversal steps into the
-    instances' shared collector.
+    instances' shared collector.  Non-user keys are refused first.
     """
+    C.check_array(C.check_key, keys)
     m = int(keys.size)
     words = sls[0].ctx.mem.raw()
     max_levels = [s.layout.max_level for s in sls]
@@ -456,12 +457,6 @@ def _lockstep_arrays(geo, words, owner: np.ndarray, keys: np.ndarray,
     return found, paths, upper, fallback, diag
 
 
-def _check_keys(sl, keys: np.ndarray) -> None:
-    bad = (keys < C.MIN_USER_KEY) | (keys > C.MAX_USER_KEY)
-    if bad.any():
-        sl._check_key(int(keys[np.nonzero(bad)[0][0]]))  # raises
-
-
 # ---------------------------------------------------------------------------
 # Read kernels
 # ---------------------------------------------------------------------------
@@ -477,7 +472,6 @@ def contains_multi(sls, owner, keys: np.ndarray, tracer=None) -> np.ndarray:
         _publish_diag(_fresh_diag(0))
         return np.zeros(0, dtype=bool)
     owner = _owner_array(owner, keys.size)
-    _check_keys(sls[0], keys)
     found, _paths, _upper, fallback, diag = _traverse(
         sls, owner, keys, tracer, record_path=False)
     sls[0].metrics.contains_calls += int(keys.size) - len(fallback)
@@ -497,7 +491,6 @@ def search_multi(sls, owner, keys: np.ndarray, tracer=None):
         return (np.zeros(0, dtype=bool),
                 np.zeros((0, sls[0].layout.max_level), dtype=np.int64))
     owner = _owner_array(owner, keys.size)
-    _check_keys(sls[0], keys)
     found, paths, _upper, fallback, diag = _traverse(
         sls, owner, keys, tracer, record_path=True)
     from .traversal import search_slow
@@ -615,7 +608,8 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
                 np.zeros(0, dtype=bool),
                 np.zeros((0, lay0.max_level), dtype=np.int64))
     owner = _owner_array(owner, m)
-    _check_keys(sls[0], keys)
+    # Only insert rows carry a payload (OpBatch ignores the others').
+    C.check_array(C.check_value, values[ops == _OP_INSERT])
     found, paths, upper, fallback, diag = _traverse(
         sls, owner, keys, tracer, record_path=True, track_upper=True)
 

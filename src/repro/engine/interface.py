@@ -53,7 +53,7 @@ class ConcurrentMap(Protocol):
     an ``mc@S`` map still defines them, and they raise
     :class:`TypeError` naming the kind.  Read the flag, never probe
     for a method; :func:`require_chunked` refuses M&C where a caller
-    needs them.
+    needs them.  Keys, values and windows obey one contract (DESIGN.md §5).
     """
 
     ctx: GPUContext

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ..core.constants import check_key, check_value
 from ..engine.batch import OP_CONTAINS, OP_DELETE, OP_INSERT
 from .aio import Queue
 
@@ -60,6 +61,12 @@ class Request:
             raise ValueError(f"unknown request kind {self.kind!r}")
         if self.kind == RANGE and self.hi is None:
             raise ValueError("range request needs hi")
+        # Client input enters here, not in a flush other requests share.
+        check_key(self.key)
+        if self.kind == PUT:
+            check_value(self.value)
+        elif self.kind == RANGE:
+            check_key(self.hi)
 
     def expired(self, now: int) -> bool:
         return self.deadline is not None and self.deadline <= now

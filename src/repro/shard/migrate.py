@@ -147,13 +147,12 @@ class MigrationExecutor:
             # rebuilds bypass the epoch barrier and must not run under a
             # live pin.  The serve layer never holds a pin across an
             # await, so this resolves in practice.
-            mgr = getattr(sharded.ctx, "_epochs", None)
+            mgr = sharded.ctx._epochs
             deferred = False
             for _ in range(cfg.pin_defer_tries):
                 if mgr is None or not mgr.active_pins:
                     break
                 await self.loop.sleep(cfg.pin_defer_steps)
-                mgr = getattr(sharded.ctx, "_epochs", None)
             else:
                 deferred = True
             if deferred:

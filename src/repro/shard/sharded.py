@@ -126,19 +126,20 @@ class ShardedMap:
     def contains_gen(self, key: int) -> Generator:
         return self.shard_for(key).contains_gen(key)
 
+    # Build the shard's generator first: a refused op is never logged.
     def insert_gen(self, key: int, value: int = 0, hint=None) -> Generator:
         shard = self.shard_for(key)
+        gen = (shard.insert_gen(key, value) if hint is None
+               else shard.insert_gen(key, value, hint=hint))
         self._log_mutation("insert", key, value)
-        if hint is not None:
-            return shard.insert_gen(key, value, hint=hint)
-        return shard.insert_gen(key, value)
+        return gen
 
     def delete_gen(self, key: int, hint=None) -> Generator:
         shard = self.shard_for(key)
+        gen = (shard.delete_gen(key) if hint is None
+               else shard.delete_gen(key, hint=hint))
         self._log_mutation("delete", key)
-        if hint is not None:
-            return shard.delete_gen(key, hint=hint)
-        return shard.delete_gen(key)
+        return gen
 
     def keys(self) -> list:
         return sorted(k for s in self.shards for k in s.keys())

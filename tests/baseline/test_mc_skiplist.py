@@ -74,12 +74,6 @@ class TestBasicOps:
         assert mc.delete(20)
         assert mc.keys() == [10, 30]
 
-    def test_key_validation(self, mc):
-        with pytest.raises(ValueError):
-            mc.contains(0)
-        with pytest.raises(ValueError):
-            mc.insert(2**32 - 1)
-
     def test_max_level_bounds(self):
         with pytest.raises(ValueError):
             MCSkiplist(capacity_words=10_000, max_level=0)

@@ -47,12 +47,6 @@ def test_build_rejects_duplicates():
         bulk_build_into(sl, [5, 5], [0, 1])
 
 
-def test_build_rejects_sentinel_keys():
-    sl = GFSL(capacity_chunks=64, team_size=16, seed=1)
-    with pytest.raises(ValueError):
-        bulk_build_into(sl, [0])
-
-
 def test_build_capacity_exhaustion():
     sl = GFSL(capacity_chunks=20, team_size=16, seed=1)
     from repro.core.pool import OutOfChunks

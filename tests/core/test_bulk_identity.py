@@ -183,7 +183,7 @@ def test_mc_build_matches_oracle(keys, valued, shuffle, p_key, seed):
 
 
 @pytest.mark.parametrize("keys,values", [
-    ([0, 5], None),       # the M&C builder has no user-key check
+    ([0, 5], None),       # the -inf sentinel
     ([5, 5], [0, 1]),
     ([3, 9, 3], None),
 ])
@@ -193,12 +193,6 @@ def test_mc_sentinel_and_duplicates_match_oracle(keys, values):
     want = _outcome(oracle.mc_bulk_build_into, ref, _tuples(keys, values))
     assert got == want
     assert _mc_image(new) == _mc_image(ref)
-
-
-def test_mc_rejects_negative_keys():
-    mc = MCSkiplist(capacity_words=10_000, seed=1)
-    with pytest.raises(ValueError, match="non-negative"):
-        mc_bulk(mc, [4, -1])
 
 
 # -- registry builds: bulk build + L2 warm, sharded and not -----------------
@@ -279,7 +273,7 @@ def test_registry_build_matches_oracle(kind, prefill):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("prefill", [[0, 10, 20], [30, 7, 30]])
 def test_registry_errors_match_oracle(kind, prefill):
-    """A sentinel key 0 (GFSL raises, M&C builds) and a duplicate."""
+    """A sentinel key 0 and a duplicate: every kind raises."""
     w = _workload(prefill)
     assert _registry_build(kind, w, False) == _registry_build(kind, w, True)
 

@@ -20,22 +20,31 @@ from repro.core.gfsl import suggest_capacity
 from repro.core.pool import OutOfChunks
 
 
+def _check_items(items) -> None:
+    """The key contract on sorted ``(key, value)`` tuples: every value,
+    then the smallest and the largest key."""
+    if items:
+        vals = [v for _, v in items]
+        C.check_value(min(vals))
+        C.check_value(max(vals))
+        C.check_key(items[0][0])
+        C.check_key(items[-1][0])
+
+
 def bulk_build_into(sl, items, rng: np.random.Generator | None = None,
                     fill: float = DEFAULT_FILL) -> dict:
     """The tuple-list GFSL builder."""
+    items = sorted(items)
+    _check_items(items)
+    keys = np.asarray([k for k, _ in items], dtype=np.uint64)
+    vals = np.asarray([v for _, v in items], dtype=np.uint64)
+    if keys.size and np.any(keys[1:] == keys[:-1]):
+        raise ValueError("bulk build keys must be unique")
     geo = sl.geo
     lay = sl.layout
     mem = sl.ctx.mem
     sl._format()
     rng = rng if rng is not None else np.random.default_rng(0xB111D)
-
-    items = sorted(items)
-    if items and items[0][0] < C.MIN_USER_KEY:
-        raise ValueError("bulk build keys must be user keys")
-    keys = np.asarray([k for k, _ in items], dtype=np.uint64)
-    vals = np.asarray([v for _, v in items], dtype=np.uint64)
-    if keys.size and np.any(keys[1:] == keys[:-1]):
-        raise ValueError("bulk build keys must be unique")
 
     per_chunk = _per_chunk(geo, fill)
     # Bounded view: the chunk region ends at capacity, not at the end of
@@ -143,6 +152,7 @@ def mc_bulk_build_into(mc, items, rng: np.random.Generator | None = None,
     mem = mc.ctx.mem
     if n == 0:
         return {}
+    _check_items(items)
     keys = np.asarray([k for k, _ in items], dtype=np.uint64)
     vals = np.asarray([v for _, v in items], dtype=np.uint64)
     if np.any(keys[1:] == keys[:-1]):

@@ -112,7 +112,7 @@ def _kernel_calls(st, keys: np.ndarray, ops: np.ndarray) -> list:
                             tracer, record_path=True, track_upper=True)]
     out += [st.vector_contains(keys, tracer=tracer), vector.last_call_diag]
     out += [st.vector_search(keys, tracer=tracer), vector.last_call_diag]
-    out += [st.vector_update_wave(ops, keys, keys * 7 + 2**33,
+    out += [st.vector_update_wave(ops, keys, keys * 7 + 2**31,
                                   tracer=tracer), vector.last_call_diag]
     return out
 

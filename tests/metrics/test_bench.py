@@ -305,6 +305,22 @@ class TestCommittedBaseline:
             for backend in ("sequential", "interleaved", "vectorized")
             for shards in (1, 2, 4))
 
+    def test_merge_baseline_covers_the_merge_grid_and_unlinks(self):
+        """The CI merge grid's baseline: nine team-size-8 rows that
+        merge chunks, with a zombie unlinked on every backend, so the
+        equality gate sees the zombie counters move."""
+        doc = B.load_bench(B.latest_bench(RESULTS / "merge"))
+        assert B.validate_bench(doc) == []
+        assert doc["team_size"] == 8
+        assert sorted(B.row_key(r) for r in doc["rows"]) == sorted(
+            ("gfsl", backend, "[20,40,40]", 256, B.DEFAULT_OPS, shards,
+             "uniform")
+            for backend in ("sequential", "interleaved", "vectorized")
+            for shards in (1, 2, 4))
+        for backend in ("sequential", "interleaved", "vectorized"):
+            assert any(r["counters"]["zombies_unlinked"] > 0
+                       for r in doc["rows"] if r["backend"] == backend)
+
 
 class TestMarkdown:
     def test_table_and_regression_lines(self, tiny_doc):
