@@ -176,9 +176,15 @@ class MCSkiplist:
 
     def insert_gen(self, key: int, value: int = 0, height: int | None = None):
         """Lock-free add: bottom-level CAS linearizes, upper levels link
-        lazily; ``height`` overrides the geometric tower draw."""
+        lazily; ``height`` overrides the geometric tower draw.  Checks at
+        the call: a refused op yields no generator."""
         C.check_key(key)
         C.check_value(value)
+        return self._insert(key, value, height)
+
+    def _insert(self, key: int, value: int, height: int | None):
+        # The tower is drawn on the first step, not at the call: the
+        # order of RNG draws fixes the modeled M&C numbers.
         top = height if height is not None else self.draw_height()
         while True:
             found, preds, succs = yield from self._find(key)
@@ -221,8 +227,12 @@ class MCSkiplist:
 
     def delete_gen(self, key: int):
         """Lock-free remove: mark the tower top-down (the bottom-level
-        mark is the linearization point), then snip via ``_find``."""
+        mark is the linearization point), then snip via ``_find``.
+        Checks at the call: a refused op yields no generator."""
         C.check_key(key)
+        return self._delete(key)
+
+    def _delete(self, key: int):
         found, _preds, succs = yield from self._find(key)
         if not found:
             return False

@@ -5,7 +5,7 @@ response with global step numbers, yielding a concurrent *history*.
 The checker is Wing–Gong style — search for a legal linearization by
 repeatedly picking a minimal (by real-time order) unlinearized
 operation and replaying it against a sequential oracle — with two
-prunings that keep it exact yet fast:
+prunings and an array pass that keep it exact yet fast:
 
 * **Per-key decomposition.**  Set operations on distinct keys commute,
   so a history is linearizable iff each per-key sub-history is
@@ -20,9 +20,16 @@ prunings that keep it exact yet fast:
   ``(linearized-mask, present)`` states), threading the set of feasible
   register states from group to group.  Group sizes are bounded by how
   many operations on one key genuinely overlap, so the exact search
-  stays tiny even for 10k-op campaigns.  A one-event group (most of
-  them) is a single register replay, charged the one visit its search
-  would take.
+  stays tiny even for 10k-op campaigns.
+* **Array pass.**  Most keys have only one-event groups.  After a
+  consistent event the register state is that event's own (present
+  after an insert, absent after a delete, the result after a
+  contains), so such a key's check is a replay of each event against
+  the state its predecessor left.  One ``lexsort`` by
+  ``(key, start, end)`` lines every key's events up, and numpy replays
+  all those keys at once (:class:`_History`).  Only keys with a larger
+  group, an unknown op, or a history long enough to near
+  ``MAX_VISITS`` are searched.
 
 A search that still explodes (``MAX_VISITS`` states) falls back to a
 *net-effect* check for that key — prefill + successful inserts −
@@ -42,8 +49,17 @@ instants are intersected across keys in key order, and an empty
 intersection is a :class:`SnapshotViolation` — the snapshot was not a
 consistent cut.
 
-Every snapshot reuses one table per key (:class:`_KeyTable`), built once
-per :func:`check_history` call from the key's main check: its overlap
+:class:`_SnapshotJudge` pairs every observation with the keys of its
+window in one array pass.  A key no event overlaps over the pin
+window (quiet) adds no candidate instant, and for a key with one-event
+groups its verdict is a lookup: the key's main check holds and the
+observed state is the one between the events around the window.  The
+keys never operated on are compared with prefill the same way.  Python
+then walks only the rest — keys some event overlaps, keys searched by
+the main check, the first quiet key that cannot match, and every key
+of an inverted window.
+
+The walk uses one table per key (:class:`_KeyTable`): its overlap
 groups, the feasible states ``fwd[g]`` before each group, and the live
 states — those of ``fwd[g]`` from which the groups from ``g`` on can
 still end in the final state.  A pinned read either lies strictly
@@ -67,9 +83,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
+
+import numpy as np
 
 #: Per-key state-visit budget before falling back to the net-effect check.
 MAX_VISITS = 500_000
+
+#: Op codes of the array pass; any other op is code 3, and its key is
+#: searched, which raises on it.
+_OP_CODES = {"insert": 0, "delete": 1, "contains": 2}
 
 
 @dataclass(frozen=True)
@@ -144,8 +168,9 @@ def _group_outcomes(group: list[HistoryEvent], initial: bool,
             raise _SearchOverflow
         ok, nxt = _replay(group[0].op, group[0].result, initial)
         return {nxt} if ok else set()
-    hb = [[group[i].end < group[j].start for j in range(n)]
-          for i in range(n)]
+    # ``before[i]``: the events that responded before ``i`` was invoked.
+    before = [sum(1 << j for j in range(n) if group[j].end < e.start)
+              for e in group]
     full = (1 << n) - 1
     outcomes: set[bool] = set()
     seen: set[tuple[int, bool]] = set()
@@ -162,10 +187,8 @@ def _group_outcomes(group: list[HistoryEvent], initial: bool,
         if budget[0] <= 0:
             raise _SearchOverflow
         for i in range(n):
-            if mask >> i & 1:
-                continue
             # Every real-time predecessor must already be linearized.
-            if any(hb[j][i] and not (mask >> j & 1) for j in range(n)):
+            if mask >> i & 1 or before[i] & ~mask:
                 continue
             ok, nxt = _replay(group[i].op, group[i].result, present)
             if ok:
@@ -213,15 +236,16 @@ def _doubled(e: HistoryEvent) -> HistoryEvent:
 
 
 class _KeyTable:
-    """One key's main check, kept for the snapshot judge.
+    """One key's search: the main check of a key the array pass cannot
+    replay, and the snapshot walk's lookups for any key it meets.
 
     ``fwd[g]`` is the set of feasible states before group ``g``
     (``fwd[-1]`` after the last), ``outs[g]`` maps each of them to its
     outcomes in group ``g`` and ``spent[g]`` is the budget the group
     took; once a set is empty the later groups search nothing.  ``fwd``
     is ``None`` if the search overflowed ``MAX_VISITS``.  :meth:`index`
-    adds what the snapshot lookups need; only keys some snapshot judges
-    pay for it.
+    adds what the snapshot lookups need; only keys the walk meets pay
+    for it.
     """
 
     def __init__(self, events: list[HistoryEvent], initial: bool,
@@ -428,50 +452,200 @@ class LinearizabilityReport:
                 f"{verdict}{note}{snaps}")
 
 
-class _SnapshotJudge:
-    """Judges snapshots against one history's key tables.
+class _History:
+    """The events as arrays sorted by ``(key, start, end)``, with every
+    key's register replay done at once.
 
-    The sorted key universe (prefill keys plus every key the history
-    touched or leaked) is built once; each snapshot bisects it for its
-    ``[lo, hi]`` window.  Returns ``None`` if some instant
-    ``t ∈ [obs.start, obs.end]`` fits every key of the window, else the
-    reason.  The candidate instants are the window ends plus the doubled
-    event boundaries inside the window ±1 — feasibility of a pinned read
-    only changes at event boundaries, so the finite set is exact.
+    ``keys[j]`` is the ``j``-th distinct key and its sorted events are
+    ``off[j]:off[j + 1]``; ``by_first`` lists the keys in order of first
+    appearance.  A key is ``simple`` if each of its overlap groups is
+    one event, every op is known, every event starts no later than it
+    ends and it has at most ``MAX_VISITS - 2`` events.  Then a
+    consistent event leaves the register in its own state ``post``
+    (present after an insert, absent after a delete, the result after a
+    contains), so each event is checked against the one before it (the
+    prefill state for the first) and ``ok[j]`` is the key's main check;
+    neither the main check nor a snapshot query of such a key can reach
+    ``MAX_VISITS``.  Every other key is searched by its
+    :class:`_KeyTable`.
     """
 
-    def __init__(self, per_key: dict[int, list[HistoryEvent]],
-                 tables: dict[int, _KeyTable], initial: set):
-        self.tables, self.initial = tables, initial
-        self.known = initial | set(per_key)
-        self.universe = sorted(self.known)
+    def __init__(self, events: list[HistoryEvent], initial: set,
+                 final: set):
+        self.events = events
+        n = len(events)
+        key, start, end = (np.fromiter(map(attrgetter(name), events),
+                                       np.int64, n)
+                           for name in ("key", "start", "end"))
+        result = np.fromiter(map(attrgetter("result"), events), bool, n)
+        op = np.fromiter((_OP_CODES.get(e.op, 3) for e in events),
+                         np.int8, n)
+        self.order = order = np.lexsort((end, start, key))
+        key, start, end, result, op = (a[order] for a in
+                                       (key, start, end, result, op))
+        head = np.ones(n, bool)
+        head[1:] = key[1:] != key[:-1]
+        self.off = off = np.append(np.flatnonzero(head), n)
+        self.keys = keys = key[off[:-1]].tolist()
+        self.size = np.diff(off)
+        self.init = np.fromiter((k in initial for k in keys), bool,
+                                len(keys))
+        self.final = np.fromiter((k in final for k in keys), bool,
+                                 len(keys))
+        firsts = off[:-1]
+        # An event that starts no later than an earlier one of its key
+        # ends joins that event's overlap group.
+        odd = (op == 3) | (end < start)
+        odd[1:] |= ~head[1:] & (start[1:] <= end[:-1])
+        self.simple = (~np.logical_or.reduceat(odd, firsts)
+                       & (self.size < MAX_VISITS - 1))
+        self.post = post = np.where(op == 2, result, op == 0)
+        prev = np.empty(n, bool)
+        prev[1:] = post[:-1]
+        prev[firsts] = self.init
+        consistent = np.where(op == 0, result != prev, result == prev)
+        self.ok = (np.logical_and.reduceat(consistent, firsts)
+                   & (post[off[1:] - 1] == self.final))
+        self.by_first = np.argsort(np.minimum.reduceat(order, firsts))
+        # End stamps as ranks, so ``key index * span + rank`` orders the
+        # simple keys' events by (key, end) without overflow.
+        stamps, rank = np.unique(end, return_inverse=True)
+        self.end_stamps, self.span = stamps, len(stamps) + 1
+        self.start = start
+        kid = np.cumsum(head) - 1
+        self.end_order = kid * self.span + np.where(self.simple[kid],
+                                                    rank + 1, 0)
 
-    def __call__(self, obs: SnapshotObservation) -> str | None:
-        lo, hi, seen = obs.lo, obs.hi, obs.keys
-        # An observed key the history never touched and prefill lacks.
-        stray = min((k for k in seen
-                     if lo <= k <= hi and k not in self.known), default=None)
-        dynamic: list[tuple[_KeyTable, bool]] = []
-        for k in self.universe[bisect_left(self.universe, lo):
-                               bisect_right(self.universe, hi)]:
-            if stray is not None and k > stray:
-                break
-            want = k in seen
-            table = self.tables.get(k)
-            if table is None:
-                # No ops ever touched k: presence is constant at prefill.
-                if want != (k in self.initial):
-                    return _never_operated(k, want, k in self.initial)
-                continue
-            table.index()
-            dynamic.append((table, want))
-        if stray is not None:
-            return _never_operated(stray, True, False)
+    def events_of(self, j: int) -> list[HistoryEvent]:
+        """Key ``j``'s events in recorded order."""
+        return [self.events[i] for i in
+                sorted(self.order[self.off[j]:self.off[j + 1]].tolist())]
 
+
+class _SnapshotJudge:
+    """Judges every snapshot of one history in one array pass.
+
+    The sorted key universe (prefill keys plus every key the history
+    touched or leaked) is built once.  Each observation is paired with
+    the universe keys of its ``[lo, hi]`` window, and for all pairs at
+    once the arrays find the observed membership ``want``, the keys
+    never operated on whose prefill state the observation contradicts,
+    and the observed keys outside the universe (stray).  For a simple
+    key of :class:`_History` under a window that is not inverted they
+    also find whether the key is quiet over the pin window and, if so,
+    its verdict: the key's main check holds and ``want`` is the register
+    state between the events around the window.
+
+    A snapshot is consistent (``None``) iff some instant
+    ``t ∈ [obs.start, obs.end]`` fits every key of its window; else the
+    reason, which names the smallest contradicted never-operated or
+    stray key if there is one.  Otherwise :meth:`_walk` decides from the
+    keys the arrays did not settle.
+    """
+
+    def __init__(self, hist: _History, tables: dict[int, _KeyTable],
+                 initial: set, leaked: set):
+        self.hist, self.tables = hist, tables
+        known = sorted(initial | set(hist.keys) | leaked)
+        self.universe = np.array(known, np.int64)
+        self.prefill = np.fromiter((k in initial for k in known), bool,
+                                   len(known))
+        keys = np.array(hist.keys, np.int64)
+        self.operated = np.isin(self.universe, keys)
+        self.index = np.searchsorted(keys, self.universe)
+
+    def __call__(self, snapshots: list[SnapshotObservation]
+                 ) -> list[str | None]:
+        universe = self.universe
+        n = len(snapshots)
+        lo, hi, start, end = (
+            np.fromiter(map(attrgetter(name), snapshots), np.int64, n)
+            for name in ("lo", "hi", "start", "end"))
+        # Pairs, observation-major and in key order within each one.
+        first = np.searchsorted(universe, lo, "left")
+        width = np.maximum(np.searchsorted(universe, hi, "right") - first,
+                           0)
+        pobs = np.repeat(np.arange(n), width)
+        pkey = np.arange(len(pobs)) + np.repeat(
+            first - np.cumsum(width) + width, width)
+        sizes = [len(obs.keys) for obs in snapshots]
+        seen = np.fromiter(chain.from_iterable(obs.keys
+                                               for obs in snapshots),
+                           np.int64, sum(sizes))
+        sobs = np.repeat(np.arange(n), sizes)
+        known = np.isin(seen, universe)
+        stride = len(universe) + 1
+        want = np.isin(pobs * stride + pkey,
+                       sobs[known] * stride
+                       + np.searchsorted(universe, seen[known]))
+
+        # A window's smallest key whose presence never changed and that
+        # the observation contradicts: prefill's (never operated on) or
+        # absent (stray).
+        details: list[str | None] = [None] * n
+        smallest: dict[int, int] = {}
+        never = np.flatnonzero(~self.operated[pkey]
+                               & (want != self.prefill[pkey]))
+        obs_ids, at = np.unique(pobs[never], return_index=True)
+        for i, p in zip(obs_ids.tolist(), never[at].tolist()):
+            smallest[i] = k = int(universe[pkey[p]])
+            details[i] = _never_operated(k, bool(want[p]),
+                                         bool(self.prefill[pkey[p]]))
+        stray = np.flatnonzero(~known & (lo[sobs] <= seen)
+                               & (seen <= hi[sobs]))
+        for i, k in zip(sobs[stray].tolist(), seen[stray].tolist()):
+            if k < smallest.get(i, k + 1):
+                smallest[i] = k
+                details[i] = _never_operated(k, True, False)
+
+        walk = self._unsettled(pobs, pkey, want, start, end)
+        p = np.flatnonzero(walk)
+        obs_ids, at = np.unique(pobs[p], return_index=True)
+        for i, part in zip(obs_ids.tolist(), np.split(p, at[1:])):
+            if details[i] is None:
+                details[i] = self._walk(snapshots[i], zip(
+                    self.index[pkey[part]].tolist(), want[part].tolist()))
+        return details
+
+    def _unsettled(self, pobs, pkey, want, start, end) -> np.ndarray:
+        """The pairs the walk must visit: every operated key but the
+        simple ones quiet over a window that is not inverted, plus the
+        first of those per snapshot whose verdict is infeasible (a quiet
+        key adds no candidate instant, so only that one can decide)."""
+        hist = self.hist
+        walk = self.operated[pkey]
+        p = np.flatnonzero(walk)
+        j = self.index[pkey[p]]
+        settled = hist.simple[j] & (start <= end)[pobs[p]]
+        p, j = p[settled], j[settled]
+        # ``before``: how many of the key's events end before the window.
+        head, size = hist.off[j], hist.size[j]
+        before = np.searchsorted(
+            hist.end_order,
+            j * hist.span + np.searchsorted(hist.end_stamps,
+                                            start[pobs[p]]) + 1) - head
+        quiet = (before == size) | (
+            hist.start[head + np.minimum(before, size - 1)] > end[pobs[p]])
+        state = np.where(before == 0, hist.init[j],
+                         hist.post[head + np.maximum(before, 1) - 1])
+        fits = hist.ok[j] & (want[p] == state)
+        walk[p[quiet]] = False
+        infeasible = p[quiet & ~fits]
+        walk[infeasible[np.unique(pobs[infeasible],
+                                  return_index=True)[1]]] = True
+        return walk
+
+    def _walk(self, obs: SnapshotObservation, pairs) -> str | None:
+        """Intersect the feasible instants of the unsettled keys of one
+        snapshot, ``(key index, want)`` in key order.  The candidate
+        instants are the window ends plus the doubled event boundaries
+        inside the window ±1 — feasibility of a pinned read only changes
+        at event boundaries, so the finite set is exact."""
         w0, w1 = 2 * obs.start, 2 * obs.end
         feasible = {w0, w1}
         verdicts = []
-        for table, want in dynamic:
+        for j, want in pairs:
+            table = self._table(j)
             ok = table.at_quiet_window(w0, w1, want)
             if ok is None:
                 # A key quiet over the window adds no instant but w0/w1.
@@ -490,6 +664,18 @@ class _SnapshotJudge:
                         f"window")
         return None
 
+    def _table(self, j: int) -> _KeyTable:
+        """Key ``j``'s table: the main check's, or built on first use
+        for a simple key."""
+        hist = self.hist
+        key = hist.keys[j]
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = _KeyTable(
+                hist.events_of(j), bool(hist.init[j]), bool(hist.final[j]))
+        table.index()
+        return table
+
 
 def _never_operated(key: int, want: bool, prefill: bool) -> str:
     return (f"key {key}: snapshot says {want}, but the key was never "
@@ -506,37 +692,39 @@ def check_history(recorder: HistoryRecorder | list[HistoryEvent],
               else list(recorder))
     initial = set(int(k) for k in initial_keys)
     final = set(int(k) for k in final_keys)
-    per_key: dict[int, list[HistoryEvent]] = {}
-    for e in events:
-        per_key.setdefault(e.key, []).append(e)
+    hist = _History(events, initial, final)
     # Keys whose presence changed without any recorded op are violations
     # too (a mutation leaked onto an untouched key).
-    for k in (initial ^ final) - set(per_key):
-        per_key[k] = []
+    leaked = (initial ^ final) - set(hist.keys)
 
-    report = LinearizabilityReport(ok=True, checked_keys=len(per_key),
-                                   events=len(events))
+    report = LinearizabilityReport(
+        ok=True, checked_keys=len(hist.keys) + len(leaked),
+        events=len(events))
     tables: dict[int, _KeyTable] = {}
-    for k, evs in per_key.items():
-        init, fin = k in initial, k in final
-        if evs:
-            table = _KeyTable(evs, init, fin)
-            ok, fellback = table.verdict()
-            if snapshots:
-                tables[k] = table
+    # Only keys the arrays did not pass need Python, in the order of
+    # their first event (an unknown op raises at the first such key).
+    for j in hist.by_first[~(hist.simple & hist.ok)[hist.by_first]].tolist():
+        k, evs = hist.keys[j], hist.events_of(j)
+        init, fin = bool(hist.init[j]), bool(hist.final[j])
+        if hist.simple[j]:
+            ok, fellback = False, False
         else:
-            ok, fellback = init == fin, False
+            table = tables[k] = _KeyTable(evs, init, fin)
+            ok, fellback = table.verdict()
         if fellback:
             report.fallback_keys += 1
         if not ok:
             report.ok = False
             report.violations.append(Violation(k, evs, init, fin))
+    for k in leaked:
+        report.ok = False
+        report.violations.append(Violation(k, [], k in initial, k in final))
 
     if snapshots:
-        judge = _SnapshotJudge(per_key, tables, initial)
-        for obs in snapshots:
-            report.snapshots_checked += 1
-            detail = judge(obs)
+        snapshots = list(snapshots)
+        judge = _SnapshotJudge(hist, tables, initial, leaked)
+        report.snapshots_checked = len(snapshots)
+        for obs, detail in zip(snapshots, judge(snapshots)):
             if detail is not None:
                 report.ok = False
                 report.snapshot_violations.append(

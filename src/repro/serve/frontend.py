@@ -67,6 +67,15 @@ from .request import HISTORY_OP, OP_CODE, RANGE, Request, ServeStats
 #: Typed faults a flush may surface that the retry policy can judge.
 _FLUSH_FAULTS = (LockTimeout, RestartStorm)
 
+
+def _raise_fault(dispatcher: Future) -> None:
+    """Re-raise what killed a dispatcher from the loop, at the step it
+    died: a fault the flush cannot type (outside ``_FLUSH_FAULTS``)
+    ends the run, where the stranded requests would hang it."""
+    if dispatcher.exception() is not None:
+        raise dispatcher.exception()
+
+
 #: Share of a token bucket's burst below which range requests are shed
 #: (rung 4 of the admission ladder, DESIGN.md §14).
 RANGE_RESERVE = 0.25
@@ -176,6 +185,8 @@ class ServeFrontend:
                 self._point_dispatcher(sid), f"dispatch-{sid}"))
         self._tasks.append(self.loop.create_task(
             self._range_dispatcher(), "dispatch-range"))
+        for task in self._tasks:
+            task.add_done_callback(_raise_fault)
 
     async def drain(self) -> None:
         """Wait until every admitted request has terminated."""

@@ -1,10 +1,10 @@
 """Reference oracle: the checker that re-searches every snapshot.
 
-``repro.chaos.linearize.check_history`` searches each key once and
-judges every snapshot instant by lookup in per-key tables.  This module
-keeps the straightforward version it replaced, so the differential
-tests can assert the two produce the same report, violation strings
-included:
+``repro.chaos.linearize.check_history`` replays most keys in one array
+pass, searches the rest once, and judges every snapshot by arrays and
+lookups in per-key tables.  This module keeps the straightforward
+version it replaced, so the differential tests can assert the two
+produce the same report, violation strings included:
 
 * the overlap-group search with no shortcut for one-event groups;
 * ``_check_snapshot``, which rebuilds the key universe, rescans every

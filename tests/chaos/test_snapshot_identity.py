@@ -1,9 +1,11 @@
-"""The per-key snapshot tables against the re-searching oracle in
-``scalar_snapshot``: identical :class:`LinearizabilityReport` s — verdict,
-counts, ``fallback_keys`` and every violation string — on hand-built
-histories, recorded chaos campaigns (a planted bug included), a
-migrating serve campaign, hypothesis-generated observations, and with
-``MAX_VISITS`` lowered until main checks and snapshot queries overflow.
+"""The array pass and the per-key snapshot tables against the
+re-searching oracle in ``scalar_snapshot``: identical
+:class:`LinearizabilityReport` s — verdict, counts, ``fallback_keys`` and
+every violation string — on hand-built histories, recorded chaos
+campaigns (a planted bug included), a migrating serve campaign (also
+with hypothesis-mutated observations and results), hypothesis-generated
+observations, with ``MAX_VISITS`` lowered until main checks and
+snapshot queries overflow, and on the edges of the array pass.
 """
 
 from __future__ import annotations
@@ -310,3 +312,173 @@ def test_singleton_groups_spend_one_visit_each(monkeypatch, slack,
     ref = assert_same(events, [], [], snapshots)
     assert ref.fallback_keys == (1 if overflows else 0)
     assert bool(ref.violations) is not overflows
+
+
+# ---------------------------------------------------------------------------
+# Edges of the array pass
+# ---------------------------------------------------------------------------
+
+def _singles(n):
+    """``n`` one-event groups on key 1 (insert, delete, …) ending absent
+    or present, plus key 9 in prefill, never operated on."""
+    events = [E("insert" if i % 2 == 0 else "delete", 1, True,
+                10 * i, 10 * i + 2) for i in range(n)]
+    return events, [9], [1, 9] if n % 2 else [9]
+
+
+@pytest.mark.parametrize("below", [2, 1, 0])
+def test_one_event_groups_at_the_visit_budget(monkeypatch, below):
+    """Array-replayed up to ``MAX_VISITS - 2`` events; from one more, a
+    snapshot query between groups can reach the budget, so the key is
+    searched and its quiet reads take the whole-history search."""
+    monkeypatch.setattr(linearize, "MAX_VISITS", 10)
+    events, initial, final = _singles(10 - below)
+    hist = linearize._History(events, set(initial), set(final))
+    assert hist.simple.tolist() == [below == 2]
+    quiet = [S(ks, 10 * i + 4, 10 * i + 7) for i in range(len(events))
+             for ks in ({9}, {1, 9})]
+    noisy = [S({1, 9}, 10 * i + 1, 10 * i + 11) for i in range(3)]
+    for snaps in (quiet + noisy, flipped(quiet)):
+        ref = assert_same(events, initial, final, snaps)
+        assert ref.snapshot_violations
+    last = events[-1]
+    assert_same(events[:-1] + [replace(last, result=False)], initial, final,
+                quiet)
+
+
+def test_inverted_windows_on_one_event_groups():
+    """A window whose start is after its end is judged at its start
+    alone, by the tables: here inside the second insert's span."""
+    events = [E("insert", 3, True, 0, 2), E("delete", 3, True, 4, 6),
+              E("insert", 3, True, 8, 12)]
+    snaps = [S(ks, a, b) for ks in ((), {3})
+             for a, b in ((9, 7), (5, 1), (13, 12), (3, 0), (30, 20))]
+    ref = assert_same(events, [], [3], snaps)
+    assert ref.snapshot_violations and len(ref.snapshot_violations) < 10
+
+
+@pytest.mark.parametrize("seen, window", [
+    ((), (5, 1)), ((), (20, 25)), ((), (2, 2)), ({3}, (7, 10))])
+def test_quiet_violation_behind_a_rescued_key(seen, window):
+    """Key 3's read is feasible only on the far side of an event the
+    window starts inside, or whose end or start it touches; key 4 is
+    plainly infeasible.  The quiescent-window violation must still name
+    key 4."""
+    events = [E("insert", 3, True, 0, 2), E("delete", 3, True, 4, 6),
+              E("insert", 3, True, 10, 20), E("insert", 4, True, 0, 1)]
+    ref = assert_same(events, [], [3, 4], [S(seen, *window)])
+    assert ref.snapshot_violations[0].detail.startswith("key 4:")
+
+
+def test_response_before_invocation_keeps_the_search(monkeypatch):
+    """An event stamped as responding before its invocation sends its
+    key to the tables, which give what they gave before the array pass:
+    the report equals one with every key searched."""
+    events = [E("delete", 1, False, 1, -2), E("contains", 1, False, 4, 2),
+              E("insert", 1, True, 8, 2)]
+    snaps = [S((), 4, 3), S((), 10, 10), S({1}, 1, -1), S({1}, 4, 4),
+             S({1}, 8, 6), S({1}, 1, 2)]
+    got = fingerprint(check_history(events, [], [1], snapshots=snaps))
+    monkeypatch.setattr(linearize, "_OP_CODES", {})
+    assert got == fingerprint(check_history(events, [], [1],
+                                            snapshots=snaps))
+
+
+@pytest.mark.parametrize("stray", [2, 7, 40])
+def test_stray_key_against_other_mismatches(stray):
+    """The smallest key of the window that no op touched and prefill
+    contradicts wins, whether it is stray or never operated on; a
+    dynamic key's violation comes only after both."""
+    events = [E("insert", 5, True, 0, 2), E("contains", 30, True, 0, 2)]
+    snaps = [S({stray, 5}, 10, 12, lo=1, hi=50),          # 10 missing
+             S({stray, 10}, 10, 12, lo=1, hi=50),         # 5 infeasible
+             S({stray, 5, 10, 30}, 10, 12, lo=1, hi=50),
+             S({stray}, 10, 12, lo=stray, hi=stray)]
+    ref = assert_same(events, [10, 30], [5, 10, 30], snaps)
+    assert len(ref.snapshot_violations) == 4
+    assert f"key {min(stray, 10)}:" in str(ref.snapshot_violations[0])
+
+
+def test_leaked_key_inside_windows():
+    """A key whose presence changed with no op is a main-check violation
+    and, in a window, judged by its prefill state."""
+    events = [E("insert", 5, True, 0, 2)]
+    snaps = [S({5, 8}, 4, 6), S({5}, 4, 6), S({5}, 4, 6, lo=6, hi=9),
+             S({5, 8}, 4, 6, lo=8, hi=8), S((), 4, 6, lo=7, hi=9)]
+    ref = assert_same(events, [8], [5], snaps)
+    assert [v.key for v in ref.violations] == [8]
+    ref = assert_same(events, [], [5, 8], snaps)
+    assert [v.key for v in ref.violations] == [8]
+
+
+def test_windows_without_universe_keys():
+    events = [E("insert", 5, True, 0, 2)]
+    snaps = [S((), 4, 6, lo=100, hi=200), S({150}, 4, 6, lo=100, hi=200),
+             S({5}, 4, 6, lo=6, hi=4), S((), 4, 6, lo=6, hi=4),
+             S({5}, 4, 6, lo=5, hi=5)]
+    ref = assert_same(events, [], [5], snaps)
+    assert [str(v) for v in ref.snapshot_violations] == [
+        "snapshot [4, 6] (1 keys): key 150: snapshot says True, but the "
+        "key was never operated on and prefill says False"]
+    assert_same([], [], [], snaps)
+    assert_same([], [5], [5], snaps)
+
+
+@pytest.mark.parametrize("snapshots", [[], None])
+def test_no_snapshots(snapshots):
+    events, initial, final = _singles(5)
+    ref = assert_same(events, initial, final, snapshots)
+    assert ref.snapshots_checked == 0 and ref.ok
+
+
+def _same_error(events, initial, final, snapshots=None):
+    with pytest.raises(ValueError) as got:
+        check_history(events, initial, final, snapshots=snapshots)
+    with pytest.raises(ValueError) as want:
+        oracle.check_history(events, initial, final, snapshots=snapshots)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+def test_unknown_op_raises_the_same_error():
+    upsert = [E("insert", 2, True, 0, 1), E("upsert", 2, True, 5, 6)]
+    assert _same_error(upsert, [], [2]) == "unknown operation 'upsert'"
+    # The first key (by first event) that replays one raises.
+    both = [E("merge", 7, True, 0, 1)] + upsert
+    assert _same_error(both, [], [2], [S({2}, 2, 3)]) == (
+        "unknown operation 'merge'")
+    # One an inconsistent event cuts off is never replayed.
+    cut = [E("contains", 2, True, 0, 1), E("upsert", 2, True, 5, 6),
+           E("insert", 3, True, 0, 9)]
+    ref = assert_same(cut, [], [2, 3], [S({2, 3}, 2, 3), S((), 7, 8)])
+    assert [v.key for v in ref.violations] == [2]
+
+
+@st.composite
+def serve_mutations(draw):
+    """The recorded elastic ``pq@4`` campaign with some observations
+    mutated (a window key flipped, or a stray key added) and some
+    event results flipped."""
+    events, initial, final, snapshots = recorded("serve-pq@4")
+    snaps = list(snapshots)
+    universe = sorted(set(initial) | set(final) | {e.key for e in events})
+    for i in draw(st.lists(st.integers(0, len(snaps) - 1), max_size=4)):
+        obs = snaps[i]
+        if draw(st.booleans()):
+            window = [k for k in universe if obs.lo <= k <= obs.hi]
+            key = draw(st.sampled_from(window or [obs.lo]))
+        else:
+            key = draw(st.integers(obs.lo, obs.hi))
+            key = key if key not in universe else obs.hi + 1
+        snaps[i] = replace(obs, keys=obs.keys ^ {key})
+    events = list(events)
+    for i in draw(st.lists(st.integers(0, len(events) - 1), max_size=3)):
+        events[i] = replace(events[i], result=not events[i].result)
+    return events, initial, final, snaps
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(serve_mutations())
+def test_mutated_serve_campaign(history):
+    assert_same(*history)

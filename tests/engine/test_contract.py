@@ -35,7 +35,7 @@ KINDS = [(base, None) for base in ("gfsl", "pq", "mc")] + [
     (f"{base}@{s}", part) for base in ("gfsl", "pq", "mc")
     for s in (2, 4) for part in ("range", "hash")]
 CHUNKED = [k for k in KINDS if not k[0].startswith("mc")]
-SHARDED_CHUNKED = [k for k in CHUNKED if k[1] is not None]
+SHARDED = [k for k in KINDS if k[1] is not None]
 
 
 def _id(kind):
@@ -236,7 +236,7 @@ def test_requests_check_only_a_put_value():
 
 # -- migration delta capture -----------------------------------------------------
 
-@pytest.mark.parametrize("kind", SHARDED_CHUNKED, ids=_id)
+@pytest.mark.parametrize("kind", SHARDED, ids=_id)
 def test_refused_mutations_are_never_captured(kind):
     """A migration replays the captured delta onto the destination, so
     an op the shard refuses must not enter it."""

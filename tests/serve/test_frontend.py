@@ -10,9 +10,12 @@ import pytest
 from repro.chaos.retry import RetryPolicy
 from repro.chaos.serve_faults import (ServeChaosConfig, ServeFaultInjector,
                                       ShardFrozen)
+from repro.core.locks import LockTimeout
+from repro.core.pool import OutOfChunks
 from repro.engine import make_structure
-from repro.serve import (GET, RANGE, ClientState, Request,
-                         ServeCampaignConfig, ServeFrontend, VirtualLoop)
+from repro.serve import (GET, PUT, RANGE, ClientState, LoadConfig, Request,
+                         ServeCampaignConfig, ServeFrontend, VirtualLoop,
+                         run_serve_campaign)
 from repro.serve.aio import Queue
 from repro.serve.errors import CircuitOpen, Overloaded
 from repro.workloads import MIX_10_10_80, generate
@@ -291,6 +294,92 @@ class TestBreakerAndRetry:
         assert fe.breakers[0].state == "closed"
         assert fe.stats.breaker_opens == 1
         assert fe.stats.completed == 1
+
+
+class TestUntypedFlushFault:
+    """A flush fault the retry policy cannot judge ends the run with
+    that exception, at the step it was raised, instead of stranding
+    the dispatcher's requests until the loop reports a deadlock."""
+
+    def test_out_of_chunks_ends_the_run_where_it_happened(self):
+        loop = VirtualLoop()
+        fe = build(loop, coalesce_size=4)
+        raised = []
+        execute = fe.structure.execute_batch
+
+        def noting(*args, **kw):
+            try:
+                return execute(*args, **kw)
+            except Exception as exc:
+                raised.append((exc, loop.now))
+                raise
+
+        fe.structure.execute_batch = noting
+
+        async def main():
+            fe.start()
+            for k in range(1000, 6000):
+                await fe.submit(Request(kind=PUT, key=k, value=k))
+            await fe.drain()
+            await fe.close()
+
+        with pytest.raises(OutOfChunks) as info:
+            loop.run_until_complete(main())
+        [(exc, step)] = raised
+        assert info.value is exc
+        assert str(info.value).startswith("chunk pool exhausted")
+        assert loop.now == step
+        # The flushes before it completed with today's accounting.
+        assert fe.stats.completed == fe.stats.flushed_ops > 0
+        assert fe.stats.failed == fe.stats.retries == 0
+
+    def test_typed_faults_keep_their_accounting(self):
+        loop = VirtualLoop()
+        fe = build(loop, coalesce_size=2, coalesce_steps=20,
+                   retry=RetryPolicy(max_attempts=2, base_steps=10,
+                                     jitter=0.0, seed=1))
+        calls = []
+
+        def timing_out(batch, **kw):
+            calls.append(loop.now)
+            raise LockTimeout(7, 3)
+
+        fe.structure.execute_batch = timing_out
+
+        async def main():
+            fe.start()
+            futs = [await fe.submit(get(10 + i)) for i in range(2)]
+            await fe.drain()
+            await fe.close()
+            return futs
+
+        futs = loop.run_until_complete(main())
+        assert len(calls) == 2
+        assert all(isinstance(f.exception(), LockTimeout) for f in futs)
+        assert fe.stats.retries == 1
+        assert fe.stats.failed == 2
+        assert fe.stats.reasons == {"LockTimeout": 1}
+
+    def test_a_campaign_raises_the_original_fault(self, monkeypatch):
+        boom = RuntimeError("flush 3 failed")
+        real = ServeFrontend._execute_points
+        calls = []
+
+        def third_fails(self, reqs):
+            calls.append(self.loop.now)
+            if len(calls) == 3:
+                raise boom
+            return real(self, reqs)
+
+        monkeypatch.setattr(ServeFrontend, "_execute_points", third_fails)
+        cfg = ServeCampaignConfig(
+            structure="gfsl@2", partitioner="range",
+            load=LoadConfig(n_requests=200, n_clients=4, key_range=256,
+                            seed=1))
+        with pytest.raises(RuntimeError) as info:
+            run_serve_campaign(cfg)
+        assert info.value is boom
+        assert len(calls) == 3
 
 
 def test_every_submission_gets_a_future():
